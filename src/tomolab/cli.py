@@ -65,8 +65,7 @@ def _sample(args) -> int:
         out_dir = args.out or "."
     if args.n < 1:
         raise ConfigError("--n must be positive")
-    rng = RngStream(seed)
-    rows = np.stack([prior.sample(rng) for _ in range(args.n)])
+    rows = prior.sample(args.n, RngStream(seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels = ("p",) if prior.basis is None else prior.basis.labels

@@ -5,7 +5,8 @@ A run is configured by a single JSON document with a versioned schema,
 executed with streams derived deterministically from one seed, and
 written out as a canonical ``record.json`` plus per-step CSVs.  Identical
 (config, seed) pairs produce byte-identical canonical outputs; wall-clock
-timing goes to a separate metadata file so it never breaks that.
+timing and the output directory go to a separate metadata file so they
+never break that.
 """
 
 from __future__ import annotations
@@ -272,9 +273,16 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
+        """The config as the canonical record stores it.
+
+        ``out_dir`` says where outputs go, not what they are, so it is
+        left out: one config and seed give the same record in any
+        directory.
+        """
         out = {"schema_version": SCHEMA_VERSION}
         for key, value in asdict(self).items():
-            out[key] = value
+            if key != "out_dir":
+                out[key] = value
         return out
 
 
@@ -349,7 +357,7 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
                 raise ConfigError("coin truth needs p in [0, 1]")
             return np.array([float(spec.p)])
         if spec.kind == "from_prior":
-            return prior.sample(rng)
+            return prior.sample(1, rng)[0]
         raise ConfigError(f"truth kind {spec.kind!r} is not defined for coins")
     basis = prior.basis
     if spec.kind == "explicit":
@@ -365,10 +373,10 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
         kraus = [decode_matrix(k) for k in spec.kraus]
         return basis.vectorize(choi_of_channel(kraus).matrix)
     if spec.kind == "from_prior":
-        return prior.sample(rng)
+        return prior.sample(1, rng)[0]
     if spec.kind == "from_distribution":
         dist = build_prior(spec.prior, model, dim)
-        return dist.sample(rng)
+        return dist.sample(1, rng)[0]
     raise ConfigError(f"truth kind {spec.kind!r} is not usable here")
 
 
@@ -427,8 +435,9 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
 class RunRecord:
     """Everything one run produced.
 
-    ``to_json`` is canonical and excludes wall time, so identical
-    (config, seed) pairs serialize to identical bytes.
+    ``to_json`` is canonical and excludes wall time and the output
+    directory, so identical (config, seed) pairs serialize to identical
+    bytes.
     """
 
     config: dict
@@ -458,8 +467,7 @@ class RunRecord:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "record.json").write_text(self.to_json(), encoding="utf-8")
-        with open(out / "meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"wall_time_s": self.wall_time}, fh, indent=2)
+        _write_meta(out, self.wall_time)
         if self.steps:
             _write_csv(out / "steps.csv", self.steps)
         cov = self.summary.get("covariance")
@@ -472,6 +480,11 @@ class RunRecord:
             np.savetxt(out / "final_cloud.csv", dump, delimiter=",",
                        header=header, comments="")
         return out
+
+
+def _write_meta(out: Path, wall_time: float) -> None:
+    with open(out / "meta.json", "w", encoding="utf-8") as fh:
+        json.dump({"wall_time_s": wall_time, "out_dir": out.as_posix()}, fh, indent=2)
 
 
 def _write_csv(path: Path, rows: list) -> None:
@@ -714,8 +727,7 @@ class RiskResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "record.json").write_text(self.to_json(), encoding="utf-8")
-        with open(out / "meta.json", "w", encoding="utf-8") as fh:
-            json.dump({"wall_time_s": self.wall_time}, fh, indent=2)
+        _write_meta(out, self.wall_time)
         steps = np.arange(len(self.curve))
         np.savetxt(out / "risk_curve.csv",
                    np.column_stack([steps, np.asarray(self.curve)]),

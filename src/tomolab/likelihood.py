@@ -9,10 +9,10 @@ one-coordinate hypothesis whose "effect" is the constant vector [1.0].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .qobj import (
     DensityOperator,
@@ -77,31 +77,44 @@ def born_probability(state_coords, effect_coords) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def binomial_pmf(n: int, n_success: int, p) -> np.ndarray:
-    """Binomial(n, p) mass at n_success, vectorized over p.
+def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
+    """Natural log of the Binomial(n, p) mass at n_success, vectorized over p.
 
-    Exact at the endpoints: p = 0 or 1 contributes probability one to the
-    all-failures or all-successes count and zero elsewhere.
+    Finite wherever the mass is nonzero, however many shots: it never
+    forms the mass itself, which underflows at large n.  Exact at the
+    endpoints: p = 0 or 1 gives log 1 = 0 for the all-failures or
+    all-successes count and -inf elsewhere.
     """
     if not 0 <= n_success <= n:
         raise ValueError("success count must lie in [0, n_meas]")
     p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    log_comb = gammaln(n + 1) - gammaln(n_success + 1) - gammaln(n - n_success + 1)
+    log_comb = math.lgamma(n + 1) - math.lgamma(n_success + 1) - math.lgamma(n - n_success + 1)
     with np.errstate(divide="ignore"):
         log_hit = 0.0 if n_success == 0 else n_success * np.log(p)
         log_miss = 0.0 if n_success == n else (n - n_success) * np.log1p(-p)
-    return np.exp(log_comb + log_hit + log_miss)
+    return log_comb + log_hit + log_miss
+
+
+def binomial_pmf(n: int, n_success: int, p) -> np.ndarray:
+    """Binomial(n, p) mass at n_success, vectorized over p."""
+    return np.exp(binomial_log_pmf(n, n_success, p))
+
+
+def binomial_log_likelihood(state_coords, design: ExperimentDesign,
+                            n_success: int) -> np.ndarray:
+    """Log likelihood of observing ``n_success`` under ``design``."""
+    p = born_probability(state_coords, design.effect.coords)
+    return binomial_log_pmf(design.n_meas, n_success, p)
 
 
 def binomial_likelihood(state_coords, design: ExperimentDesign, n_success: int) -> np.ndarray:
     """Likelihood of observing ``n_success`` under ``design``."""
-    p = born_probability(state_coords, design.effect.coords)
-    return binomial_pmf(design.n_meas, n_success, p)
+    return np.exp(binomial_log_likelihood(state_coords, design, n_success))
 
 
-def datum_likelihood(locations, datum: Datum) -> np.ndarray:
-    """Vectorized likelihood of one datum for each hypothesis row."""
-    return binomial_likelihood(locations, datum.design, datum.n_success)
+def datum_log_likelihood(locations, datum: Datum) -> np.ndarray:
+    """Vectorized log likelihood of one datum for each hypothesis row."""
+    return binomial_log_likelihood(locations, datum.design, datum.n_success)
 
 
 def sequence_log_likelihood(state_coords, effects, counts) -> float:

@@ -17,6 +17,7 @@ and to classical coins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,10 +27,11 @@ from .qobj import (
     DensityOperator,
     InvalidOperatorError,
     OperatorBasis,
+    check_states,
     partial_trace,
     standard_basis,
 )
-from .randq import RngStream, bcsz_channel, bures_state, ginibre_rebit_state, ginibre_state
+from .randq import RngStream, bcsz_channels, bures_states, ginibre_rebit_states, ginibre_states
 
 LAMBDA_FLOOR = 1e-6
 _PASSTHROUGH_TOL = 1e-12
@@ -65,87 +67,79 @@ class CoinPrior:
 class PriorDistribution:
     """Named sampler over hypothesis coordinate vectors.
 
-    ``basis`` is None for coins, whose single coordinate is the heads
-    probability itself.  ``channel_dim`` is set when samples are Choi
-    states on a D**2 space.
+    ``sample(n, rng)`` is the one way to draw.  A fiducial state or
+    channel prior draws a stack of matrices from ``ensemble(n=, rng=)``
+    (a :mod:`randq` sampler), validates it once and vectorizes it; a
+    fiducial coin prior (``basis`` None) draws its heads probability
+    uniformly.  A damped prior mixes the draws of its ``fiducial`` prior
+    toward the extremal target of ``gad`` (or ``coin``).  ``channel_dim``
+    is set when samples are Choi states on a D**2 space.
     """
 
     name: str
     kind: str  # "fiducial" | "insightful"
     basis: Optional[OperatorBasis]
-    sample_coords: Callable[[RngStream], np.ndarray]
+    ensemble: Optional[Callable[..., np.ndarray]] = None
     channel_dim: Optional[int] = None
+    fiducial: Optional["PriorDistribution"] = None
     gad: Optional[GadPrior] = None
     coin: Optional[CoinPrior] = None
-    sample_batch: Optional[Callable[[int, RngStream], np.ndarray]] = None
 
     @property
     def n_coords(self) -> int:
         return 1 if self.basis is None else self.basis.size
 
-    def sample(self, rng: RngStream) -> np.ndarray:
-        return self.sample_coords(rng)
+    def sample(self, n: int, rng: RngStream) -> np.ndarray:
+        """n draws as an (n, n_coords) array.
 
-    def sample_many(self, n: int, rng: RngStream) -> np.ndarray:
-        """n samples as an (n, n_coords) array; vectorized when available."""
-        if self.sample_batch is not None:
-            return self.sample_batch(n, rng)
-        return np.stack([self.sample_coords(rng) for _ in range(n)])
+        A damped prior takes all n fiducial draws from the stream first,
+        then the n mixing weights.
+        """
+        if self.fiducial is not None:
+            fid = self.fiducial.sample(n, rng)
+            if self.coin is not None:
+                beta, star = self.coin.beta, self.coin.p_star
+            else:
+                beta, star = self.gad.beta, self.basis.vectorize(self.gad.rho_star)
+            eps = sample_epsilon(beta, n, rng)[:, None]
+            return (1.0 - eps) * fid + eps * star
+        if self.basis is None:
+            return rng.generator.random((n, 1))
+        stack = check_states(self.ensemble(n=n, rng=rng), channel_dim=self.channel_dim)
+        return self.basis.vectorize(stack)
 
 
 def ginibre_prior(dim: int, rank: Optional[int] = None,
                   basis: Optional[OperatorBasis] = None) -> PriorDistribution:
     rank = dim if rank is None else rank
-    basis = standard_basis(dim) if basis is None else basis
-
-    def draw(rng: RngStream) -> np.ndarray:
-        return basis.vectorize(ginibre_state(dim, rank, rng).matrix)
-
     return PriorDistribution(name=f"ginibre(d={dim},k={rank})", kind="fiducial",
-                             basis=basis, sample_coords=draw)
+                             basis=standard_basis(dim) if basis is None else basis,
+                             ensemble=partial(ginibre_states, dim=dim, rank=rank))
 
 
 def bures_prior(dim: int, basis: Optional[OperatorBasis] = None) -> PriorDistribution:
-    basis = standard_basis(dim) if basis is None else basis
-
-    def draw(rng: RngStream) -> np.ndarray:
-        return basis.vectorize(bures_state(dim, rng).matrix)
-
     return PriorDistribution(name=f"bures(d={dim})", kind="fiducial",
-                             basis=basis, sample_coords=draw)
+                             basis=standard_basis(dim) if basis is None else basis,
+                             ensemble=partial(bures_states, dim=dim))
 
 
 def rebit_ginibre_prior(rank: int = 2, basis: Optional[OperatorBasis] = None) -> PriorDistribution:
-    basis = standard_basis(2) if basis is None else basis
-
-    def draw(rng: RngStream) -> np.ndarray:
-        return basis.vectorize(ginibre_rebit_state(rank, rng).matrix)
-
     return PriorDistribution(name=f"rebit-ginibre(k={rank})", kind="fiducial",
-                             basis=basis, sample_coords=draw)
+                             basis=standard_basis(2) if basis is None else basis,
+                             ensemble=partial(ginibre_rebit_states, rank=rank))
 
 
 def bcsz_prior(dim: int, kraus_rank: Optional[int] = None,
                basis: Optional[OperatorBasis] = None) -> PriorDistribution:
     kraus_rank = dim * dim if kraus_rank is None else kraus_rank
-    basis = standard_basis(dim * dim) if basis is None else basis
-
-    def draw(rng: RngStream) -> np.ndarray:
-        return basis.vectorize(bcsz_channel(dim, kraus_rank, rng).matrix)
-
     return PriorDistribution(name=f"bcsz(d={dim},k={kraus_rank})", kind="fiducial",
-                             basis=basis, sample_coords=draw, channel_dim=dim)
+                             basis=standard_basis(dim * dim) if basis is None else basis,
+                             ensemble=partial(bcsz_channels, dim=dim, kraus_rank=kraus_rank),
+                             channel_dim=dim)
 
 
 def coin_uniform_prior() -> PriorDistribution:
-    def draw(rng: RngStream) -> np.ndarray:
-        return np.array([rng.generator.random()])
-
-    def draw_batch(n: int, rng: RngStream) -> np.ndarray:
-        return rng.generator.random((n, 1))
-
-    return PriorDistribution(name="coin-uniform", kind="fiducial",
-                             basis=None, sample_coords=draw, sample_batch=draw_batch)
+    return PriorDistribution(name="coin-uniform", kind="fiducial", basis=None)
 
 
 def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
@@ -180,10 +174,9 @@ def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
     return alpha, beta, rho_star
 
 
-def sample_epsilon(beta: float, rng: RngStream) -> float:
-    """Draw eps ~ Beta(1, beta) by inverse CDF; beta = inf gives eps = 0."""
-    u = rng.generator.random()
-    return 1.0 - u ** (1.0 / beta)
+def sample_epsilon(beta: float, n: int, rng: RngStream) -> np.ndarray:
+    """n draws of eps ~ Beta(1, beta) by inverse CDF; beta = inf gives eps = 0."""
+    return 1.0 - rng.generator.random(n) ** (1.0 / beta)
 
 
 def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
@@ -213,24 +206,12 @@ def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
         DensityOperator(matrix=rho_star)
     except InvalidOperatorError as err:
         raise PriorConstructionError(f"extremal target is not a valid state: {err}") from err
-    star_coords = basis.vectorize(rho_star)
     gad = GadPrior(alpha=alpha, beta=beta,
                    lambda_min=float(np.linalg.eigvalsh(mu).min()),
                    rho_mu=mu, rho_star=rho_star)
-
-    def draw(rng: RngStream) -> np.ndarray:
-        fid = fiducial.sample_coords(rng)
-        eps = sample_epsilon(beta, rng)
-        return (1.0 - eps) * fid + eps * star_coords
-
     return PriorDistribution(name=f"insightful({fiducial.name})", kind="insightful",
-                             basis=basis, sample_coords=draw,
-                             channel_dim=fiducial.channel_dim, gad=gad)
-
-
-def gad_sample(prior: PriorDistribution, rng: RngStream) -> np.ndarray:
-    """Sample coordinates from an insightful prior (or any prior)."""
-    return prior.sample(rng)
+                             basis=basis, channel_dim=fiducial.channel_dim,
+                             fiducial=fiducial, gad=gad)
 
 
 def coin_gad_params(p_mu: float) -> tuple[float, float, float]:
@@ -263,22 +244,5 @@ def coin_insightful_prior(p_mu: float) -> PriorDistribution:
     if np.isinf(beta):
         return coin_uniform_prior()
     coin = CoinPrior(alpha=alpha, beta=beta, p_mu=p_mu, p_star=p_star)
-
-    def draw(rng: RngStream) -> np.ndarray:
-        p_f = rng.generator.random()
-        eps = sample_epsilon(beta, rng)
-        return np.array([(1.0 - eps) * p_f + eps * p_star])
-
-    def draw_batch(n: int, rng: RngStream) -> np.ndarray:
-        p_f = rng.generator.random(n)
-        eps = 1.0 - rng.generator.random(n) ** (1.0 / beta)
-        return ((1.0 - eps) * p_f + eps * p_star)[:, None]
-
     return PriorDistribution(name=f"coin-insightful(p={p_mu})", kind="insightful",
-                             basis=None, sample_coords=draw, coin=coin,
-                             sample_batch=draw_batch)
-
-
-def coin_gad_sample(prior: PriorDistribution, rng: RngStream) -> float:
-    """Heads probability drawn from a coin prior."""
-    return float(prior.sample(rng)[0])
+                             basis=None, fiducial=coin_uniform_prior(), coin=coin)

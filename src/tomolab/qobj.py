@@ -29,6 +29,7 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 TP_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-10
+MARGINAL_FLOOR = 1e-12
 
 PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -54,8 +55,30 @@ def _as_square(matrix) -> np.ndarray:
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
-    if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL:
+    if np.abs(arr - arr.conj().swapaxes(-1, -2)).max() > HERMITICITY_TOL:
         raise InvalidOperatorError(f"{what} is not Hermitian")
+
+
+def check_states(stack: np.ndarray, channel_dim: Optional[int] = None) -> np.ndarray:
+    """Validate an (n, D, D) stack of density operators in one pass.
+
+    With ``channel_dim`` = d the stack holds unit-trace Choi matrices on
+    the d**2 space, which must also be trace preserving (input marginal
+    I/d).  Raises :class:`InvalidOperatorError` naming the first violated
+    constraint if any matrix fails; returns the stack otherwise.
+    """
+    what = "density operator" if channel_dim is None else "Choi matrix"
+    _check_hermitian(stack, what)
+    if np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0).max() > TRACE_TOL:
+        raise InvalidOperatorError(f"{what} must have unit trace")
+    if np.linalg.eigvalsh(stack).min() < -PSD_TOL:
+        raise InvalidOperatorError(f"{what} must be positive semidefinite")
+    if channel_dim is not None:
+        d = channel_dim
+        marginal = partial_trace(stack, (d, d), keep="first")
+        if np.abs(marginal - np.eye(d) / d).max() > TP_TOL:
+            raise InvalidOperatorError("channel is not trace preserving")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +237,7 @@ class DensityOperator:
 
     def __post_init__(self):
         arr = _as_square(self.matrix)
-        _check_hermitian(arr, "density operator")
-        if abs(np.trace(arr).real - 1.0) > TRACE_TOL:
-            raise InvalidOperatorError("density operator must have unit trace")
-        if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
-            raise InvalidOperatorError("density operator must be positive semidefinite")
+        check_states(arr[None])
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
 
@@ -276,14 +295,7 @@ class ChoiState:
         d = self.dim_in
         if arr.shape[0] != d * d:
             raise DimensionMismatchError("Choi matrix must live on the D**2 space")
-        _check_hermitian(arr, "Choi matrix")
-        if abs(np.trace(arr).real - 1.0) > TRACE_TOL:
-            raise InvalidOperatorError("Choi matrix must be normalized to unit trace")
-        if np.linalg.eigvalsh(arr).min() < -PSD_TOL:
-            raise InvalidOperatorError("Choi matrix must be positive semidefinite (CP)")
-        marginal = partial_trace(arr, (d, d), keep="first")
-        if np.abs(marginal - np.eye(d) / d).max() > TP_TOL:
-            raise InvalidOperatorError("channel is not trace preserving")
+        check_states(arr[None], channel_dim=d)
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
 
@@ -332,6 +344,27 @@ def partial_trace(op, dims: Sequence[int], keep: str) -> np.ndarray:
     if keep == "second":
         return np.einsum("...abad->...bd", resh)
     raise ValueError('keep must be "first" or "second"')
+
+
+def restore_trace_preservation(stack, channel_dim: int) -> np.ndarray:
+    """Rescale the input marginal of each PSD matrix in an (n, D**2, D**2)
+    stack to I/D and renormalize its trace.
+
+    Sandwiches J with (D Y)^(-1/2) (x) I, where Y = Tr_out[J] has its
+    eigenvalues floored at ``MARGINAL_FLOOR``.
+    """
+    d = int(channel_dim)
+    n = stack.shape[0]
+    resh = stack.reshape(n, d, d, d, d)
+    marginal = np.einsum("nabcb->nac", resh)
+    lam, vecs = np.linalg.eigh(marginal)
+    lam = np.maximum(lam, MARGINAL_FLOOR)
+    # (D * Y)^(-1/2), so the repaired marginal is exactly I/D.
+    inv_sqrt = np.einsum("nik,nk,njk->nij", vecs, 1.0 / np.sqrt(d * lam), vecs.conj())
+    out = np.einsum("nxa,nabcd,nyc->nxbyd", inv_sqrt, resh, inv_sqrt.conj())
+    out = out.reshape(n, d * d, d * d)
+    traces = np.einsum("nii->n", out).real
+    return out / traces[:, None, None]
 
 
 def choi_of_channel(kraus_ops: Sequence[np.ndarray]) -> ChoiState:

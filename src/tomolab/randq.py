@@ -5,17 +5,28 @@ wrapper around a counter-based generator keyed by ``(seed, stream_id)``.
 Two streams with the same key replay bit-identical sequences; distinct
 keys are statistically independent, so per-trial or per-worker streams
 can be drawn in any scheduling order without changing results.
+
+Each ensemble draws a stack of n matrices in one call; a stack of n
+equals n single draws made in a row from the same stream, and the
+single-draw functions are its n = 1 case.  Stacks are valid by
+construction and are returned unchecked: their consumer validates each
+stack once (:func:`tomolab.qobj.check_states`), and a single draw is
+validated by the :class:`DensityOperator` or :class:`ChoiState` it
+returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .qobj import ChoiState, DensityOperator, partial_trace
+from .qobj import (
+    MARGINAL_FLOOR,
+    ChoiState,
+    DensityOperator,
+    partial_trace,
+    restore_trace_preservation,
+)
 
-BCSZ_EIG_FLOOR = 1e-12
 _BCSZ_MAX_RETRIES = 100
 
 
@@ -43,70 +54,96 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self._key})"
 
 
-def ginibre_matrix(dim: int, rank: int, rng: RngStream) -> np.ndarray:
-    """dim x rank matrix with i.i.d. standard complex Gaussian entries.
+def ginibre_matrices(n: int, dim: int, rank: int, rng: RngStream) -> np.ndarray:
+    """(n, dim, rank) stack of matrices with i.i.d. standard complex
+    Gaussian entries.
 
-    Real and imaginary parts are each N(0, 1), so E|g|^2 = 2.
+    Real and imaginary parts are each N(0, 1), so E|g|^2 = 2.  Each matrix
+    takes its real block and then its imaginary block from the stream, so
+    one stack of n equals n single draws made in a row.
     """
-    if dim < 1 or rank < 1:
+    if n < 1 or dim < 1 or rank < 1:
         raise ValueError("dimensions must be positive")
-    g = rng.generator
-    block = g.standard_normal((2, dim, rank))
-    return block[0] + 1j * block[1]
+    block = rng.generator.standard_normal((n, 2, dim, rank))
+    return block[:, 0] + 1j * block[:, 1]
+
+
+def ginibre_matrix(dim: int, rank: int, rng: RngStream) -> np.ndarray:
+    """One dim x rank Ginibre matrix (see :func:`ginibre_matrices`)."""
+    return ginibre_matrices(1, dim, rank, rng)[0]
+
+
+def _dag(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _unit_trace(stack: np.ndarray) -> np.ndarray:
+    return stack / np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the QR factorizations of a Ginibre stack.
+
+    The phases of the R diagonals are absorbed into Q, which removes the
+    gauge freedom of the raw QR factorization.
+    """
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix.
+    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    return _haar_from_ginibre(ginibre_matrices(1, dim, dim, rng))[0]
 
-    The phases of the R diagonal are absorbed into Q, which removes the
-    gauge freedom of the raw QR factorization.
-    """
-    q, r = np.linalg.qr(ginibre_matrix(dim, dim, rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+
+def ginibre_states(n: int, dim: int, rank: int, rng: RngStream) -> np.ndarray:
+    """(n, dim, dim) stack of random density operators A A^dag / Tr[A A^dag],
+    A Ginibre dim x rank."""
+    if rank > dim:
+        raise ValueError("rank cannot exceed dimension")
+    a = ginibre_matrices(n, dim, rank, rng)
+    return _unit_trace(a @ _dag(a))
 
 
 def ginibre_state(dim: int, rank: int, rng: RngStream) -> DensityOperator:
-    """Random density operator A A^dag / Tr[A A^dag], A Ginibre dim x rank."""
-    if rank > dim:
-        raise ValueError("rank cannot exceed dimension")
-    a = ginibre_matrix(dim, rank, rng)
-    rho = a @ a.conj().T
-    return DensityOperator(matrix=rho / np.trace(rho).real)
+    """One draw of :func:`ginibre_states`."""
+    return DensityOperator(matrix=ginibre_states(1, dim, rank, rng)[0])
+
+
+def bures_states(n: int, dim: int, rng: RngStream) -> np.ndarray:
+    """(n, dim, dim) stack of random density operators from the Bures measure.
+
+    (I + U) A A^dag (I + U^dag) normalized, with A square Ginibre and U
+    Haar; each draw takes its A from the stream before its U.
+    """
+    g = ginibre_matrices(2 * n, dim, dim, rng).reshape(n, 2, dim, dim)
+    m = (np.eye(dim) + _haar_from_ginibre(g[:, 1])) @ g[:, 0]
+    return _unit_trace(m @ _dag(m))
 
 
 def bures_state(dim: int, rng: RngStream) -> DensityOperator:
-    """Random density operator from the Bures measure.
+    """One draw of :func:`bures_states`."""
+    return DensityOperator(matrix=bures_states(1, dim, rng)[0])
 
-    (I + U) A A^dag (I + U^dag) normalized, with A square Ginibre and U
-    Haar; A is drawn before U.
-    """
-    a = ginibre_matrix(dim, dim, rng)
-    u = haar_unitary(dim, rng)
-    m = (np.eye(dim) + u) @ a
-    rho = m @ m.conj().T
-    return DensityOperator(matrix=rho / np.trace(rho).real)
+
+def ginibre_rebit_states(n: int, rank: int, rng: RngStream) -> np.ndarray:
+    """(n, 2, 2) stack of random rebits: real 2 x rank Ginibre entries, so
+    the states have no Y component."""
+    if rank not in (1, 2):
+        raise ValueError("rebit rank must be 1 or 2")
+    a = rng.generator.standard_normal((n, 2, rank))
+    return _unit_trace(a @ a.swapaxes(-1, -2)).astype(complex)
 
 
 def ginibre_rebit_state(rank: int, rng: RngStream) -> DensityOperator:
-    """Random rebit: real 2 x rank Ginibre entries, so the state has no
-    Y component."""
-    if rank not in (1, 2):
-        raise ValueError("rebit rank must be 1 or 2")
-    a = rng.generator.standard_normal((2, rank))
-    rho = a @ a.T
-    return DensityOperator(matrix=(rho / np.trace(rho)).astype(complex))
+    """One draw of :func:`ginibre_rebit_states`."""
+    return DensityOperator(matrix=ginibre_rebit_states(1, rank, rng)[0])
 
 
-def _inv_sqrt_scaled(y: np.ndarray, scale: float) -> np.ndarray:
-    """Hermitian (scale * Y)^(-1/2) with an eigenvalue floor on Y."""
-    lam, vecs = np.linalg.eigh(y)
-    lam = np.maximum(lam, BCSZ_EIG_FLOOR)
-    return (vecs / np.sqrt(scale * lam)) @ vecs.conj().T
-
-
-def bcsz_channel(dim: int, kraus_rank: int, rng: RngStream) -> ChoiState:
-    """Random CPTP channel from the BCSZ ensemble, as a unit-trace Choi state.
+def bcsz_channels(n: int, dim: int, kraus_rank: int, rng: RngStream) -> np.ndarray:
+    """(n, D**2, D**2) stack of random CPTP channels from the BCSZ
+    ensemble, as unit-trace Choi states.
 
     Draws rho = X X^dag with X Ginibre on the D**2 space, then enforces
     trace preservation by sandwiching with the inverse square root of the
@@ -114,40 +151,27 @@ def bcsz_channel(dim: int, kraus_rank: int, rng: RngStream) -> ChoiState:
 
         J(Lambda)/D = (Y(-1/2) (x) I) rho (Y(-1/2) (x) I) / D.
 
-    The result has Kraus rank ``kraus_rank`` almost surely.
+    A draw whose Y is numerically singular is redrawn, after the whole
+    stack, until every Y is regular.  The results have Kraus rank
+    ``kraus_rank`` almost surely.
     """
     if not 1 <= kraus_rank <= dim * dim:
         raise ValueError("Kraus rank must lie in [1, D**2]")
-    eye = np.eye(dim)
+    rho = np.empty((n, dim * dim, dim * dim), dtype=complex)
+    todo = np.arange(n)
     for _ in range(_BCSZ_MAX_RETRIES):
-        x = ginibre_matrix(dim * dim, kraus_rank, rng)
-        rho = x @ x.conj().T
-        y = partial_trace(rho, (dim, dim), keep="first")
-        if np.linalg.eigvalsh(y).min() > BCSZ_EIG_FLOOR:
+        x = ginibre_matrices(todo.size, dim * dim, kraus_rank, rng)
+        rho[todo] = x @ _dag(x)
+        y = partial_trace(rho[todo], (dim, dim), keep="first")
+        todo = todo[np.linalg.eigvalsh(y).min(axis=-1) <= MARGINAL_FLOOR]
+        if not todo.size:
             break
     else:
         raise RuntimeError("input marginal stayed numerically singular after retries")
-    sandwich = np.kron(_inv_sqrt_scaled(y, float(dim)), eye)
-    z = sandwich @ rho @ sandwich.conj().T
-    z /= np.trace(z).real
-    return ChoiState(matrix=z, dim_in=dim, dim_out=dim)
+    return restore_trace_preservation(rho, dim)
 
 
-@dataclass(frozen=True)
-class GinibreSpec:
-    """Declarative description of a Ginibre state ensemble."""
-
-    dim: int
-    rank: int
-    real_valued: bool = False
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= self.dim:
-            raise ValueError("rank must lie in [1, dim]")
-        if self.real_valued and self.dim != 2:
-            raise ValueError("real-valued sampling is only defined for rebits")
-
-    def sample(self, rng: RngStream) -> DensityOperator:
-        if self.real_valued:
-            return ginibre_rebit_state(self.rank, rng)
-        return ginibre_state(self.dim, self.rank, rng)
+def bcsz_channel(dim: int, kraus_rank: int, rng: RngStream) -> ChoiState:
+    """One draw of :func:`bcsz_channels`."""
+    return ChoiState(matrix=bcsz_channels(1, dim, kraus_rank, rng)[0],
+                     dim_in=dim, dim_out=dim)

@@ -3,7 +3,7 @@
 A particle cloud is a weighted set of coordinate rows together with a
 description of the space the rows live in (state, Choi state, or coin,
 optionally extended by a trailing diffusion-rate column).  Bayes updates
-multiply weights by likelihoods; when the effective sample size drops,
+add log-likelihoods to log weights; when the effective sample size drops,
 the cloud is rejuvenated with a Liu-West kernel that shrinks particles
 toward the mean, adds Gaussian noise matched to the cloud covariance,
 and projects everything back to the valid set.
@@ -11,12 +11,13 @@ and projects everything back to the valid set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .likelihood import Datum, datum_likelihood
+from .likelihood import Datum, datum_log_likelihood
 from .priors import PriorDistribution
 from .qobj import DimensionMismatchError, OperatorBasis, VectorizedOperator
 from .randq import RngStream
@@ -163,7 +164,7 @@ def init_cloud(prior: PriorDistribution, n_particles: int, rng: RngStream,
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
-    rows = prior.sample_many(n_particles, rng)
+    rows = prior.sample(n_particles, rng)
     n_hyper = 0
     if eta_sampler is not None:
         eta = np.asarray(eta_sampler(n_particles, rng), dtype=float)
@@ -177,24 +178,30 @@ def init_cloud(prior: PriorDistribution, n_particles: int, rng: RngStream,
 
 
 def bayes_update(cloud: ParticleCloud, datum: Datum,
-                 likelihood_fn: Callable = datum_likelihood) -> tuple[ParticleCloud, float]:
-    """Reweight the cloud by the likelihood of one datum.
+                 log_likelihood_fn: Callable = datum_log_likelihood
+                 ) -> tuple[ParticleCloud, float]:
+    """Reweight the cloud by the likelihood of one datum, in log space.
 
-    Returns the updated cloud and the log of the normalization (the log
-    predictive probability of the datum).  Raises
-    :class:`DegenerateUpdateError`, leaving the input untouched, when all
-    particles get zero likelihood.
+    Forms log w + log L per particle, subtracts the maximum before
+    exponentiating, and normalizes, so no shot count underflows the
+    weights.  Returns the updated cloud and the log of the normalization
+    (the log predictive probability of the datum).  Raises
+    :class:`DegenerateUpdateError`, leaving the input untouched, only
+    when every particle has a true zero (log -inf) posterior weight.
     """
-    like = np.asarray(likelihood_fn(cloud.locations, datum), dtype=float)
-    if like.shape != cloud.weights.shape:
+    log_like = np.asarray(log_likelihood_fn(cloud.locations, datum), dtype=float)
+    if log_like.shape != cloud.weights.shape:
         raise DimensionMismatchError("likelihood must return one value per particle")
-    if like.min() < 0.0:
-        raise ValueError("negative likelihood")
-    raw = cloud.weights * like
-    norm = float(raw.sum())
-    if not norm > 0.0 or not np.isfinite(norm):
+    if not np.all(log_like < np.inf):
+        raise ValueError("log likelihood must be a number below +inf")
+    with np.errstate(divide="ignore"):
+        log_post = np.log(cloud.weights) + log_like
+    top = float(log_post.max())
+    if top == -np.inf:
         raise DegenerateUpdateError("all particle likelihoods vanished")
-    return replace(cloud, weights=raw / norm), float(np.log(norm))
+    raw = np.exp(log_post - top)
+    norm = float(raw.sum())
+    return replace(cloud, weights=raw / norm), top + math.log(norm)
 
 
 def effective_sample_size(cloud: ParticleCloud) -> float:

@@ -19,9 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .qobj import restore_trace_preservation
 from .randq import RngStream
-
-_CHOI_MARGINAL_FLOOR = 1e-12
 
 
 class DegenerateStateError(ValueError):
@@ -52,20 +51,7 @@ def truncate_to_choi(matrix, channel_dim: int) -> np.ndarray:
     repair that rescales the input marginal back to I/D."""
     mats = truncate_to_state(matrix)
     single = mats.ndim == 2
-    if single:
-        mats = mats[None]
-    d = int(channel_dim)
-    n = mats.shape[0]
-    resh = mats.reshape(n, d, d, d, d)
-    marginal = np.einsum("nabcb->nac", resh)
-    lam, vecs = np.linalg.eigh(marginal)
-    lam = np.maximum(lam, _CHOI_MARGINAL_FLOOR)
-    # (D * Y)^(-1/2), so the repaired marginal is exactly I/D.
-    inv_sqrt = np.einsum("nik,nk,njk->nij", vecs, 1.0 / np.sqrt(d * lam), vecs.conj())
-    out = np.einsum("nxa,nabcd,nyc->nxbyd", inv_sqrt, resh, inv_sqrt.conj())
-    out = out.reshape(n, d * d, d * d)
-    traces = np.einsum("nii->n", out).real
-    out = out / traces[:, None, None]
+    out = restore_trace_preservation(mats[None] if single else mats, channel_dim)
     return out[0] if single else out
 
 

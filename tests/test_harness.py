@@ -27,12 +27,13 @@ from tomolab.harness import (
     run_risk,
     run_tracking,
 )
-from tomolab.qobj import pauli_basis
+from tomolab.qobj import gell_mann_basis, pauli_basis
 from tomolab.randq import RngStream
 
 from conftest import random_state_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def coin_config(**over):
@@ -87,9 +88,13 @@ def track_config(**over):
     return base
 
 
-FAIL_CONFIG = coin_config(seed=0, n_particles=2, n_experiments=1,
-                          truth={"kind": "coin", "p": 1.0},
-                          heuristic={"kind": "coin", "n_meas": 100_000})
+# A coin prior damped toward mean 2e-6 puts its particles at p = 0 exactly
+# (its Beta(1, 4e-6) mixing weight is 1 in double precision), so the first
+# success of a p = 1 coin has a true zero likelihood under every particle.
+IMPOSSIBLE_DATA = {"prior": {"fiducial": "coin_uniform", "gad_mean": 2e-6},
+                   "truth": {"kind": "coin", "p": 1.0},
+                   "heuristic": {"kind": "coin", "n_meas": 1}}
+FAIL_CONFIG = coin_config(seed=0, n_particles=2, n_experiments=1, **IMPOSSIBLE_DATA)
 
 
 class TestLoss:
@@ -236,8 +241,7 @@ class TestBuildPrior:
             PriorSpec(fiducial="ginibre", gad_mean={"diag": [0.9, 0.1]}),
             "state", 2)
         assert damped.name != plain.name
-        mean = np.mean([damped.sample(RngStream(3).child(i)) for i in range(2000)],
-                       axis=0)
+        mean = damped.sample(2000, RngStream(3)).mean(axis=0)
         target = pauli_basis(1).vectorize(np.diag([0.9, 0.1]).astype(complex))
         assert np.abs(mean - target).max() < 0.03
 
@@ -303,6 +307,17 @@ class TestEstimation:
         cloud = (out / "final_cloud.csv").read_text().splitlines()
         assert cloud[0].startswith("weight,x0")
         assert len(cloud) == cfg.n_particles + 1
+
+    def test_underflowing_likelihoods_do_not_herald(self):
+        # 100000 successes of a p = 1 coin: every particle's likelihood
+        # underflows in linear space, but none is zero.
+        cfg = coin_config(seed=0, n_particles=2, n_experiments=1,
+                          truth={"kind": "coin", "p": 1.0},
+                          heuristic={"kind": "coin", "n_meas": 100_000})
+        rec = run_estimation(RunConfig.from_dict(cfg))
+        assert not rec.failed
+        assert rec.steps[1]["log_norm"] < -1000.0
+        assert 1.0 <= rec.steps[1]["ess"] <= 2.0
 
     def test_written_bytes_deterministic(self, tmp_path):
         cfg = RunConfig.from_dict(state_config())
@@ -397,10 +412,7 @@ class TestRisk:
 
     def test_failed_trials_counted(self):
         cfg = risk_config(model="coin", n_trials=2, n_particles=2,
-                          n_experiments=1, seed=0,
-                          prior={"fiducial": "coin_uniform"},
-                          truth={"kind": "coin", "p": 1.0},
-                          heuristic={"kind": "coin", "n_meas": 100_000})
+                          n_experiments=1, seed=0, **IMPOSSIBLE_DATA)
         result = run_risk(RunConfig.from_dict(cfg))
         assert result.n_failed >= 1
         assert len(result.per_trial) == 2 - result.n_failed
@@ -463,6 +475,19 @@ class TestTracking:
         assert abs(truths[0, 0] - INV_SQRT2) < 1e-12
         assert not np.allclose(truths[0], truths[-1])
         assert np.abs(truths[:, 0] - INV_SQRT2).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_high_shot_two_tone_does_not_herald(self, seed):
+        # With 5000 shots per step the likelihoods underflow in linear
+        # space; these seeds once heralded a failure at steps 108, 18,
+        # 108 and 110.
+        cfg = json.loads((CONFIGS / "track_two_tone.json").read_text(encoding="utf-8"))
+        cfg["seed"] = seed
+        cfg["heuristic"]["n_meas"] = 5000
+        cfg["tracking"]["n_steps"] = 150
+        rec = run_tracking(RunConfig.from_dict(cfg))
+        assert not rec.failed, rec.failure_reason
+        assert len(rec.steps) == 151
 
     def test_deterministic(self):
         a = run_tracking(RunConfig.from_dict(track_config()))
@@ -553,8 +578,37 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "s" / "samples.csv").exists()
 
+    def test_sample_config_matches_one_draw_at_a_time(self, tmp_path):
+        # The batched draw writes the bytes of the earlier loop of single
+        # Ginibre draws: each consumes its real, then imaginary, normals.
+        path = CONFIGS / "sample_ginibre_qutrit.json"
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "batch")]) == 0
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        dim, rank = cfg["dim"], cfg["prior"]["rank"]
+        basis = gell_mann_basis(dim)
+        stream = RngStream(cfg["seed"])
+        rows = []
+        for _ in range(100):
+            block = stream.generator.standard_normal((2, dim, rank))
+            a = block[0] + 1j * block[1]
+            rho = a @ a.conj().T
+            rows.append(basis.vectorize(rho / np.trace(rho).real))
+        np.savetxt(tmp_path / "loop.csv", np.stack(rows), delimiter=",",
+                   header=",".join(basis.labels), comments="")
+        assert ((tmp_path / "batch" / "samples.csv").read_bytes()
+                == (tmp_path / "loop.csv").read_bytes())
+
     def test_sample_needs_prior(self):
         assert main(["sample"]) == 2
+
+    def test_record_does_not_depend_on_out_dir(self, tmp_path):
+        path = self.write_cfg(tmp_path, state_config(out_dir="ignored"))
+        for sub in ("A", "B"):
+            assert main(["estimate", "--config", path, "--out", str(tmp_path / sub)]) == 0
+            meta = json.loads((tmp_path / sub / "meta.json").read_text())
+            assert meta["out_dir"] == (tmp_path / sub).as_posix()
+        assert ((tmp_path / "A" / "record.json").read_bytes()
+                == (tmp_path / "B" / "record.json").read_bytes())
 
     def test_sample_deterministic(self, tmp_path):
         for sub in ("a", "b"):

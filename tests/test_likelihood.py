@@ -11,10 +11,11 @@ from tomolab.likelihood import (
     Datum,
     ExperimentDesign,
     binomial_likelihood,
+    binomial_log_pmf,
     binomial_pmf,
     born_probability,
     coin_design,
-    datum_likelihood,
+    datum_log_likelihood,
     process_design,
     process_likelihood,
     sequence_log_likelihood,
@@ -159,7 +160,22 @@ class TestBinomial:
         lik = float(binomial_likelihood(state, d, 9))
         assert abs(lik - 10.0 * 0.95**9 * 0.05) < 1e-12
         datum = Datum(n_success=9, design=d)
-        assert abs(float(datum_likelihood(state, datum)) - lik) < 1e-15
+        assert abs(float(datum_log_likelihood(state, datum)) - np.log(lik)) < 1e-12
+
+    def test_log_pmf_finite_where_pmf_underflows(self):
+        p = [0.3, 0.35, 0.4]
+        assert np.all(binomial_pmf(200_000, 100_000, p) == 0.0)
+        log_pmf = binomial_log_pmf(200_000, 100_000, p)
+        assert np.all(np.isfinite(log_pmf))
+        ref = stats.binom.logpmf(100_000, 200_000, p)
+        assert np.abs(log_pmf - ref).max() < 1e-6 * np.abs(ref).max()
+        assert np.all(np.diff(log_pmf) > 0.0)
+
+    def test_log_pmf_endpoints(self):
+        assert binomial_log_pmf(7, 7, 1.0) == 0.0
+        assert binomial_log_pmf(7, 0, 0.0) == 0.0
+        assert binomial_log_pmf(7, 3, 1.0) == -np.inf
+        assert binomial_log_pmf(7, 2, 0.0) == -np.inf
 
 
 class TestSequenceLogLikelihood:

@@ -14,11 +14,9 @@ from tomolab.priors import (
     bcsz_prior,
     bures_prior,
     coin_gad_params,
-    coin_gad_sample,
     coin_insightful_prior,
     coin_uniform_prior,
     gad_params,
-    gad_sample,
     ginibre_prior,
     insightful_prior,
     rebit_ginibre_prior,
@@ -77,25 +75,25 @@ class TestGadParams:
 
 class TestEpsilonSampling:
     def test_infinite_beta_gives_zero(self):
-        assert sample_epsilon(np.inf, RngStream(1)) == 0.0
+        assert np.all(sample_epsilon(np.inf, 5, RngStream(1)) == 0.0)
 
     def test_mean_matches_beta_moment(self):
         stream = RngStream(61)
         beta = 2.0
-        draws = np.array([sample_epsilon(beta, stream) for _ in range(100_000)])
+        draws = sample_epsilon(beta, 100_000, stream)
         sigma = np.sqrt(beta / ((1 + beta) ** 2 * (2 + beta)) / draws.size)
         assert abs(draws.mean() - 1.0 / (1.0 + beta)) < 5 * sigma
 
     def test_distribution_matches_reference_beta(self):
         stream = RngStream(67)
         beta = 1.0 / 9.0
-        draws = np.array([sample_epsilon(beta, stream) for _ in range(10_000)])
+        draws = sample_epsilon(beta, 10_000, stream)
         assert stats.kstest(draws, stats.beta(1.0, beta).cdf).pvalue > 0.01
 
     def test_small_epsilon_mass(self):
         # the damped prior keeps the fiducial support: eps lands near 0 often
         stream = RngStream(71)
-        draws = np.array([sample_epsilon(3.0 / 17.0, stream) for _ in range(10_000)])
+        draws = sample_epsilon(3.0 / 17.0, 10_000, stream)
         assert draws.min() < 0.01
         assert draws.max() > 0.9
 
@@ -115,8 +113,7 @@ class TestInsightfulStatePrior:
         prior = insightful_prior(ginibre_prior(3), np.diag([0.9, 0.05, 0.05]))
         stream = RngStream(73)
         basis = standard_basis(3)
-        for _ in range(300):
-            rho = basis.devectorize(prior.sample(stream))
+        for rho in basis.devectorize(prior.sample(300, stream)):
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(rho).min() > -1e-10
 
@@ -125,8 +122,18 @@ class TestInsightfulStatePrior:
         prior = insightful_prior(ginibre_prior(3), mu)
         stream = RngStream(79)
         basis = standard_basis(3)
-        coords = prior.sample_many(20_000, stream)
+        coords = prior.sample(20_000, stream)
         assert trace_distance(basis.devectorize(coords.mean(axis=0)), mu) < 0.02
+
+    def test_draws_all_fiducials_then_all_weights(self):
+        fiducial = ginibre_prior(3)
+        prior = insightful_prior(fiducial, np.diag([0.9, 0.05, 0.05]))
+        rows = prior.sample(50, RngStream(131))
+        stream = RngStream(131)
+        fid = fiducial.sample(50, stream)
+        eps = (1.0 - stream.generator.random(50) ** (1.0 / prior.gad.beta))[:, None]
+        star = standard_basis(3).vectorize(prior.gad.rho_star)
+        assert np.array_equal(rows, (1.0 - eps) * fid + eps * star)
 
     def test_dimension_mismatch(self):
         with pytest.raises(PriorConstructionError):
@@ -155,8 +162,7 @@ class TestInsightfulChannelPrior:
         prior = insightful_prior(bcsz_prior(2), mu)
         stream = RngStream(83)
         basis = standard_basis(4)
-        for _ in range(200):
-            j = basis.devectorize(prior.sample(stream))
+        for j in basis.devectorize(prior.sample(200, stream)):
             assert abs(np.trace(j).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(j).min() > -1e-8
             marg = partial_trace(j, (2, 2), keep="first")
@@ -190,21 +196,29 @@ class TestCoinPriors:
         with pytest.raises(PriorConstructionError):
             coin_gad_params(1.0 - 1e-9)
 
+    def test_draws_all_fiducials_then_all_weights(self):
+        prior = coin_insightful_prior(0.25)
+        rows = prior.sample(50, RngStream(137))
+        stream = RngStream(137)
+        p_f = stream.generator.random((50, 1))
+        eps = (1.0 - stream.generator.random(50) ** (1.0 / prior.coin.beta))[:, None]
+        assert np.array_equal(rows, (1.0 - eps) * p_f + eps * prior.coin.p_star)
+
     def test_batch_mean_quarter(self):
         prior = coin_insightful_prior(0.25)
-        draws = prior.sample_many(1_000_000, RngStream(89))
+        draws = prior.sample(1_000_000, RngStream(89))
         assert abs(draws.mean() - 0.25) < 0.002
 
     def test_batch_and_scalar_paths_agree_in_distribution(self):
         prior = coin_insightful_prior(1.0 / 16.0)
-        batch = prior.sample_many(10_000, RngStream(97)).ravel()
+        batch = prior.sample(10_000, RngStream(97)).ravel()
         stream = RngStream(101)
-        loop = np.array([coin_gad_sample(prior, stream) for _ in range(10_000)])
+        loop = np.array([prior.sample(1, stream)[0, 0] for _ in range(10_000)])
         assert stats.ks_2samp(batch, loop).pvalue > 0.01
 
     def test_low_mean_shape(self):
         prior = coin_insightful_prior(1.0 / 16.0)
-        draws = prior.sample_many(50_000, RngStream(103)).ravel()
+        draws = prior.sample(50_000, RngStream(103)).ravel()
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         near_zero = np.mean(draws < 0.1)
         middle = np.mean((draws > 0.45) & (draws < 0.55))
@@ -212,7 +226,7 @@ class TestCoinPriors:
         assert draws.min() < 0.01 and draws.max() > 0.95
 
     def test_uniform_prior_batch(self):
-        draws = coin_uniform_prior().sample_many(10_000, RngStream(107))
+        draws = coin_uniform_prior().sample(10_000, RngStream(107))
         assert draws.shape == (10_000, 1)
         assert abs(draws.mean() - 0.5) < 0.02
 
@@ -220,15 +234,15 @@ class TestCoinPriors:
 class TestSampleMany:
     def test_loop_fallback_for_states(self):
         prior = ginibre_prior(2)
-        rows = prior.sample_many(50, RngStream(109))
+        rows = prior.sample(50, RngStream(109))
         assert rows.shape == (50, 4)
         # first coordinate is the trace coordinate 1/sqrt(2)
         assert np.abs(rows[:, 0] - 1.0 / np.sqrt(2.0)).max() < 1e-12
 
-    def test_gad_sample_alias(self):
+    def test_damped_single_draw_is_one_row(self):
         prior = insightful_prior(rebit_ginibre_prior(), (np.eye(2) - 0.9 * X) / 2)
-        coords = gad_sample(prior, RngStream(113))
-        assert coords.shape == (4,)
+        coords = prior.sample(1, RngStream(113))
+        assert coords.shape == (1, 4)
 
     def test_fiducial_names(self):
         assert "ginibre" in ginibre_prior(2).name

@@ -14,6 +14,7 @@ from tomolab.qobj import (
     InvalidOperatorError,
     PAULIS,
     apply_choi,
+    check_states,
     choi_of_channel,
     devectorize,
     gell_mann_basis,
@@ -291,6 +292,37 @@ class TestValidation:
             Effect(matrix=np.diag([1.2, 0.0]))
         with pytest.raises(InvalidOperatorError):
             Effect(matrix=np.diag([-0.1, 0.5]))
+
+    # One bad row among valid ones, just past the tolerance each rule uses.
+    BAD_STATE_ROWS = {
+        "not Hermitian": np.array([[0.5, 1e-9], [0.0, 0.5]]),
+        "unit trace": np.diag([0.5, 0.5 + 1e-9]),
+        "positive semidefinite": np.diag([1.0 + 1e-9, -1e-9]),
+    }
+
+    @pytest.mark.parametrize("message", sorted(BAD_STATE_ROWS))
+    def test_stack_with_one_bad_state_rejected(self, message):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_state_matrix(rng, 2) for _ in range(5)])
+        assert check_states(stack) is stack
+        stack[3] = self.BAD_STATE_ROWS[message]
+        with pytest.raises(InvalidOperatorError, match=message):
+            check_states(stack)
+        with pytest.raises(InvalidOperatorError, match=message):
+            DensityOperator(matrix=stack[3])
+
+    def test_stack_with_one_non_tp_choi_rejected(self):
+        depolarizing = np.eye(4, dtype=complex) / 4
+        identity = choi_of_channel([I2]).matrix
+        stack = np.stack([depolarizing, identity, depolarizing])
+        check_states(stack, channel_dim=2)
+        # A valid state on the D**2 space whose input marginal is diag(0.6, 0.4).
+        stack[1] = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
+        check_states(stack)
+        with pytest.raises(InvalidOperatorError, match="trace preserving"):
+            check_states(stack, channel_dim=2)
+        with pytest.raises(InvalidOperatorError, match="trace preserving"):
+            ChoiState(matrix=stack[1], dim_in=2, dim_out=2)
 
     def test_immutability(self):
         rho = DensityOperator(matrix=I2 / 2)

@@ -5,15 +5,19 @@ import pytest
 from scipy import stats
 
 from conftest import trace_distance
+from tomolab import randq
 from tomolab.qobj import partial_trace, pauli_basis
 from tomolab.randq import (
-    GinibreSpec,
     RngStream,
     bcsz_channel,
+    bcsz_channels,
     bures_state,
+    bures_states,
     ginibre_matrix,
     ginibre_rebit_state,
+    ginibre_rebit_states,
     ginibre_state,
+    ginibre_states,
     haar_unitary,
 )
 
@@ -104,12 +108,8 @@ class TestGinibreState:
         assert np.linalg.eigvalsh(mats).min() > -1e-10
 
     def test_mean_is_maximally_mixed(self):
-        stream = RngStream(16)
-        acc = np.zeros((2, 2), dtype=complex)
-        n = 100_000
-        for i in range(n):
-            acc += ginibre_state(2, 2, stream.child(i)).matrix
-        assert trace_distance(acc / n, np.eye(2) / 2) < 0.01
+        mean = ginibre_states(100_000, 2, 2, RngStream(16)).mean(axis=0)
+        assert trace_distance(mean, np.eye(2) / 2) < 0.01
 
 
 class TestBuresState:
@@ -125,12 +125,8 @@ class TestBuresState:
         assert np.abs(rho - 1.0).max() < 1e-12
 
     def test_mean_is_maximally_mixed(self):
-        stream = RngStream(19)
-        acc = np.zeros((2, 2), dtype=complex)
-        n = 100_000
-        for i in range(n):
-            acc += bures_state(2, stream.child(i)).matrix
-        assert trace_distance(acc / n, np.eye(2) / 2) < 0.01
+        mean = bures_states(100_000, 2, RngStream(19)).mean(axis=0)
+        assert trace_distance(mean, np.eye(2) / 2) < 0.01
 
 
 class TestRebit:
@@ -154,12 +150,8 @@ class TestRebit:
             ginibre_rebit_state(3, RngStream(0))
 
     def test_mean_is_maximally_mixed(self):
-        stream = RngStream(27)
-        acc = np.zeros((2, 2), dtype=complex)
-        n = 100_000
-        for i in range(n):
-            acc += ginibre_rebit_state(2, stream.child(i)).matrix
-        assert trace_distance(acc / n, np.eye(2) / 2) < 0.01
+        mean = ginibre_rebit_states(100_000, 2, RngStream(27)).mean(axis=0)
+        assert trace_distance(mean, np.eye(2) / 2) < 0.01
 
 
 class TestBcszChannel:
@@ -187,12 +179,8 @@ class TestBcszChannel:
             assert int((eig > 1e-10).sum()) == rank
 
     def test_mean_is_depolarizing(self):
-        stream = RngStream(37)
-        acc = np.zeros((4, 4), dtype=complex)
-        n = 20_000
-        for i in range(n):
-            acc += bcsz_channel(2, 4, stream.child(i)).matrix
-        assert trace_distance(acc / n, np.eye(4) / 4) < 0.02
+        mean = bcsz_channels(20_000, 2, 4, RngStream(37)).mean(axis=0)
+        assert trace_distance(mean, np.eye(4) / 4) < 0.02
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
@@ -234,19 +222,103 @@ class TestUnitaryInvariance:
         assert stats.ks_2samp(overlap, overlap_rot).pvalue > 0.01
 
 
-class TestGinibreSpec:
-    def test_sample_dispatch(self):
-        spec = GinibreSpec(dim=2, rank=2, real_valued=False)
-        rho = spec.sample(RngStream(3))
-        assert rho.matrix.shape == (2, 2)
+def _complex_normal(rng, dim, rank):
+    block = rng.generator.standard_normal((2, dim, rank))
+    return block[0] + 1j * block[1]
 
-    def test_rebit_mode(self):
-        spec = GinibreSpec(dim=2, rank=2, real_valued=True)
-        rho = spec.sample(RngStream(3))
-        assert np.abs(rho.matrix.imag).max() < 1e-15
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GinibreSpec(dim=2, rank=3, real_valued=False)
-        with pytest.raises(ValueError):
-            GinibreSpec(dim=3, rank=3, real_valued=True)
+def _unit_trace(rho):
+    return rho / np.trace(rho).real
+
+
+def _reference_ginibre(n, dim, rank, rng):
+    out = []
+    for _ in range(n):
+        a = _complex_normal(rng, dim, rank)
+        out.append(_unit_trace(a @ a.conj().T))
+    return np.stack(out)
+
+
+def _reference_bures(n, dim, rng):
+    out = []
+    for _ in range(n):
+        a = _complex_normal(rng, dim, dim)
+        q, r = np.linalg.qr(_complex_normal(rng, dim, dim))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        m = (np.eye(dim) + u) @ a
+        out.append(_unit_trace(m @ m.conj().T))
+    return np.stack(out)
+
+
+def _reference_rebit(n, rank, rng):
+    out = []
+    for _ in range(n):
+        a = rng.generator.standard_normal((2, rank))
+        out.append(_unit_trace(a @ a.T).astype(complex))
+    return np.stack(out)
+
+
+def _reference_bcsz(n, dim, rank, rng):
+    out = []
+    for _ in range(n):
+        x = _complex_normal(rng, dim * dim, rank)
+        rho = x @ x.conj().T
+        lam, vecs = np.linalg.eigh(partial_trace(rho, (dim, dim), keep="first"))
+        sandwich = np.kron((vecs / np.sqrt(dim * lam)) @ vecs.conj().T, np.eye(dim))
+        out.append(_unit_trace(sandwich @ rho @ sandwich.conj().T))
+    return np.stack(out)
+
+
+class TestBatchedDraws:
+    """A stack of n draws equals n one-at-a-time draws from the same stream."""
+
+    @pytest.mark.parametrize("dim,rank", [(2, 2), (3, 3), (3, 2), (4, 1)])
+    def test_ginibre_matches_loop(self, dim, rank):
+        batch = ginibre_states(500, dim, rank, RngStream(71))
+        assert np.array_equal(batch, _reference_ginibre(500, dim, rank, RngStream(71)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bures_matches_loop(self, dim):
+        batch = bures_states(500, dim, RngStream(73))
+        assert np.array_equal(batch, _reference_bures(500, dim, RngStream(73)))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rebit_matches_loop(self, rank):
+        batch = ginibre_rebit_states(500, rank, RngStream(79))
+        assert np.array_equal(batch, _reference_rebit(500, rank, RngStream(79)))
+
+    @pytest.mark.parametrize("dim,rank", [(2, 4), (2, 2), (3, 9)])
+    def test_bcsz_matches_loop(self, dim, rank):
+        batch = bcsz_channels(500, dim, rank, RngStream(83))
+        assert np.abs(batch - _reference_bcsz(500, dim, rank, RngStream(83))).max() < 1e-14
+
+    def test_single_draw_is_first_row(self):
+        assert np.array_equal(ginibre_state(3, 2, RngStream(89)).matrix,
+                              ginibre_states(4, 3, 2, RngStream(89))[0])
+        assert np.array_equal(bcsz_channel(2, 4, RngStream(89)).matrix,
+                              bcsz_channels(4, 2, 4, RngStream(89))[0])
+
+    def test_bcsz_redraws_only_singular_rows(self, monkeypatch):
+        real = randq.ginibre_matrices
+        sizes = []
+
+        def first_row_one_singular(n, dim, rank, rng):
+            sizes.append(n)
+            x = real(n, dim, rank, rng)
+            if len(sizes) == 1:
+                x[1] = 0.0
+            return x
+
+        monkeypatch.setattr(randq, "ginibre_matrices", first_row_one_singular)
+        batch = bcsz_channels(3, 2, 4, RngStream(97))
+        monkeypatch.undo()
+        assert sizes == [3, 1]
+        # The redraw takes the normals a fourth row would have taken.
+        plain = bcsz_channels(4, 2, 4, RngStream(97))
+        assert np.abs(batch - plain[[0, 3, 2]]).max() < 1e-14
+
+    def test_bcsz_gives_up_on_a_singular_marginal(self, monkeypatch):
+        monkeypatch.setattr(randq, "ginibre_matrices",
+                            lambda n, dim, rank, rng: np.zeros((n, dim, rank), dtype=complex))
+        with pytest.raises(RuntimeError, match="singular"):
+            bcsz_channels(2, 2, 4, RngStream(0))

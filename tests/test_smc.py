@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tomolab.likelihood import Datum, ExperimentDesign, coin_design, datum_likelihood
+from tomolab.likelihood import Datum, ExperimentDesign, coin_design, datum_log_likelihood
 from tomolab.priors import coin_insightful_prior, coin_uniform_prior, ginibre_prior, insightful_prior, rebit_ginibre_prior
 from tomolab.qobj import Effect, VectorizedOperator, pauli_basis, vectorize
 from tomolab.randq import RngStream, ginibre_state
@@ -88,7 +88,7 @@ class TestBayesUpdate:
     def test_uninformative_datum(self):
         cloud = coin_cloud([0.2, 0.8], weights=[0.3, 0.7])
         updated, log_norm = bayes_update(cloud, coin_datum(1, 1),
-                                         likelihood_fn=lambda locs, d: np.ones(len(locs)))
+                                         log_likelihood_fn=lambda locs, d: np.zeros(len(locs)))
         assert np.allclose(updated.weights, cloud.weights)
         assert abs(log_norm) < 1e-12
 
@@ -120,6 +120,19 @@ class TestBayesUpdate:
             bayes_update(cloud, coin_datum(2, 1))
         assert np.allclose(cloud.weights, 0.5)
 
+    def test_log_likelihood_must_be_below_inf(self):
+        cloud = coin_cloud([0.2, 0.8])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                bayes_update(cloud, coin_datum(1, 1),
+                             log_likelihood_fn=lambda locs, d, v=bad: np.array([0.0, v]))
+
+    def test_zero_weight_particles_cannot_carry_the_update(self):
+        # The only particle that explains the datum has no prior weight.
+        cloud = coin_cloud([0.0, 1.0], weights=[1.0, 0.0])
+        with pytest.raises(DegenerateUpdateError):
+            bayes_update(cloud, coin_datum(1, 1))
+
     def test_sequential_consistency(self):
         cloud = coin_cloud(np.linspace(0.05, 0.95, 19))
         d1 = coin_datum(3, 1)
@@ -130,9 +143,9 @@ class TestBayesUpdate:
         ba, _ = bayes_update(second, d1)
 
         def joint(locs, datum):
-            return datum_likelihood(locs, d1) * datum_likelihood(locs, d2)
+            return datum_log_likelihood(locs, d1) + datum_log_likelihood(locs, d2)
 
-        both, _ = bayes_update(cloud, d1, likelihood_fn=joint)
+        both, _ = bayes_update(cloud, d1, log_likelihood_fn=joint)
         assert np.abs(ab.weights - ba.weights).max() < 1e-12
         assert np.abs(ab.weights - both.weights).max() < 1e-12
 
