@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from tomolab.harness import RunConfig, run_tracking
+from tomolab.harness import RunConfig, run
 from tomolab.tracking import tracking_bandwidth
+
+TWO_TONE = {"kind": "two_tone_coin", "f1": 1.0 / 80.0, "f2": 1.0 / 294.0}
 
 
 def track(seed: int, eta_mean: float, trajectory: dict, n_steps: int):
@@ -27,7 +29,9 @@ def track(seed: int, eta_mean: float, trajectory: dict, n_steps: int):
         "tracking": {"dt": 1.0, "n_steps": n_steps, "trajectory": trajectory,
                      "eta_mean": eta_mean, "eta_log_std": 1.0},
     })
-    rec = run_tracking(cfg)
+    rec = run(cfg)
+    if rec.failed:
+        raise RuntimeError(f"seed {seed}: {rec.failure_reason}")
     est = np.array([row["est"][0] for row in rec.steps[1:]])
     tru = np.array([row["truth"][0] for row in rec.steps[1:]])
     return est, tru
@@ -43,11 +47,10 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    two_tone = {"kind": "two_tone_coin", "f1": 1.0 / 80.0, "f2": 1.0 / 294.0}
     wins = 0
     for seed in range(args.seeds):
-        est_t, tru = track(seed, 0.01, two_tone, args.steps)
-        est_b, _ = track(seed, 0.0, two_tone, args.steps)
+        est_t, tru = track(seed, 0.01, TWO_TONE, args.steps)
+        est_b, _ = track(seed, 0.0, TWO_TONE, args.steps)
         mse_t = float(np.mean((est_t - tru) ** 2))
         mse_b = float(np.mean((est_b - tru) ** 2))
         wins += mse_t < mse_b

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from tomolab.harness import RunConfig, run_qpt
+from tomolab.harness import RunConfig, run
 from tomolab.qobj import choi_of_channel
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 KRAUS = [math.sqrt(0.7) * np.eye(2, dtype=complex), math.sqrt(0.3) * H]
+ADAPTIVE = {"kind": "process_adaptive_mix", "n_proposals": 50, "adaptive_fraction": 0.8}
+RANDOM = {"kind": "process_random"}
 
 
 def config_for(seed: int, heuristic: dict, n_experiments: int, shots: int) -> RunConfig:
@@ -48,14 +50,10 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    adaptive_h = {"kind": "process_adaptive_mix", "n_proposals": 50,
-                  "adaptive_fraction": 0.8}
-    random_h = {"kind": "process_random"}
-
     rows = []
     for seed in range(args.pairs):
-        rec_a = run_qpt(config_for(seed, adaptive_h, args.experiments, args.shots))
-        rec_r = run_qpt(config_for(seed, random_h, args.experiments, args.shots))
+        rec_a = run(config_for(seed, ADAPTIVE, args.experiments, args.shots))
+        rec_r = run(config_for(seed, RANDOM, args.experiments, args.shots))
         rows.append((seed, rec_a.summary["loss"], rec_r.summary["loss"]))
         print(f"seed {seed:2d}: adaptive {rows[-1][1]:.5f}  random {rows[-1][2]:.5f}")
         if seed == 0:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tomolab.harness import RunConfig, run_risk
+from tomolab.harness import RunConfig, run
 
 PRIORS = {
     "default": None,
@@ -21,6 +21,24 @@ PRIORS = {
     "biased": [0.87, 0.065, 0.065],
     "orthogonal": [0.065, 0.065, 0.87],
 }
+
+
+def config_for(seed: int, gad_mean, n_trials: int, n_experiments: int,
+               shots: int) -> RunConfig:
+    """Risk run of the prior damped toward diag(gad_mean) (plain Ginibre for None)."""
+    prior = {"fiducial": "ginibre"}
+    if gad_mean is not None:
+        prior["gad_mean"] = {"diag": gad_mean}
+    return RunConfig.from_dict({
+        "mode": "risk", "seed": seed, "model": "state", "dim": 3,
+        "prior": prior,
+        "truth": {"kind": "from_distribution",
+                  "prior": {"fiducial": "ginibre",
+                            "gad_mean": {"diag": [0.9, 0.05, 0.05]}}},
+        "heuristic": {"kind": "stabilizer_qutrit", "n_meas": shots},
+        "n_particles": 2000, "n_experiments": n_experiments,
+        "n_trials": n_trials,
+    })
 
 
 def main():
@@ -37,20 +55,8 @@ def main():
 
     curves = {}
     for name, gad_mean in PRIORS.items():
-        prior = {"fiducial": "ginibre"}
-        if gad_mean is not None:
-            prior["gad_mean"] = {"diag": gad_mean}
-        cfg = RunConfig.from_dict({
-            "mode": "risk", "seed": args.seed, "model": "state", "dim": 3,
-            "prior": prior,
-            "truth": {"kind": "from_distribution",
-                      "prior": {"fiducial": "ginibre",
-                                "gad_mean": {"diag": [0.9, 0.05, 0.05]}}},
-            "heuristic": {"kind": "stabilizer_qutrit", "n_meas": args.shots},
-            "n_particles": 2000, "n_experiments": args.experiments,
-            "n_trials": args.trials,
-        })
-        result = run_risk(cfg)
+        result = run(config_for(args.seed, gad_mean, args.trials, args.experiments,
+                                args.shots))
         curves[name] = np.array(result.curve)
         print(f"{name:>10}: first {curves[name][0]:.4f}  last {curves[name][-1]:.4f}"
               f"  ({result.n_failed} failed trials)")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tomolab.harness import RunConfig, run_estimation
+from tomolab.harness import RunConfig, run
 from tomolab.qobj import pauli_basis
 from tomolab.smc import credible_ellipsoid
 
@@ -48,7 +48,7 @@ def main():
 
     rows = []
     for seed in range(args.seeds):
-        rec = run_estimation(config_for(seed, args.resample_a))
+        rec = run(config_for(seed, args.resample_a))
         if rec.failed:
             rows.append((seed, np.nan, np.nan, 0, 0))
             continue

@@ -20,10 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ConfigError, PriorSpec, RunConfig, RunRecord, build_prior, run
+from .harness import FIDUCIALS, ConfigError, PriorSpec, RunConfig, RunRecord, build_prior, run
 from .randq import RngStream
-
-_SAMPLE_PRIORS = ("ginibre", "bures", "rebit_ginibre", "bcsz", "coin_uniform")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
     p = sub.add_parser("sample", help="draw from a prior and dump coordinates")
     p.add_argument("--config", default=None, help="optional JSON config with a prior spec")
-    p.add_argument("--prior", default=None, choices=_SAMPLE_PRIORS)
+    p.add_argument("--prior", default=None, choices=FIDUCIALS)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--n", type=int, default=100)

@@ -1,5 +1,6 @@
-"""Simulation harness: declarative run configs, estimation loops, risk
-ensembles, tracking runs, and serialized run records.
+"""Simulation harness: declarative run configs, the one SMC filter loop
+that estimation, process tomography, risk trials and tracking share, risk
+ensembles, and serialized run records.
 
 A run is configured by a single JSON document with a versioned schema,
 executed with streams derived deterministically from one seed, and
@@ -17,14 +18,14 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import design as design_mod
-from .likelihood import Datum, ExperimentDesign, coin_design, simulate_experiment
+from .likelihood import coin_design, simulate_experiment
 from .priors import (
     PriorDistribution,
     bcsz_prior,
@@ -35,9 +36,11 @@ from .priors import (
     insightful_prior,
     rebit_ginibre_prior,
 )
-from .qobj import ChoiState, DensityOperator, choi_of_channel, standard_basis
+from .qobj import ChoiState, DensityOperator, choi_of_channel
 from .randq import RngStream
 from .smc import (
+    ESS_THRESHOLD,
+    LIU_WEST_A,
     DegenerateUpdateError,
     ParticleCloud,
     bayes_update,
@@ -49,8 +52,7 @@ from .smc import (
     principal_components,
     summarize,
 )
-from .tracking import DiffusionStep, diffuse_cloud, lognormal_eta_sampler
-from .tracking import truncate_to_state
+from .tracking import diffuse_cloud, lognormal_eta_sampler, truncate_to_state
 
 SCHEMA_VERSION = 1
 
@@ -82,13 +84,20 @@ def decode_matrix(spec) -> np.ndarray:
     return arr.astype(complex)
 
 
-def _take(raw: dict, allowed: dict, what: str) -> dict:
+def _take(raw, allowed: dict, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     merged = dict(allowed)
     merged.update(raw)
     return merged
+
+
+def _defaults(cls) -> dict:
+    """Each field of dataclass ``cls`` mapped to its default (None if required)."""
+    return {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -101,11 +110,13 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PriorSpec":
-        merged = _take(raw, {"fiducial": None, "rank": None, "gad_mean": None}, "prior")
+        merged = _take(raw, _defaults(cls), "prior")
         if merged["fiducial"] not in FIDUCIALS:
             raise ConfigError(f"unknown fiducial prior {merged['fiducial']!r}")
-        return cls(fiducial=merged["fiducial"], rank=merged["rank"],
-                   gad_mean=merged["gad_mean"])
+        rank = merged["rank"]
+        if rank is not None and (type(rank) is not int or rank < 1):
+            raise ConfigError(f"prior rank must be a positive integer, got {rank!r}")
+        return cls(**merged)
 
 
 @dataclass(frozen=True)
@@ -120,8 +131,7 @@ class TruthSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TruthSpec":
-        merged = _take(raw, {"kind": None, "matrix": None, "kraus": None,
-                             "p": None, "prior": None}, "truth")
+        merged = _take(raw, _defaults(cls), "truth")
         kind = merged["kind"]
         if kind not in ("explicit", "kraus", "from_prior", "from_distribution", "coin"):
             raise ConfigError(f"unknown truth kind {kind!r}")
@@ -136,46 +146,27 @@ class TruthSpec:
 class TrackingSpec:
     """Clock, trajectory, and diffusion-rate prior of a tracking run."""
 
-    dt: float
     n_steps: int
     trajectory: dict
+    dt: float = 1.0
     eta_mean: float = 0.006
     eta_log_std: float = 1.0
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrackingSpec":
-        merged = _take(raw, {"dt": 1.0, "n_steps": None, "trajectory": None,
-                             "eta_mean": 0.006, "eta_log_std": 1.0}, "tracking")
+        merged = _take(raw, _defaults(cls), "tracking")
         if merged["n_steps"] is None or merged["trajectory"] is None:
             raise ConfigError("tracking needs n_steps and a trajectory")
+        if int(merged["n_steps"]) < 1:
+            raise ConfigError("n_steps must be positive")
         if merged["dt"] <= 0.0:
             raise ConfigError("dt must be positive")
-        if merged["eta_mean"] < 0.0:
-            raise ConfigError("eta_mean must be nonnegative")
+        if merged["eta_mean"] < 0.0 or merged["eta_log_std"] < 0.0:
+            raise ConfigError("eta_mean and eta_log_std must be nonnegative")
         return cls(dt=float(merged["dt"]), n_steps=int(merged["n_steps"]),
                    trajectory=dict(merged["trajectory"]),
                    eta_mean=float(merged["eta_mean"]),
                    eta_log_std=float(merged["eta_log_std"]))
-
-
-_CONFIG_DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "mode": None,
-    "seed": None,
-    "model": "state",
-    "dim": 2,
-    "prior": None,
-    "truth": None,
-    "heuristic": None,
-    "n_particles": 2000,
-    "n_experiments": 30,
-    "n_trials": 1,
-    "resample_a": 0.98,
-    "resample_threshold": 0.5,
-    "tracking": None,
-    "dump_cloud": False,
-    "out_dir": None,
-}
 
 
 @dataclass(frozen=True)
@@ -192,8 +183,8 @@ class RunConfig:
     n_particles: int = 2000
     n_experiments: int = 30
     n_trials: int = 1
-    resample_a: float = 0.98
-    resample_threshold: float = 0.5
+    resample_a: float = LIU_WEST_A
+    resample_threshold: float = ESS_THRESHOLD
     tracking: Optional[TrackingSpec] = None
     dump_cloud: bool = False
     out_dir: Optional[str] = None
@@ -205,6 +196,8 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.seed is None or int(self.seed) < 0:
             raise ConfigError("seed must be a nonnegative integer")
+        if self.model != "coin" and self.dim < 2:
+            raise ConfigError("dim must be at least 2")
         if self.n_particles < 2:
             raise ConfigError("n_particles must be at least 2")
         if self.mode in ("estimate", "qpt", "risk") and self.n_experiments < 1:
@@ -225,16 +218,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        merged = _take(raw, _CONFIG_DEFAULTS, "config")
+        merged = _take(raw, {"schema_version": SCHEMA_VERSION, **_defaults(cls)}, "config")
         if merged["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {merged['schema_version']!r}")
         heuristic = None
         if merged["heuristic"] is not None:
-            hraw = _take(merged["heuristic"],
-                         {"kind": None, "n_meas": None, "n_proposals": 50,
-                          "adaptive_fraction": 0.8}, "heuristic")
+            hraw = _take(merged["heuristic"], _defaults(design_mod.DesignHeuristic),
+                         "heuristic")
             try:
                 heuristic = design_mod.DesignHeuristic(
                     kind=hraw["kind"], n_meas=int(hraw["n_meas"]),
@@ -318,34 +308,43 @@ def _threads() -> int:
 
 
 def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
-    """Instantiate a prior from its declaration."""
-    if model == "coin":
-        if spec.fiducial != "coin_uniform":
-            raise ConfigError("coin runs use the coin_uniform fiducial")
+    """Instantiate a prior from its declaration.
+
+    The prior depends on nothing but the declaration, so whatever the
+    constructors reject is raised as a :class:`ConfigError`.
+    """
+    try:
+        if model == "coin":
+            if spec.fiducial != "coin_uniform":
+                raise ConfigError("coin runs use the coin_uniform fiducial")
+            if spec.gad_mean is None:
+                return coin_uniform_prior()
+            return coin_insightful_prior(float(spec.gad_mean))
+        if spec.fiducial == "coin_uniform":
+            raise ConfigError("coin_uniform prior needs the coin model")
+        if spec.fiducial == "ginibre":
+            base = ginibre_prior(dim, rank=spec.rank)
+        elif spec.fiducial == "bures":
+            base = bures_prior(dim)
+        elif spec.fiducial == "rebit_ginibre":
+            if dim != 2:
+                raise ConfigError("rebit priors are two dimensional")
+            base = rebit_ginibre_prior(rank=spec.rank if spec.rank else 2)
+        elif spec.fiducial == "bcsz":
+            if model != "channel":
+                raise ConfigError("bcsz prior needs the channel model")
+            base = bcsz_prior(dim, kraus_rank=spec.rank)
+        else:
+            raise ConfigError(f"unknown fiducial prior {spec.fiducial!r}")
+        if (model == "channel") != (spec.fiducial == "bcsz"):
+            raise ConfigError("channel runs need the bcsz fiducial and vice versa")
         if spec.gad_mean is None:
-            return coin_uniform_prior()
-        return coin_insightful_prior(float(spec.gad_mean))
-    if spec.fiducial == "coin_uniform":
-        raise ConfigError("coin_uniform prior needs the coin model")
-    if spec.fiducial == "ginibre":
-        base = ginibre_prior(dim, rank=spec.rank)
-    elif spec.fiducial == "bures":
-        base = bures_prior(dim)
-    elif spec.fiducial == "rebit_ginibre":
-        if dim != 2:
-            raise ConfigError("rebit priors are two dimensional")
-        base = rebit_ginibre_prior(rank=spec.rank if spec.rank else 2)
-    elif spec.fiducial == "bcsz":
-        if model != "channel":
-            raise ConfigError("bcsz prior needs the channel model")
-        base = bcsz_prior(dim, kraus_rank=spec.rank)
-    else:
-        raise ConfigError(f"unknown fiducial prior {spec.fiducial!r}")
-    if (model == "channel") != (spec.fiducial == "bcsz"):
-        raise ConfigError("channel runs need the bcsz fiducial and vice versa")
-    if spec.gad_mean is None:
-        return base
-    return insightful_prior(base, decode_matrix(spec.gad_mean))
+            return base
+        return insightful_prior(base, decode_matrix(spec.gad_mean))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad {spec.fiducial} prior: {err}") from err
 
 
 def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
@@ -353,25 +352,28 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
     """Coordinates of the true state, channel, or coin."""
     if model == "coin":
         if spec.kind == "coin":
-            if spec.p is None or not 0.0 <= spec.p <= 1.0:
+            if type(spec.p) not in (int, float) or not 0.0 <= spec.p <= 1.0:
                 raise ConfigError("coin truth needs p in [0, 1]")
             return np.array([float(spec.p)])
         if spec.kind == "from_prior":
             return prior.sample(1, rng)[0]
         raise ConfigError(f"truth kind {spec.kind!r} is not defined for coins")
     basis = prior.basis
-    if spec.kind == "explicit":
-        mat = decode_matrix(spec.matrix)
-        if model == "channel":
-            ChoiState(matrix=mat, dim_in=dim, dim_out=dim)
-        else:
-            DensityOperator(matrix=mat)
-        return basis.vectorize(mat)
-    if spec.kind == "kraus":
-        if model != "channel":
-            raise ConfigError("kraus truth needs the channel model")
-        kraus = [decode_matrix(k) for k in spec.kraus]
-        return basis.vectorize(choi_of_channel(kraus).matrix)
+    try:
+        if spec.kind == "explicit":
+            mat = decode_matrix(spec.matrix)
+            if model == "channel":
+                ChoiState(matrix=mat, dim_in=dim, dim_out=dim)
+            else:
+                DensityOperator(matrix=mat)
+            return basis.vectorize(mat)
+        if spec.kind == "kraus":
+            if model != "channel":
+                raise ConfigError("kraus truth needs the channel model")
+            kraus = [decode_matrix(k) for k in spec.kraus]
+            return basis.vectorize(choi_of_channel(kraus).matrix)
+    except ValueError as err:
+        raise ConfigError(f"{spec.kind} truth: {err}") from err
     if spec.kind == "from_prior":
         return prior.sample(1, rng)[0]
     if spec.kind == "from_distribution":
@@ -460,9 +462,6 @@ class RunRecord:
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
-    def loss_curve(self) -> np.ndarray:
-        return np.array([row["loss"] for row in self.steps])
-
     def write(self, out_dir) -> Path:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -513,102 +512,22 @@ def _coords_list(arr) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def _summary_dict(cloud: ParticleCloud, total_log_norm: float, truth: np.ndarray,
-                  n_resamples: int, principal: bool) -> dict:
-    summ = summarize(cloud, total_log_norm=total_log_norm)
-    w = cloud.space.n_state_coords
-    est = posterior_mean_coords(cloud)
-    out = {
-        "mean": _coords_list(est),
-        "covariance": [ _coords_list(r) for r in summ.covariance ],
-        "ess": summ.ess,
-        "total_log_norm": summ.total_log_norm,
-        "loss": loss_norm(est[:w], truth[:w]),
-        "truth": _coords_list(truth),
-        "n_resamples": n_resamples,
-    }
-    if principal:
-        lam, comp = principal_components(summ, 1)[0]
-        out["principal_eigenvalue"] = lam
-        out["principal_component"] = _coords_list(comp.coords)
-    return out
-
-
-def _run_static(config: RunConfig, root: RngStream) -> RunRecord:
-    """Shared loop for estimate and qpt modes."""
-    start = time.perf_counter()
-    truth_rng, design_rng, data_rng, engine_rng = (root.child(i) for i in range(4))
-    prior = build_prior(config.prior, config.model, config.dim)
-    truth = resolve_truth(config.truth, prior, config.model, config.dim, truth_rng)
-    heuristic = make_heuristic(config, prior)
-    cloud = init_cloud(prior, config.n_particles, engine_rng)
-    w = cloud.space.n_state_coords
-    total_log_norm = 0.0
-    n_resamples = 0
-    est = posterior_mean_coords(cloud)
-    rows = [{
-        "step": 0, "time": 0.0, "n_meas": 0, "n_success": 0,
-        "ess": effective_sample_size(cloud), "log_norm": 0.0,
-        "cov_trace": float(np.trace(posterior_covariance(cloud))),
-        "loss": loss_norm(est[:w], truth[:w]),
-        "est": _coords_list(est),
-    }]
-    failed = False
-    reason = None
-    for step in range(1, config.n_experiments + 1):
-        exp_design = heuristic(step, cloud, design_rng)
-        datum = simulate_experiment(truth, exp_design, data_rng)
-        try:
-            cloud, log_norm = bayes_update(cloud, datum)
-        except DegenerateUpdateError as err:
-            failed = True
-            reason = f"step {step}: {err}"
-            break
-        total_log_norm += log_norm
-        before = cloud
-        cloud = maybe_resample(cloud, engine_rng, a=config.resample_a,
-                               threshold=config.resample_threshold)
-        n_resamples += int(cloud is not before)
-        est = posterior_mean_coords(cloud)
-        rows.append({
-            "step": step, "time": exp_design.time, "n_meas": exp_design.n_meas,
-            "n_success": datum.n_success,
-            "ess": effective_sample_size(cloud), "log_norm": log_norm,
-            "cov_trace": float(np.trace(posterior_covariance(cloud))),
-            "loss": loss_norm(est[:w], truth[:w]),
-            "est": _coords_list(est),
-        })
-    summary = _summary_dict(cloud, total_log_norm, truth, n_resamples,
-                            principal=config.model == "channel")
-    return RunRecord(config=config.to_dict(), mode=config.mode, steps=rows,
-                     summary=summary, failed=failed, failure_reason=reason,
-                     wall_time=time.perf_counter() - start, final_cloud=cloud)
-
-
-def run_estimation(config: RunConfig) -> RunRecord:
-    """Static state estimation: prior draw to posterior summary."""
-    if config.mode not in ("estimate", "risk"):
-        raise ConfigError("run_estimation expects an estimate (or risk trial) config")
-    return _run_static(config, RngStream(config.seed))
-
-
-def run_qpt(config: RunConfig) -> RunRecord:
-    """Process tomography over Choi-state hypotheses.
-
-    Same engine as state estimation; only the hypothesis space and the
-    composite designs differ.
-    """
-    if config.mode != "qpt":
-        raise ConfigError("run_qpt expects a qpt config")
-    return _run_static(config, RngStream(config.seed))
-
-
 def _make_trajectory(config: RunConfig, prior: PriorDistribution,
                      truth_rng: RngStream) -> Callable[[float], np.ndarray]:
-    spec = config.tracking.trajectory
+    """The truth as a function of time; constant unless the run tracks."""
+    spec = config.tracking.trajectory if config.mode == "track" else {"kind": "static"}
     kind = spec.get("kind")
+
+    def number(key: str, default=None) -> float:
+        value = spec.get(key, default)
+        try:
+            return float(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{kind} trajectory needs a number {key!r}, "
+                              f"got {value!r}") from err
+
     if kind == "two_tone_coin":
-        f1, f2 = float(spec["f1"]), float(spec["f2"])
+        f1, f2 = number("f1"), number("f2")
 
         def two_tone(t: float) -> np.ndarray:
             p = 0.25 * (2.0 + math.cos(2.0 * math.pi * f1 * t)
@@ -616,16 +535,16 @@ def _make_trajectory(config: RunConfig, prior: PriorDistribution,
             return np.array([p])
         return two_tone
     if kind == "single_tone_coin":
-        f = float(spec["f"])
-        offset = float(spec.get("offset", 0.5))
-        amplitude = float(spec.get("amplitude", 0.5))
+        f = number("f")
+        offset = number("offset", 0.5)
+        amplitude = number("amplitude", 0.5)
 
         def single_tone(t: float) -> np.ndarray:
             p = offset + amplitude * math.cos(2.0 * math.pi * f * t)
             return np.array([min(max(p, 0.0), 1.0)])
         return single_tone
     if kind == "diffusing_state":
-        std = float(spec["step_std"])
+        std = number("step_std")
         start = resolve_truth(config.truth, prior, config.model, config.dim, truth_rng)
         basis = prior.basis
         state = {"coords": start, "t": 0.0}
@@ -648,18 +567,22 @@ def _make_trajectory(config: RunConfig, prior: PriorDistribution,
     raise ConfigError(f"unknown trajectory kind {kind!r}")
 
 
-def run_tracking(config: RunConfig) -> RunRecord:
-    """Track a time-dependent source with a diffusing particle cloud."""
-    if config.mode != "track":
-        raise ConfigError("run_tracking expects a track config")
-    start_time = time.perf_counter()
-    root = RngStream(config.seed)
+def _filter(config: RunConfig, root: RngStream) -> RunRecord:
+    """Run the SMC filter along one truth trajectory.
+
+    Estimate, qpt and risk runs hold the truth fixed for
+    ``n_experiments`` steps at time 0.  Track runs follow the configured
+    trajectory for ``n_steps`` steps of ``dt`` and diffuse the cloud over
+    each interval before its update.  Children 0-3 of ``root`` feed the
+    truth, the designs, the data and the engine.
+    """
+    start = time.perf_counter()
     truth_rng, design_rng, data_rng, engine_rng = (root.child(i) for i in range(4))
     prior = build_prior(config.prior, config.model, config.dim)
     heuristic = make_heuristic(config, prior)
     trajectory = _make_trajectory(config, prior, truth_rng)
-    tr = config.tracking
-    eta_sampler = lognormal_eta_sampler(tr.eta_mean, tr.eta_log_std)
+    tr = config.tracking if config.mode == "track" else None
+    eta_sampler = None if tr is None else lognormal_eta_sampler(tr.eta_mean, tr.eta_log_std)
     cloud = init_cloud(prior, config.n_particles, engine_rng, eta_sampler=eta_sampler)
     w = cloud.space.n_state_coords
     total_log_norm = 0.0
@@ -667,26 +590,30 @@ def run_tracking(config: RunConfig) -> RunRecord:
 
     def row_of(step, t, truth, n_meas, n_success, log_norm):
         est = posterior_mean_coords(cloud)
-        return {
+        row = {
             "step": step, "time": t, "n_meas": n_meas, "n_success": n_success,
             "ess": effective_sample_size(cloud), "log_norm": log_norm,
             "cov_trace": float(np.trace(posterior_covariance(cloud))),
             "loss": loss_norm(est[:w], truth[:w]),
             "est": _coords_list(est),
-            "truth": _coords_list(truth),
-            "eta_mean": float(est[-1]),
         }
+        if tr is not None:
+            row["truth"] = _coords_list(truth)
+            row["eta_mean"] = float(est[-1])
+        return row
 
     truth = trajectory(0.0)
     rows = [row_of(0, 0.0, truth, 0, 0, 0.0)]
     failed = False
     reason = None
+    n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
     prev_t = 0.0
-    for step in range(1, tr.n_steps + 1):
-        t = step * tr.dt
+    for step in range(1, n_steps + 1):
+        t = step * dt
         truth = trajectory(t)
         exp_design = heuristic(step, cloud, design_rng, time=t)
-        cloud = diffuse_cloud(cloud, DiffusionStep(dt=t - prev_t), engine_rng)
+        if tr is not None:
+            cloud = diffuse_cloud(cloud, t - prev_t, engine_rng)
         datum = simulate_experiment(truth, exp_design, data_rng)
         try:
             cloud, log_norm = bayes_update(cloud, datum)
@@ -701,11 +628,26 @@ def run_tracking(config: RunConfig) -> RunRecord:
         n_resamples += int(cloud is not before)
         rows.append(row_of(step, t, truth, exp_design.n_meas, datum.n_success, log_norm))
         prev_t = t
-    summary = _summary_dict(cloud, total_log_norm, truth, n_resamples, principal=False)
-    summary["eta_mean"] = float(posterior_mean_coords(cloud)[-1])
-    return RunRecord(config=config.to_dict(), mode="track", steps=rows,
+    summ = summarize(cloud, total_log_norm=total_log_norm)
+    est = posterior_mean_coords(cloud)
+    summary = {
+        "mean": _coords_list(est),
+        "covariance": [_coords_list(r) for r in summ.covariance],
+        "ess": summ.ess,
+        "total_log_norm": summ.total_log_norm,
+        "loss": loss_norm(est[:w], truth[:w]),
+        "truth": _coords_list(truth),
+        "n_resamples": n_resamples,
+    }
+    if tr is not None:
+        summary["eta_mean"] = float(est[-1])
+    elif config.model == "channel":
+        lam, comp = principal_components(summ, 1)[0]
+        summary["principal_eigenvalue"] = lam
+        summary["principal_component"] = _coords_list(comp.coords)
+    return RunRecord(config=config.to_dict(), mode=config.mode, steps=rows,
                      summary=summary, failed=failed, failure_reason=reason,
-                     wall_time=time.perf_counter() - start_time, final_cloud=cloud)
+                     wall_time=time.perf_counter() - start, final_cloud=cloud)
 
 
 @dataclass
@@ -737,36 +679,34 @@ class RiskResult:
         return out
 
 
-def _risk_trial(config: RunConfig, trial: int) -> RunRecord:
-    # Truth, design, and data streams are functions of (seed, trial) only,
-    # so runs that differ in nothing but the prior see identical truths,
-    # designs, and data; risk comparisons across priors are paired.
-    return _run_static(config, RngStream(config.seed).child(trial))
-
-
-def run_risk(config: RunConfig) -> RiskResult:
+def _run_risk(config: RunConfig) -> RiskResult:
     """Average loss-versus-step over freshly drawn truths.
 
     The risk at each recorded step is the pointwise mean of the per-trial
     loss columns (trials that herald a failure are dropped from the mean
-    and counted).
+    and counted).  Truth, design, and data streams are functions of
+    (seed, trial) only, so runs that differ in nothing but the prior see
+    identical truths, designs, and data; risk comparisons across priors
+    are paired.
     """
-    if config.mode != "risk":
-        raise ConfigError("run_risk expects a risk config")
     start = time.perf_counter()
     n_threads = _threads()
-    trials = list(range(config.n_trials))
+
+    def trial(i: int) -> RunRecord:
+        return _filter(config, RngStream(config.seed).child(i))
+
+    trials = range(config.n_trials)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(lambda i: _risk_trial(config, i), trials))
+            records = list(pool.map(trial, trials))
     else:
-        records = [_risk_trial(config, i) for i in trials]
+        records = [trial(i) for i in trials]
     good = [r for r in records if not r.failed]
     n_failed = len(records) - len(good)
     if not good:
         return RiskResult(config=config.to_dict(), curve=[], per_trial=[],
                           n_failed=n_failed, wall_time=time.perf_counter() - start)
-    losses = np.array([r.loss_curve() for r in good])
+    losses = np.array([[row["loss"] for row in r.steps] for r in good])
     curve = losses.mean(axis=0)
     return RiskResult(config=config.to_dict(), curve=[float(v) for v in curve],
                       per_trial=[[float(v) for v in row] for row in losses],
@@ -774,13 +714,10 @@ def run_risk(config: RunConfig) -> RiskResult:
 
 
 def run(config: RunConfig):
-    """Dispatch a config to its mode's runner."""
-    if config.mode == "estimate":
-        return run_estimation(config)
-    if config.mode == "qpt":
-        return run_qpt(config)
-    if config.mode == "track":
-        return run_tracking(config)
+    """Run a config: a :class:`RiskResult` for risk mode, else a
+    :class:`RunRecord`."""
     if config.mode == "risk":
-        return run_risk(config)
-    raise ConfigError(f"mode {config.mode!r} has no runner")
+        return _run_risk(config)
+    if config.mode == "sample":
+        raise ConfigError(f"mode {config.mode!r} has no runner")
+    return _filter(config, RngStream(config.seed))

@@ -95,11 +95,6 @@ def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
     return log_comb + log_hit + log_miss
 
 
-def binomial_pmf(n: int, n_success: int, p) -> np.ndarray:
-    """Binomial(n, p) mass at n_success, vectorized over p."""
-    return np.exp(binomial_log_pmf(n, n_success, p))
-
-
 def binomial_log_likelihood(state_coords, design: ExperimentDesign,
                             n_success: int) -> np.ndarray:
     """Log likelihood of observing ``n_success`` under ``design``."""
@@ -153,14 +148,3 @@ def process_design(prep: DensityOperator, meas: Effect, n_meas: int,
     """Design measuring a channel: composite effect on the D**2 space."""
     composite = process_effect(prep, meas)
     return ExperimentDesign(effect=vectorize(composite, basis), n_meas=n_meas, time=time)
-
-
-def process_likelihood(choi_coords, prep: DensityOperator, meas: Effect,
-                       n_meas: int, n_success: int, basis: OperatorBasis) -> np.ndarray:
-    """Likelihood of channel data via the composite-effect reduction.
-
-    Identical code path to state likelihoods: the Choi coordinates are
-    dotted against the vectorized composite effect.
-    """
-    design = process_design(prep, meas, n_meas, basis)
-    return binomial_likelihood(choi_coords, design, n_success)

@@ -112,6 +112,8 @@ class PriorDistribution:
 def ginibre_prior(dim: int, rank: Optional[int] = None,
                   basis: Optional[OperatorBasis] = None) -> PriorDistribution:
     rank = dim if rank is None else rank
+    if not 1 <= rank <= dim:
+        raise PriorConstructionError(f"Ginibre rank {rank} must lie in [1, {dim}]")
     return PriorDistribution(name=f"ginibre(d={dim},k={rank})", kind="fiducial",
                              basis=standard_basis(dim) if basis is None else basis,
                              ensemble=partial(ginibre_states, dim=dim, rank=rank))
@@ -124,6 +126,8 @@ def bures_prior(dim: int, basis: Optional[OperatorBasis] = None) -> PriorDistrib
 
 
 def rebit_ginibre_prior(rank: int = 2, basis: Optional[OperatorBasis] = None) -> PriorDistribution:
+    if rank not in (1, 2):
+        raise PriorConstructionError(f"rebit rank {rank} must be 1 or 2")
     return PriorDistribution(name=f"rebit-ginibre(k={rank})", kind="fiducial",
                              basis=standard_basis(2) if basis is None else basis,
                              ensemble=partial(ginibre_rebit_states, rank=rank))
@@ -132,6 +136,8 @@ def rebit_ginibre_prior(rank: int = 2, basis: Optional[OperatorBasis] = None) ->
 def bcsz_prior(dim: int, kraus_rank: Optional[int] = None,
                basis: Optional[OperatorBasis] = None) -> PriorDistribution:
     kraus_rank = dim * dim if kraus_rank is None else kraus_rank
+    if not 1 <= kraus_rank <= dim * dim:
+        raise PriorConstructionError(f"Kraus rank {kraus_rank} must lie in [1, {dim * dim}]")
     return PriorDistribution(name=f"bcsz(d={dim},k={kraus_rank})", kind="fiducial",
                              basis=standard_basis(dim * dim) if basis is None else basis,
                              ensemble=partial(bcsz_channels, dim=dim, kraus_rank=kraus_rank),
@@ -219,8 +225,10 @@ def coin_gad_params(p_mu: float) -> tuple[float, float, float]:
 
     lam = min(p_mu, 1 - p_mu), beta = 2 lam / (1 - 2 lam), and
 
-        p_star = ((alpha + beta)/alpha) (p_mu - beta / (2 (alpha + beta))).
+        p_star = ((alpha + beta)/alpha) (p_mu - beta / (2 (alpha + beta))),
 
+    which simplifies to exactly 0 for p_mu < 1/2 and 1 for p_mu > 1/2;
+    those values are returned rather than the rounded formula.
     p_mu = 1/2 returns beta = inf (passthrough).
     """
     if not 0.0 <= p_mu <= 1.0:
@@ -234,7 +242,7 @@ def coin_gad_params(p_mu: float) -> tuple[float, float, float]:
         )
     alpha = 1.0
     beta = 2.0 * lam / (1.0 - 2.0 * lam)
-    p_star = ((alpha + beta) / alpha) * (p_mu - beta / (2.0 * (alpha + beta)))
+    p_star = 0.0 if p_mu < 0.5 else 1.0
     return alpha, beta, p_star
 
 

@@ -312,11 +312,6 @@ def vectorize(op, basis: OperatorBasis) -> VectorizedOperator:
     return VectorizedOperator(coords=basis.vectorize(op), basis=basis)
 
 
-def devectorize(vec: VectorizedOperator) -> np.ndarray:
-    """Matrix represented by a coordinate vector."""
-    return vec.matrix()
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr[A^dag B]."""
     a = _as_square(a)

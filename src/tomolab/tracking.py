@@ -14,8 +14,7 @@ weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,36 +59,6 @@ def coin_truncate(p) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class DiffusionStep:
-    """One diffusion interval.  Only pure diffusion is supported: any
-    deterministic drift must be removed from the data upstream."""
-
-    dt: float
-    drift: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.drift is not None and np.any(np.asarray(self.drift) != 0.0):
-            raise ValueError("nonzero drift is not supported")
-
-
-class TrackedParticle(NamedTuple):
-    """View of one row of a tracked cloud."""
-
-    state_coords: np.ndarray
-    eta: float
-
-
-def tracked_particle(cloud, index: int) -> TrackedParticle:
-    """Extract one particle of a cloud carrying a diffusion-rate column."""
-    if cloud.space.n_hyper != 1:
-        raise ValueError("cloud carries no diffusion-rate column")
-    row = cloud.locations[index]
-    return TrackedParticle(state_coords=row[:-1], eta=float(row[-1]))
-
-
 def lognormal_eta_sampler(mean: float, log_std: float = 1.0):
     """Sampler for the diffusion-rate prior.
 
@@ -110,19 +79,22 @@ def lognormal_eta_sampler(mean: float, log_std: float = 1.0):
     return draw
 
 
-def diffuse_cloud(cloud, step: DiffusionStep, rng: RngStream):
-    """Gaussian-perturb every particle's traceless coordinates and project.
+def diffuse_cloud(cloud, dt: float, rng: RngStream):
+    """Gaussian-perturb every particle's traceless coordinates over an
+    interval ``dt > 0`` and project.
 
     The per-particle standard deviation is sqrt(dt) * eta.  Weights and
-    the eta column are untouched.
+    the eta column are untouched.  There is no drift term.
     """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     space = cloud.space
     if space.n_hyper != 1:
         raise ValueError("cloud carries no diffusion-rate column")
     locations = cloud.locations
     n = locations.shape[0]
     eta = locations[:, -1]
-    sigma = np.sqrt(step.dt) * eta
+    sigma = np.sqrt(dt) * eta
     if space.kind == "coin":
         lo, hi = 0, 1
     else:

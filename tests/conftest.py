@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from tomolab.randq import RngStream
+
+# The study scripts define the configs that the acceptance tests run.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 
 def trace_distance(a, b) -> float:

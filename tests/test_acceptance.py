@@ -9,7 +9,6 @@ is slower than the unit tests; run it on its own with
 
 from __future__ import annotations
 
-import math
 import subprocess
 import sys
 import time
@@ -19,7 +18,11 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from tomolab.harness import RunConfig, run_estimation, run_qpt, run_risk, run_tracking
+import run_coin_tracking
+import run_qpt_adaptive
+import run_qutrit_risk
+import run_wrong_prior
+from tomolab.harness import run
 from tomolab.likelihood import Datum, coin_design
 from tomolab.priors import (
     bures_prior,
@@ -34,7 +37,6 @@ from tomolab.qobj import (
     DensityOperator,
     Effect,
     apply_choi,
-    choi_of_channel,
     pauli_basis,
     process_effect,
     standard_basis,
@@ -191,18 +193,8 @@ def test_c06_recovery_from_a_wrong_prior():
         0.5 * np.array([[1.0, 0.9], [0.9, 1.0]], dtype=complex))
     improved = covered = 0
     for seed in range(100):
-        cfg = RunConfig.from_dict({
-            "mode": "estimate", "seed": seed, "model": "state", "dim": 2,
-            "prior": {"fiducial": "rebit_ginibre",
-                      "gad_mean": {"re": [[0.5, -0.45], [-0.45, 0.5]]}},
-            "truth": {"kind": "explicit",
-                      "matrix": {"re": [[0.5, 0.45], [0.45, 0.5]]}},
-            "heuristic": {"kind": "random_pauli", "n_meas": 10},
-            "n_particles": 2000, "n_experiments": 30,
-            # adversarial prior/truth mismatch wants a wider resample kernel
-            "resample_a": 0.85,
-        })
-        rec = run_estimation(cfg)
+        # adversarial prior/truth mismatch wants a wider resample kernel
+        rec = run(run_wrong_prior.config_for(seed, resample_a=0.85))
         if rec.failed:
             continue
         improved += rec.summary["loss"] < rec.steps[0]["loss"]
@@ -217,27 +209,16 @@ def test_c07_qutrit_risk_ordering():
     """Risk curves order by prior quality on a qutrit ensemble."""
     start = time.perf_counter()
 
-    def risk(gad_mean):
-        prior = {"fiducial": "ginibre"}
-        if gad_mean is not None:
-            prior["gad_mean"] = {"diag": gad_mean}
-        cfg = RunConfig.from_dict({
-            "mode": "risk", "seed": 77, "model": "state", "dim": 3,
-            "prior": prior,
-            "truth": {"kind": "from_distribution",
-                      "prior": {"fiducial": "ginibre",
-                                "gad_mean": {"diag": [0.9, 0.05, 0.05]}}},
-            "heuristic": {"kind": "stabilizer_qutrit", "n_meas": 20},
-            "n_particles": 2000, "n_experiments": 25, "n_trials": 100,
-        })
-        result = run_risk(cfg)
+    def risk(name):
+        result = run(run_qutrit_risk.config_for(77, run_qutrit_risk.PRIORS[name],
+                                                n_trials=100, n_experiments=25, shots=20))
         assert result.n_failed == 0
         return np.array(result.curve)
 
-    default = risk(None)
-    matched = risk([0.9, 0.05, 0.05])
-    biased = risk([0.87, 0.065, 0.065])
-    orthogonal = risk([0.065, 0.065, 0.87])
+    default = risk("default")
+    matched = risk("matched")
+    biased = risk("biased")
+    orthogonal = risk("orthogonal")
     matched_below = bool(np.all(matched <= default))
     orth_above = bool(orthogonal[0] > default[0] and orthogonal[0] > matched[0]
                       and orthogonal[1] > default[1] and orthogonal[1] > matched[1])
@@ -253,33 +234,17 @@ def test_c07_qutrit_risk_ordering():
 def test_c08_adaptive_process_designs_beat_random():
     """Adaptive design selection lowers median final process-estimation loss."""
     start = time.perf_counter()
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-    kraus = [math.sqrt(0.7) * np.eye(2, dtype=complex), math.sqrt(0.3) * h]
-    j_true = choi_of_channel(kraus).matrix
-    gad_mean = 0.9 * j_true + 0.1 * np.eye(4) / 4.0
 
     def qpt(seed, heuristic):
-        cfg = RunConfig.from_dict({
-            "mode": "qpt", "seed": seed, "model": "channel", "dim": 2,
-            "prior": {"fiducial": "bcsz",
-                      "gad_mean": {"re": gad_mean.real.tolist(),
-                                   "im": gad_mean.imag.tolist()}},
-            "truth": {"kind": "kraus",
-                      "kraus": [{"re": k.real.tolist(), "im": k.imag.tolist()}
-                                for k in kraus]},
-            "heuristic": heuristic,
-            "n_particles": 2000, "n_experiments": 450,
-        })
-        rec = run_qpt(cfg)
+        rec = run(run_qpt_adaptive.config_for(seed, heuristic, n_experiments=450, shots=25))
         assert not rec.failed
         return rec.summary["loss"]
 
     adaptive = []
     randoms = []
     for seed in range(20):
-        adaptive.append(qpt(seed, {"kind": "process_adaptive_mix", "n_meas": 25,
-                                   "n_proposals": 50, "adaptive_fraction": 0.8}))
-        randoms.append(qpt(seed, {"kind": "process_random", "n_meas": 25}))
+        adaptive.append(qpt(seed, run_qpt_adaptive.ADAPTIVE))
+        randoms.append(qpt(seed, run_qpt_adaptive.RANDOM))
     med_a = float(np.median(adaptive))
     med_r = float(np.median(randoms))
     elapsed = time.perf_counter() - start
@@ -292,24 +257,8 @@ def test_c09_tracking_suite():
     """Diffusive tracking beats a static filter and respects its bandwidth."""
     start = time.perf_counter()
 
-    def track(seed, eta_mean, trajectory, n_steps, eta_log_std=1.0):
-        cfg = RunConfig.from_dict({
-            "mode": "track", "seed": seed, "model": "coin",
-            "prior": {"fiducial": "coin_uniform"},
-            "truth": {"kind": "coin", "p": 0.5},
-            "heuristic": {"kind": "coin", "n_meas": 1},
-            "n_particles": 1000,
-            "tracking": {"dt": 1.0, "n_steps": n_steps,
-                         "trajectory": trajectory,
-                         "eta_mean": eta_mean, "eta_log_std": eta_log_std},
-        })
-        rec = run_tracking(cfg)
-        assert not rec.failed
-        est = np.array([row["est"][0] for row in rec.steps[1:]])
-        tru = np.array([row["truth"][0] for row in rec.steps[1:]])
-        return est, tru
-
-    two_tone = {"kind": "two_tone_coin", "f1": 1.0 / 80.0, "f2": 1.0 / 294.0}
+    track = run_coin_tracking.track
+    two_tone = run_coin_tracking.TWO_TONE
     wins = 0
     for seed in range(10):
         est_t, tru_t = track(seed, 0.01, two_tone, 2000)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -11,21 +12,18 @@ import numpy as np
 import pytest
 
 import tomolab
+from tomolab import harness
 from tomolab.cli import main
 from tomolab.harness import (
     ConfigError,
     PriorSpec,
     RunConfig,
-    _risk_trial,
+    _filter,
     build_prior,
     decode_matrix,
     loss_norm,
     quadratic_loss,
     run,
-    run_estimation,
-    run_qpt,
-    run_risk,
-    run_tracking,
 )
 from tomolab.qobj import gell_mann_basis, pauli_basis
 from tomolab.randq import RngStream
@@ -33,7 +31,8 @@ from tomolab.randq import RngStream
 from conftest import random_state_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
 
 
 def coin_config(**over):
@@ -58,6 +57,13 @@ def state_config(**over):
     }
     base.update(over)
     return base
+
+
+def qutrit_config(**over):
+    return state_config(**{"dim": 3,
+                           "truth": {"kind": "explicit", "matrix": {"diag": [0.5, 0.3, 0.2]}},
+                           "heuristic": {"kind": "stabilizer_qutrit", "n_meas": 20},
+                           **over})
 
 
 def risk_config(**over):
@@ -254,7 +260,7 @@ class TestBuildPrior:
 
 class TestEstimation:
     def test_record_shape(self):
-        rec = run_estimation(RunConfig.from_dict(state_config()))
+        rec = run(RunConfig.from_dict(state_config()))
         assert rec.mode == "estimate"
         assert not rec.failed
         assert len(rec.steps) == 11
@@ -266,37 +272,37 @@ class TestEstimation:
         assert rec.summary["loss"] == rec.steps[-1]["loss"]
 
     def test_learning_happens(self):
-        rec = run_estimation(RunConfig.from_dict(state_config(
+        rec = run(RunConfig.from_dict(state_config(
             n_experiments=40, n_particles=1000)))
         assert rec.summary["loss"] < rec.steps[0]["loss"]
         assert rec.steps[-1]["cov_trace"] < rec.steps[0]["cov_trace"]
 
     def test_deterministic_json(self):
-        a = run_estimation(RunConfig.from_dict(state_config()))
-        b = run_estimation(RunConfig.from_dict(state_config()))
+        a = run(RunConfig.from_dict(state_config()))
+        b = run(RunConfig.from_dict(state_config()))
         assert a.to_json() == b.to_json()
 
     def test_seed_matters(self):
-        a = run_estimation(RunConfig.from_dict(state_config(seed=5)))
-        b = run_estimation(RunConfig.from_dict(state_config(seed=6)))
+        a = run(RunConfig.from_dict(state_config(seed=5)))
+        b = run(RunConfig.from_dict(state_config(seed=6)))
         assert a.to_json() != b.to_json()
 
     def test_heralded_failure_flagged(self):
-        rec = run_estimation(RunConfig.from_dict(FAIL_CONFIG))
+        rec = run(RunConfig.from_dict(FAIL_CONFIG))
         assert rec.failed
         assert "step 1" in rec.failure_reason
         assert len(rec.steps) == 1
 
     def test_truth_from_prior(self):
         cfg = state_config(truth={"kind": "from_prior"})
-        rec = run_estimation(RunConfig.from_dict(cfg))
+        rec = run(RunConfig.from_dict(cfg))
         truth = np.array(rec.summary["truth"])
         assert abs(truth[0] - INV_SQRT2) < 1e-12
         assert np.linalg.norm(truth[1:]) <= INV_SQRT2 + 1e-12
 
     def test_written_outputs(self, tmp_path):
         cfg = RunConfig.from_dict(state_config(dump_cloud=True))
-        rec = run_estimation(cfg)
+        rec = run(cfg)
         out = rec.write(tmp_path / "run")
         assert json.loads((out / "record.json").read_text())["mode"] == "estimate"
         assert "wall_time_s" in json.loads((out / "meta.json").read_text())
@@ -314,15 +320,15 @@ class TestEstimation:
         cfg = coin_config(seed=0, n_particles=2, n_experiments=1,
                           truth={"kind": "coin", "p": 1.0},
                           heuristic={"kind": "coin", "n_meas": 100_000})
-        rec = run_estimation(RunConfig.from_dict(cfg))
+        rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
         assert rec.steps[1]["log_norm"] < -1000.0
         assert 1.0 <= rec.steps[1]["ess"] <= 2.0
 
     def test_written_bytes_deterministic(self, tmp_path):
         cfg = RunConfig.from_dict(state_config())
-        run_estimation(cfg).write(tmp_path / "a")
-        run_estimation(cfg).write(tmp_path / "b")
+        run(cfg).write(tmp_path / "a")
+        run(cfg).write(tmp_path / "b")
         assert ((tmp_path / "a" / "record.json").read_bytes()
                 == (tmp_path / "b" / "record.json").read_bytes())
 
@@ -339,7 +345,7 @@ class TestQpt:
     }
 
     def test_run(self):
-        rec = run_qpt(RunConfig.from_dict(self.CONFIG))
+        rec = run(RunConfig.from_dict(self.CONFIG))
         assert not rec.failed
         assert len(rec.steps) == 13
         assert len(rec.summary["mean"]) == 16
@@ -352,19 +358,13 @@ class TestQpt:
         cfg["heuristic"] = {"kind": "process_adaptive_mix", "n_meas": 10,
                             "n_proposals": 10, "adaptive_fraction": 0.5}
         cfg["n_experiments"] = 8
-        rec = run_qpt(RunConfig.from_dict(cfg))
+        rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
-
-    def test_mode_guard(self):
-        with pytest.raises(ConfigError):
-            run_qpt(RunConfig.from_dict(state_config()))
-        with pytest.raises(ConfigError):
-            run_estimation(RunConfig.from_dict(self.CONFIG))
 
 
 class TestRisk:
     def test_curve_is_mean_of_trials(self):
-        result = run_risk(RunConfig.from_dict(risk_config()))
+        result = run(RunConfig.from_dict(risk_config()))
         assert result.n_failed == 0
         per_trial = np.array(result.per_trial)
         assert per_trial.shape == (3, 7)
@@ -372,15 +372,15 @@ class TestRisk:
         assert min(result.curve) >= 0.0
 
     def test_single_trial_curve(self):
-        result = run_risk(RunConfig.from_dict(risk_config(n_trials=1)))
+        result = run(RunConfig.from_dict(risk_config(n_trials=1)))
         assert np.array_equal(result.curve, result.per_trial[0])
 
     def test_trials_are_paired_across_priors(self):
         cfg_a = RunConfig.from_dict(risk_config())
         cfg_b = RunConfig.from_dict(risk_config(prior={"fiducial": "ginibre",
                                                        "rank": 1}))
-        rec_a = _risk_trial(cfg_a, 2)
-        rec_b = _risk_trial(cfg_b, 2)
+        rec_a = _filter(cfg_a, RngStream(cfg_a.seed).child(2))
+        rec_b = _filter(cfg_b, RngStream(cfg_b.seed).child(2))
         assert rec_a.summary["truth"] == rec_b.summary["truth"]
         outcomes_a = [row["n_success"] for row in rec_a.steps]
         outcomes_b = [row["n_success"] for row in rec_b.steps]
@@ -389,36 +389,36 @@ class TestRisk:
 
     def test_trials_differ(self):
         cfg = RunConfig.from_dict(risk_config())
-        t0 = _risk_trial(cfg, 0)
-        t1 = _risk_trial(cfg, 1)
+        t0 = _filter(cfg, RngStream(cfg.seed).child(0))
+        t1 = _filter(cfg, RngStream(cfg.seed).child(1))
         assert t0.summary["truth"] != t1.summary["truth"]
 
     def test_deterministic(self):
-        a = run_risk(RunConfig.from_dict(risk_config()))
-        b = run_risk(RunConfig.from_dict(risk_config()))
+        a = run(RunConfig.from_dict(risk_config()))
+        b = run(RunConfig.from_dict(risk_config()))
         assert a.to_json() == b.to_json()
 
     def test_thread_count_invariance(self, monkeypatch):
         monkeypatch.setenv("TOMOLAB_THREADS", "1")
-        serial = run_risk(RunConfig.from_dict(risk_config(n_trials=4)))
+        serial = run(RunConfig.from_dict(risk_config(n_trials=4)))
         monkeypatch.setenv("TOMOLAB_THREADS", "4")
-        threaded = run_risk(RunConfig.from_dict(risk_config(n_trials=4)))
+        threaded = run(RunConfig.from_dict(risk_config(n_trials=4)))
         assert serial.to_json() == threaded.to_json()
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("TOMOLAB_THREADS", "lots")
         with pytest.raises(ConfigError):
-            run_risk(RunConfig.from_dict(risk_config()))
+            run(RunConfig.from_dict(risk_config()))
 
     def test_failed_trials_counted(self):
         cfg = risk_config(model="coin", n_trials=2, n_particles=2,
                           n_experiments=1, seed=0, **IMPOSSIBLE_DATA)
-        result = run_risk(RunConfig.from_dict(cfg))
+        result = run(RunConfig.from_dict(cfg))
         assert result.n_failed >= 1
         assert len(result.per_trial) == 2 - result.n_failed
 
     def test_written_outputs(self, tmp_path):
-        result = run_risk(RunConfig.from_dict(risk_config()))
+        result = run(RunConfig.from_dict(risk_config()))
         out = result.write(tmp_path / "risk")
         curve = np.loadtxt(out / "risk_curve.csv", delimiter=",", skiprows=1)
         assert curve.shape == (7, 2)
@@ -428,7 +428,7 @@ class TestRisk:
 
 class TestTracking:
     def test_two_tone_truth_column(self):
-        rec = run_tracking(RunConfig.from_dict(track_config()))
+        rec = run(RunConfig.from_dict(track_config()))
         assert not rec.failed
         for row in rec.steps:
             t = row["time"]
@@ -443,7 +443,7 @@ class TestTracking:
                            "trajectory": {"kind": "single_tone_coin", "f": 0.05,
                                           "offset": 0.9, "amplitude": 0.3},
                            "eta_mean": 0.01}
-        rec = run_tracking(RunConfig.from_dict(cfg))
+        rec = run(RunConfig.from_dict(cfg))
         values = [row["truth"][0] for row in rec.steps]
         assert max(values) <= 1.0
         assert values[0] == 1.0
@@ -452,7 +452,7 @@ class TestTracking:
         cfg = track_config(truth={"kind": "coin", "p": 0.7})
         cfg["tracking"] = {"dt": 1.0, "n_steps": 25,
                            "trajectory": {"kind": "static"}, "eta_mean": 0.0}
-        rec = run_tracking(RunConfig.from_dict(cfg))
+        rec = run(RunConfig.from_dict(cfg))
         assert abs(rec.steps[0]["loss"] - 0.2) < 0.05
         assert rec.summary["loss"] < 0.1
         assert rec.summary["eta_mean"] == 0.0
@@ -469,7 +469,7 @@ class TestTracking:
                                         "step_std": 0.02},
                          "eta_mean": 0.01},
         }
-        rec = run_tracking(RunConfig.from_dict(cfg))
+        rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
         truths = np.array([row["truth"] for row in rec.steps])
         assert abs(truths[0, 0] - INV_SQRT2) < 1e-12
@@ -485,13 +485,13 @@ class TestTracking:
         cfg["seed"] = seed
         cfg["heuristic"]["n_meas"] = 5000
         cfg["tracking"]["n_steps"] = 150
-        rec = run_tracking(RunConfig.from_dict(cfg))
+        rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed, rec.failure_reason
         assert len(rec.steps) == 151
 
     def test_deterministic(self):
-        a = run_tracking(RunConfig.from_dict(track_config()))
-        b = run_tracking(RunConfig.from_dict(track_config()))
+        a = run(RunConfig.from_dict(track_config()))
+        b = run(RunConfig.from_dict(track_config()))
         assert a.to_json() == b.to_json()
 
     def test_dispatcher(self):
@@ -499,6 +499,27 @@ class TestTracking:
         assert rec.mode == "track"
         result = run(RunConfig.from_dict(risk_config()))
         assert hasattr(result, "curve")
+
+
+class TestTracer:
+    def test_spans_attribute_a_coin_track(self):
+        # bench/spans.py times each layer by wrapping names it looks up on
+        # the harness module; a rename it misses would read zero here.
+        spec = importlib.util.spec_from_file_location("spans", REPO / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        cfg = track_config()
+        cfg["tracking"]["n_steps"] = 10
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            rec, totals = tracer.run_op(run, RunConfig.from_dict(cfg))
+        finally:
+            tracer.uninstall()
+        assert not rec.failed
+        assert totals["smc.updates"] == 10
+        assert totals["tracking.diffuse_s"] > 0.0
+        assert not hasattr(harness.bayes_update, "__wrapped__")
 
 
 class TestCli:
@@ -521,10 +542,47 @@ class TestCli:
         rec = json.loads((tmp_path / "a" / "record.json").read_text())
         assert rec["config"]["seed"] == 99
 
-    def test_config_error_exit(self, tmp_path, capsys):
-        path = self.write_cfg(tmp_path, state_config(mode="guess"))
-        assert main(["estimate", "--config", path]) == 2
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("mode, cfg, message", [
+        pytest.param("estimate", state_config(mode="guess"), "unknown mode",
+                     id="unknown_mode"),
+        pytest.param("track", track_config(tracking=dict(
+            track_config()["tracking"], trajectory={"kind": "two_tone_coin", "f1": 0.0125})),
+            "'f2'", id="two_tone_without_f2"),
+        pytest.param("track", track_config(tracking=dict(
+            track_config()["tracking"], trajectory={"kind": "single_tone_coin", "f": "x"})),
+            "'f'", id="single_tone_f_not_a_number"),
+        pytest.param("estimate", state_config(prior={"fiducial": "ginibre", "rank": "two"}),
+                     "rank must be a positive integer", id="rank_not_an_integer"),
+        pytest.param("estimate", qutrit_config(prior={"fiducial": "ginibre", "rank": 7}),
+                     "rank 7 must lie in [1, 3]", id="rank_above_dim"),
+        pytest.param("estimate", qutrit_config(
+            prior={"fiducial": "ginibre", "gad_mean": {"diag": [0.9, 0.1]}}),
+            "dimension does not match", id="mean_of_wrong_dim"),
+        pytest.param("estimate", state_config(dim=1), "dim must be at least 2",
+                     id="dim_1_random_pauli"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         n_steps=0)),
+                     "n_steps must be positive", id="zero_tracking_steps"),
+        pytest.param("estimate", state_config(prior="ginibre"),
+                     "prior must be a JSON object", id="prior_not_an_object"),
+        pytest.param("estimate", coin_config(truth={"kind": "coin", "p": "x"}),
+                     "coin truth needs p in [0, 1]", id="coin_p_not_a_number"),
+        pytest.param("estimate", state_config(truth={
+            "kind": "explicit", "matrix": {"re": [[0.5, 0.4], [0.1, 0.5]]}}),
+            "explicit truth: density operator is not Hermitian", id="non_hermitian_truth"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, truth={
+            "kind": "kraus", "kraus": [{"diag": [1.0, 1.0]}, {"diag": [1.0, 0.0]}]}),
+            "kraus truth: Kraus operators", id="kraus_not_trace_preserving"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         eta_log_std=-1.0)),
+                     "eta_log_std must be nonnegative", id="negative_eta_log_std"),
+    ])
+    def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
+        path = self.write_cfg(tmp_path, cfg)
+        assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert message in err
 
     def test_mode_mismatch_exit(self, tmp_path):
         path = self.write_cfg(tmp_path, coin_config())

@@ -179,12 +179,14 @@ class TestCoinPriors:
         (15.0 / 16.0, 1.0 / 7.0, 1.0),
         (1.0 / 16.0, 1.0 / 7.0, 0.0),
         (0.25, 1.0, 0.0),
+        (2e-6, 4e-6 / (1.0 - 4e-6), 0.0),
+        (1.0 - 2e-6, 4e-6 / (1.0 - 4e-6), 1.0),
     ])
     def test_closed_forms(self, p_mu, beta, p_star):
         alpha, b, p = coin_gad_params(p_mu)
         assert alpha == 1.0
         assert abs(b - beta) < 1e-12
-        assert abs(p - p_star) < 1e-12
+        assert p == p_star  # exact: a heads probability outside [0, 1] is invalid
 
     def test_fair_coin_passthrough(self):
         prior = coin_insightful_prior(0.5)

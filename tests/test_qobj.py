@@ -16,7 +16,6 @@ from tomolab.qobj import (
     apply_choi,
     check_states,
     choi_of_channel,
-    devectorize,
     gell_mann_basis,
     hs_inner,
     partial_trace,
@@ -142,7 +141,7 @@ class TestVectorization:
         basis = pauli_basis(1)
         vec = vectorize(DensityOperator(matrix=I2 / 2), basis)
         assert vec.size == 4
-        assert np.abs(devectorize(vec) - I2 / 2).max() < 1e-12
+        assert np.abs(vec.matrix() - I2 / 2).max() < 1e-12
 
 
 class TestHsInner:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tomolab.design import random_pauli_design
 from tomolab.likelihood import Datum, ExperimentDesign, coin_design, datum_log_likelihood
 from tomolab.priors import coin_insightful_prior, coin_uniform_prior, ginibre_prior, insightful_prior, rebit_ginibre_prior
 from tomolab.qobj import Effect, VectorizedOperator, pauli_basis, vectorize
@@ -32,6 +33,7 @@ from tomolab.smc import (
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 BASIS2 = pauli_basis(1)
+BASIS4 = pauli_basis(2)
 COIN_SPACE = HypothesisSpace(kind="coin")
 
 
@@ -150,18 +152,31 @@ class TestBayesUpdate:
         assert np.abs(ab.weights - both.weights).max() < 1e-12
 
     @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20))
-    def test_weights_stay_normalized(self, seed, n):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20),
+           n_updates=st.integers(1, 6), qubit=st.booleans())
+    def test_weights_stay_normalized(self, seed, n, n_updates, qubit):
+        # After any sequence of updates the weights stay a distribution,
+        # 1 <= ESS <= n_particles, and the covariance stays PSD.
         rng = np.random.default_rng(seed)
-        cloud = coin_cloud(rng.random(12))
-        k = int(rng.integers(0, n + 1))
-        try:
-            updated, _ = bayes_update(cloud, coin_datum(n, k))
-        except DegenerateUpdateError:
-            return
-        assert abs(updated.weights.sum() - 1.0) < 1e-10
-        ess = effective_sample_size(updated)
-        assert 1.0 - 1e-9 <= ess <= cloud.n_particles + 1e-9
+        stream = RngStream(seed)
+        if qubit:
+            cloud = init_cloud(ginibre_prior(2), 12, stream)
+        else:
+            cloud = coin_cloud(rng.random(12))
+        for step in range(n_updates):
+            k = int(rng.integers(0, n + 1))
+            if qubit:
+                datum = Datum(n_success=k, design=random_pauli_design(1, n, stream.child(step)))
+            else:
+                datum = coin_datum(n, k)
+            try:
+                cloud, _ = bayes_update(cloud, datum)
+            except DegenerateUpdateError:
+                return
+            assert abs(cloud.weights.sum() - 1.0) < 1e-10
+            ess = effective_sample_size(cloud)
+            assert 1.0 - 1e-9 <= ess <= cloud.n_particles + 1e-9
+            assert np.linalg.eigvalsh(posterior_covariance(cloud)).min() >= -1e-12
 
 
 class TestEssAndMoments:
@@ -427,23 +442,31 @@ class TestHypothesisSpace:
         assert space.kind == "choi"
         assert space.channel_dim == 2
 
-    def test_projection_idempotent_on_random_rows(self):
-        space = HypothesisSpace(kind="state", basis=BASIS2, n_hyper=1)
-        rng = np.random.default_rng(83)
-        rows = np.column_stack([
-            np.full(50, 1 / np.sqrt(2)) + rng.standard_normal(50) * 0.2,
-            rng.standard_normal((50, 3)) * 0.8,
-            rng.standard_normal(50),
-        ])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["state", "choi", "coin"]),
+           n_hyper=st.integers(0, 1))
+    def test_projection_idempotent_on_random_rows(self, seed, kind, n_hyper):
+        space = {
+            "state": HypothesisSpace(kind="state", basis=BASIS2, n_hyper=n_hyper),
+            "choi": HypothesisSpace(kind="choi", basis=BASIS4, channel_dim=2,
+                                    n_hyper=n_hyper),
+            "coin": HypothesisSpace(kind="coin", n_hyper=n_hyper),
+        }[kind]
+        rng = np.random.default_rng(seed)
+        # Rows of unit trace (the first coordinate of a state or Choi row)
+        # perturbed off the valid set, plus random diffusion rates.
+        w = space.n_state_coords
+        rows = rng.standard_normal((50, space.n_coords)) * 0.8
+        if kind != "coin":
+            rows[:, 0] = 1.0 / np.sqrt(space.basis.dim)
         once = space.project(rows)
         twice = space.project(once)
-        assert np.abs(twice - once).max() < 1e-12
-        assert once[:, -1].min() >= 0.0
+        assert np.abs(twice - once).max() < 1e-10
+        assert once[:, w:].min(initial=0.0) >= 0.0
 
 
 class TestPosteriorContraction:
     def test_covariance_shrinks_with_data(self):
-        from tomolab.design import random_pauli_design
         truth = BASIS2.vectorize((np.eye(2) + 0.9 * X) / 2)
         prior = insightful_prior(rebit_ginibre_prior(), (np.eye(2) - 0.9 * X) / 2)
         from tomolab.likelihood import simulate_experiment

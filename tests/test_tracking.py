@@ -12,12 +12,9 @@ from tomolab.randq import RngStream, bcsz_channel
 from tomolab.smc import HypothesisSpace, ParticleCloud, bayes_update
 from tomolab.tracking import (
     DegenerateStateError,
-    DiffusionStep,
-    TrackedParticle,
     coin_truncate,
     diffuse_cloud,
     lognormal_eta_sampler,
-    tracked_particle,
     tracking_bandwidth,
     truncate_to_choi,
     truncate_to_state,
@@ -103,32 +100,13 @@ class TestCoinTruncate:
 
 class TestDiffusionStep:
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            DiffusionStep(dt=0.0)
-        DiffusionStep(dt=0.5)
-
-    def test_drift_must_vanish(self):
-        DiffusionStep(dt=1.0, drift=np.zeros(3))
-        with pytest.raises(ValueError):
-            DiffusionStep(dt=1.0, drift=np.array([0.0, 0.1, 0.0]))
-
-
-class TestTrackedParticle:
-    def test_row_view(self):
         space = HypothesisSpace(kind="coin", n_hyper=1)
         cloud = ParticleCloud(locations=np.array([[0.3, 0.01], [0.6, 0.02]]),
                               weights=np.array([0.5, 0.5]), space=space)
-        p = tracked_particle(cloud, 1)
-        assert isinstance(p, TrackedParticle)
-        assert p.state_coords == pytest.approx([0.6])
-        assert p.eta == pytest.approx(0.02)
-
-    def test_requires_rate_column(self):
-        cloud = ParticleCloud(locations=np.array([[0.3], [0.6]]),
-                              weights=np.array([0.5, 0.5]),
-                              space=HypothesisSpace(kind="coin"))
-        with pytest.raises(ValueError):
-            tracked_particle(cloud, 0)
+        for dt in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                diffuse_cloud(cloud, dt, RngStream(1))
+        diffuse_cloud(cloud, 0.5, RngStream(1))
 
 
 class TestEtaSampler:
@@ -161,12 +139,12 @@ class TestDiffuseCloud:
 
     def test_zero_rate_is_identity(self):
         cloud = self._state_cloud(0.0, n=10)
-        out = diffuse_cloud(cloud, DiffusionStep(dt=1.0), RngStream(5))
+        out = diffuse_cloud(cloud, 1.0, RngStream(5))
         assert np.array_equal(out.locations, cloud.locations)
 
     def test_interior_variance(self):
         cloud = self._state_cloud(0.05, n=10_000)
-        out = diffuse_cloud(cloud, DiffusionStep(dt=4.0), RngStream(19))
+        out = diffuse_cloud(cloud, 4.0, RngStream(19))
         moved = out.locations[:, 1:4]
         target = 4.0 * 0.05**2
         for axis in range(3):
@@ -174,7 +152,7 @@ class TestDiffuseCloud:
 
     def test_trace_and_rate_columns_fixed(self):
         cloud = self._state_cloud(0.08, n=500)
-        out = diffuse_cloud(cloud, DiffusionStep(dt=1.0), RngStream(23))
+        out = diffuse_cloud(cloud, 1.0, RngStream(23))
         assert np.abs(out.locations[:, 0] - 1 / np.sqrt(2)).max() < 1e-12
         assert np.array_equal(out.locations[:, 4], cloud.locations[:, 4])
         assert out.weights is cloud.weights
@@ -184,7 +162,7 @@ class TestDiffuseCloud:
         rows = np.column_stack([np.tile(coords, (200, 1)), np.full(200, 0.1)])
         space = HypothesisSpace(kind="state", basis=BASIS2, n_hyper=1)
         cloud = ParticleCloud(locations=rows, weights=np.full(200, 1 / 200), space=space)
-        out = diffuse_cloud(cloud, DiffusionStep(dt=1.0), RngStream(29))
+        out = diffuse_cloud(cloud, 1.0, RngStream(29))
         mats = BASIS2.devectorize(out.locations[:, :4])
         assert np.linalg.eigvalsh(mats).min() > -1e-10
         assert np.abs(np.einsum("nii->n", mats).real - 1.0).max() < 1e-10
@@ -193,7 +171,7 @@ class TestDiffuseCloud:
         space = HypothesisSpace(kind="coin", n_hyper=1)
         rows = np.column_stack([np.full(2000, 0.95), np.full(2000, 0.2)])
         cloud = ParticleCloud(locations=rows, weights=np.full(2000, 1 / 2000), space=space)
-        out = diffuse_cloud(cloud, DiffusionStep(dt=1.0), RngStream(31))
+        out = diffuse_cloud(cloud, 1.0, RngStream(31))
         ps = out.locations[:, 0]
         assert ps.max() <= 1.0 and ps.min() >= 0.0
         assert (ps == 1.0).any()  # clamping actually engaged
@@ -203,7 +181,7 @@ class TestDiffuseCloud:
                               weights=np.array([0.5, 0.5]),
                               space=HypothesisSpace(kind="coin"))
         with pytest.raises(ValueError):
-            diffuse_cloud(cloud, DiffusionStep(dt=1.0), RngStream(1))
+            diffuse_cloud(cloud, 1.0, RngStream(1))
 
 
 class TestCoEvolution:
@@ -221,7 +199,7 @@ class TestCoEvolution:
                               space=space)
         stream = RngStream(37)
         for step in range(1, 21):
-            cloud = diffuse_cloud(cloud, DiffusionStep(dt=1.0), stream.child(0, step))
+            cloud = diffuse_cloud(cloud, 1.0, stream.child(0, step))
             p_true = 0.5 + 0.02 * step
             k = int(stream.child(1, step).generator.binomial(25, p_true))
             cloud, _ = bayes_update(cloud, Datum(n_success=k, design=coin_design(25)))
