@@ -61,3 +61,41 @@ def test_shipped_config_outputs(name, threads, tmp_path, monkeypatch):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir() if p.name != "meta.json"}
     assert written == GOLDEN[name]
+
+
+# configs/qpt_hadamard_mix.json at other seeds, and with random designs.
+# Adaptive designs pick the proposal with the largest score, so a change
+# of a few ulps in the scoring can flip a near tie: seed 0 alone does not
+# catch that.
+QPT_GOLDEN = {
+    ("process_adaptive_mix", 1): {
+        "record.json": "3f7a87249c538242c2705af415c51e17684aa64811dcb9e77e30570d7ddc38a8",
+        "steps.csv": "93a6e154e3758a27d424077d5b8a1d4bdb24fe716c740af03b73346137ccb16a",
+    },
+    ("process_adaptive_mix", 2): {
+        "record.json": "29967deede57d307c3e66c6b26b09f8440a7cc2a5acbd43f816726c3b99be5c3",
+        "steps.csv": "42dd15fdb13ed92bd98895b0bf474551b68e8898e419b29ce25f02b612898384",
+    },
+    ("process_adaptive_mix", 4): {
+        "record.json": "f7ab67e4929a22413f5583bf5cdb2e0e09e2e022ff0d12017f8af99ad9699730",
+        "steps.csv": "a079d5a62c3c2972c98ade7812d86064fb85f248533ee5363ee8008dff7f0ea7",
+    },
+    ("process_random", 0): {
+        "record.json": "ab957e0d4eb2688ab6fdf6074c8027f156830e876b73671223d77524e782697b",
+        "steps.csv": "4346a3a51bd068215e36792f76e09e44b069ee9890e44c07528e28a4535d9f85",
+    },
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(QPT_GOLDEN))
+def test_qpt_outputs_at_other_seeds(kind, seed, tmp_path):
+    cfg = json.loads((CONFIGS / "qpt_hadamard_mix.json").read_text(encoding="utf-8"))
+    cfg["seed"] = seed
+    cfg["heuristic"]["kind"] = kind
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["qpt", "--config", str(path), "--out", str(out)]) == 0
+    written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("record.json", "steps.csv")}
+    assert written == QPT_GOLDEN[kind, seed]
