@@ -4,6 +4,10 @@ Random Pauli measurements for qubits, the twelve qutrit stabilizer
 states, random preparation/measurement pairs for process tomography, and
 a covariance-guided adaptive rule that picks the proposal whose effect
 direction carries the most posterior uncertainty.
+
+Each family has a fixed, finite set of effects.  They are built and
+validated once, on first use, into an effect table; a random design is a
+random index into its table, drawn with one ``integers`` call per index.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from .qobj import (
     DensityOperator,
     Effect,
     OperatorBasis,
+    VectorizedOperator,
     gell_mann_basis,
     pauli_basis,
     vectorize,
 )
 from .randq import RngStream
-from .smc import PosteriorSummary
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,24 @@ class DesignHeuristic:
             raise ValueError("adaptive fraction must lie in [0, 1]")
 
 
+@lru_cache(maxsize=None)
+def pauli_effects(n_qubits: int) -> tuple[VectorizedOperator, ...]:
+    """Effect table of (I + P)/2 for every n-qubit Pauli string P, in the
+    order of ``pauli_basis(n_qubits)`` (entry 0, the identity string,
+    gives the trivial effect I and is never drawn)."""
+    basis = pauli_basis(n_qubits)
+    eye = np.eye(2**n_qubits)
+    scale = np.sqrt(2.0**n_qubits)
+    return tuple(vectorize(Effect(matrix=(eye + element * scale) / 2.0), basis)
+                 for element in basis.elements)
+
+
 def random_pauli_design(n_qubits: int, n_meas: int, rng: RngStream,
                         time: float = 0.0) -> ExperimentDesign:
     """Uniformly random non-identity Pauli string P, measured as (I + P)/2."""
-    basis = pauli_basis(n_qubits)
-    idx = int(rng.generator.integers(1, basis.size))
-    pauli = basis.elements[idx] * np.sqrt(2.0**n_qubits)
-    effect = Effect(matrix=(np.eye(2**n_qubits) + pauli) / 2.0)
-    return ExperimentDesign(effect=vectorize(effect, basis), n_meas=n_meas, time=time)
+    effects = pauli_effects(n_qubits)
+    idx = int(rng.generator.integers(1, len(effects)))
+    return ExperimentDesign(effect=effects[idx], n_meas=n_meas, time=time)
 
 
 @lru_cache(maxsize=1)
@@ -76,14 +90,20 @@ def qutrit_stabilizer_states() -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def stabilizer_qutrit_effects() -> tuple[VectorizedOperator, ...]:
+    """Effect table of the 12 projectors onto the qutrit stabilizer states."""
+    basis = gell_mann_basis(3)
+    return tuple(vectorize(Effect(matrix=np.outer(ket, ket.conj())), basis)
+                 for ket in qutrit_stabilizer_states())
+
+
 def random_stabilizer_qutrit_design(n_meas: int, rng: RngStream,
                                     time: float = 0.0) -> ExperimentDesign:
     """Rank-one projector onto a uniformly random qutrit stabilizer state."""
-    kets = qutrit_stabilizer_states()
-    ket = kets[int(rng.generator.integers(0, len(kets)))]
-    effect = Effect(matrix=np.outer(ket, ket.conj()))
-    return ExperimentDesign(effect=vectorize(effect, gell_mann_basis(3)),
-                            n_meas=n_meas, time=time)
+    effects = stabilizer_qutrit_effects()
+    idx = int(rng.generator.integers(0, len(effects)))
+    return ExperimentDesign(effect=effects[idx], n_meas=n_meas, time=time)
 
 
 @lru_cache(maxsize=1)
@@ -97,35 +117,43 @@ def pauli_eigenstates() -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def random_process_pair(rng: RngStream) -> tuple[DensityOperator, Effect]:
-    """Random (preparation, measurement) pair from the Pauli eigenstates."""
+@lru_cache(maxsize=None)
+def process_effects(basis: OperatorBasis) -> tuple[VectorizedOperator, ...]:
+    """Effect table of the 36 composite process effects in ``basis``:
+    preparation i and measurement j of :func:`pauli_eigenstates` at
+    index ``6 * i + j``."""
     states = pauli_eigenstates()
-    g = rng.generator
-    prep = DensityOperator(matrix=states[int(g.integers(0, 6))])
-    meas = Effect(matrix=states[int(g.integers(0, 6))])
-    return prep, meas
+    return tuple(process_design(DensityOperator(matrix=prep), Effect(matrix=meas),
+                                1, basis).effect
+                 for prep in states for meas in states)
 
 
 def random_process_design(n_meas: int, rng: RngStream, basis: OperatorBasis,
                           time: float = 0.0) -> ExperimentDesign:
-    """Random composite design for qubit process tomography."""
-    prep, meas = random_process_pair(rng)
-    return process_design(prep, meas, n_meas, basis, time=time)
+    """Random composite design for qubit process tomography: a uniformly
+    random preparation, then measurement, among the Pauli eigenstates."""
+    g = rng.generator
+    prep = int(g.integers(0, 6))
+    meas = int(g.integers(0, 6))
+    return ExperimentDesign(effect=process_effects(basis)[6 * prep + meas],
+                            n_meas=n_meas, time=time)
 
 
 def adaptive_design(proposals: list[ExperimentDesign],
-                    summary: PosteriorSummary) -> ExperimentDesign:
+                    covariance: np.ndarray) -> ExperimentDesign:
     """Pick the proposal maximizing x^T Sigma x for its effect coordinates.
 
-    Ties resolve to the earliest proposal.
+    Proposals drawn from an effect table share effect objects, and each
+    distinct effect is scored once.  Ties resolve to the earliest proposal.
     """
     if not proposals:
         raise ValueError("need at least one proposal")
-    cov = summary.covariance
-    scores = np.array([
-        float(p.effect.coords @ cov @ p.effect.coords) for p in proposals
-    ])
-    return proposals[int(np.argmax(scores))]
+    scores = {}
+    for p in proposals:
+        if id(p.effect) not in scores:
+            coords = p.effect.coords
+            scores[id(p.effect)] = float(coords @ covariance @ coords)
+    return proposals[int(np.argmax([scores[id(p.effect)] for p in proposals]))]
 
 
 def scheduled_mix(heuristics, fractions, rng: RngStream) -> ExperimentDesign:

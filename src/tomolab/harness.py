@@ -95,6 +95,15 @@ def _take(raw, allowed: dict, what: str) -> dict:
     return merged
 
 
+def _integer(block: dict, key: str, what: str = "") -> int:
+    """``block[key]`` if it is a JSON integer; floats, strings and booleans
+    are config errors, not silently converted."""
+    value = block[key]
+    if type(value) is not int:
+        raise ConfigError(f"{what}{key} must be an integer, got {value!r}")
+    return value
+
+
 def _defaults(cls) -> dict:
     """Each field of dataclass ``cls`` mapped to its default (None if required)."""
     return {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
@@ -157,13 +166,14 @@ class TrackingSpec:
         merged = _take(raw, _defaults(cls), "tracking")
         if merged["n_steps"] is None or merged["trajectory"] is None:
             raise ConfigError("tracking needs n_steps and a trajectory")
-        if int(merged["n_steps"]) < 1:
+        n_steps = _integer(merged, "n_steps", "tracking ")
+        if n_steps < 1:
             raise ConfigError("n_steps must be positive")
         if merged["dt"] <= 0.0:
             raise ConfigError("dt must be positive")
         if merged["eta_mean"] < 0.0 or merged["eta_log_std"] < 0.0:
             raise ConfigError("eta_mean and eta_log_std must be nonnegative")
-        return cls(dt=float(merged["dt"]), n_steps=int(merged["n_steps"]),
+        return cls(dt=float(merged["dt"]), n_steps=n_steps,
                    trajectory=dict(merged["trajectory"]),
                    eta_mean=float(merged["eta_mean"]),
                    eta_log_std=float(merged["eta_log_std"]))
@@ -225,27 +235,30 @@ class RunConfig:
         if merged["heuristic"] is not None:
             hraw = _take(merged["heuristic"], _defaults(design_mod.DesignHeuristic),
                          "heuristic")
+            n_meas = _integer(hraw, "n_meas", "heuristic ")
+            n_proposals = _integer(hraw, "n_proposals", "heuristic ")
             try:
                 heuristic = design_mod.DesignHeuristic(
-                    kind=hraw["kind"], n_meas=int(hraw["n_meas"]),
-                    n_proposals=int(hraw["n_proposals"]),
+                    kind=hraw["kind"], n_meas=n_meas, n_proposals=n_proposals,
                     adaptive_fraction=float(hraw["adaptive_fraction"]))
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"bad heuristic: {err}") from err
+        if type(merged["dump_cloud"]) is not bool:
+            raise ConfigError(f"dump_cloud must be true or false, got {merged['dump_cloud']!r}")
         try:
             return cls(
-                mode=merged["mode"], seed=int(merged["seed"]),
-                model=merged["model"], dim=int(merged["dim"]),
+                mode=merged["mode"], seed=_integer(merged, "seed"),
+                model=merged["model"], dim=_integer(merged, "dim"),
                 prior=PriorSpec.from_dict(merged["prior"]) if merged["prior"] else None,
                 truth=TruthSpec.from_dict(merged["truth"]) if merged["truth"] else None,
                 heuristic=heuristic,
-                n_particles=int(merged["n_particles"]),
-                n_experiments=int(merged["n_experiments"]),
-                n_trials=int(merged["n_trials"]),
+                n_particles=_integer(merged, "n_particles"),
+                n_experiments=_integer(merged, "n_experiments"),
+                n_trials=_integer(merged, "n_trials"),
                 resample_a=float(merged["resample_a"]),
                 resample_threshold=float(merged["resample_threshold"]),
                 tracking=TrackingSpec.from_dict(merged["tracking"]) if merged["tracking"] else None,
-                dump_cloud=bool(merged["dump_cloud"]),
+                dump_cloud=merged["dump_cloud"],
                 out_dir=merged["out_dir"],
             )
         except (TypeError, ValueError) as err:
@@ -422,7 +435,7 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
             def adaptive():
                 proposals = [design_mod.random_process_design(h.n_meas, rng, basis, time=time)
                              for _ in range(h.n_proposals)]
-                return design_mod.adaptive_design(proposals, summarize(cloud))
+                return design_mod.adaptive_design(proposals, posterior_covariance(cloud))
 
             def rand():
                 return random_rule(step, cloud, rng, time=time)

@@ -576,6 +576,31 @@ class TestCli:
         pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
                                                          eta_log_std=-1.0)),
                      "eta_log_std must be nonnegative", id="negative_eta_log_std"),
+        pytest.param("estimate", state_config(dump_cloud="no"),
+                     "dump_cloud must be true or false, got 'no'", id="dump_cloud_string"),
+        pytest.param("estimate", state_config(dump_cloud=1),
+                     "dump_cloud must be true or false, got 1", id="dump_cloud_integer"),
+        pytest.param("estimate", state_config(n_particles=2000.7),
+                     "n_particles must be an integer, got 2000.7", id="fractional_particles"),
+        pytest.param("estimate", state_config(seed=True),
+                     "seed must be an integer, got True", id="boolean_seed"),
+        pytest.param("estimate", state_config(seed=5.0),
+                     "seed must be an integer, got 5.0", id="float_seed"),
+        pytest.param("estimate", state_config(dim="2"),
+                     "dim must be an integer, got '2'", id="string_dim"),
+        pytest.param("estimate", state_config(n_experiments=10.0),
+                     "n_experiments must be an integer, got 10.0", id="float_experiments"),
+        pytest.param("risk", risk_config(n_trials=2.5),
+                     "n_trials must be an integer, got 2.5", id="fractional_trials"),
+        pytest.param("estimate", state_config(heuristic={"kind": "random_pauli",
+                                                         "n_meas": 20.5}),
+                     "heuristic n_meas must be an integer, got 20.5", id="fractional_n_meas"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, heuristic={
+            "kind": "process_adaptive_mix", "n_meas": 10, "n_proposals": False}),
+            "heuristic n_proposals must be an integer, got False", id="boolean_proposals"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         n_steps=25.0)),
+                     "tracking n_steps must be an integer, got 25.0", id="float_tracking_steps"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)
