@@ -18,7 +18,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from typing import Optional, Sequence
 
@@ -57,6 +57,70 @@ def _as_square(matrix) -> np.ndarray:
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
     if np.abs(arr - arr.conj().swapaxes(-1, -2)).max() > HERMITICITY_TOL:
         raise InvalidOperatorError(f"{what} is not Hermitian")
+
+
+# Stacked contractions.  ``np.einsum`` (unoptimized) forms every complex
+# product with the textbook formula (ac - bd, ad + bc), left to right,
+# and adds the terms, in index order, to an output that starts at +0.0.
+# Over a stack of small matrices it runs a short inner loop per matrix.
+# The stack paths of ``OperatorBasis.devectorize`` and
+# ``restore_trace_preservation`` move the stack axis last, so each ufunc
+# runs one long inner loop, and perform the same floating-point
+# operations in the same order.  ``devectorize`` leaves out products with
+# an exact zero coefficient: such a product, like any component that
+# differs from einsum's only in the sign of a zero, is a signed zero, and
+# adding a signed zero to a sum that starts at +0.0 changes nothing.  On
+# finite input the results equal the einsum expressions bit for bit
+# (tests/test_qobj.py pins it), so recorded runs do not change.
+# A stack path costs a few dozen ufunc calls whatever its length, so
+# stacks shorter than STACK_PATH_MIN take the einsum itself; longer
+# stacks go through in blocks of STACK_BLOCK, which bounds the
+# temporaries to about what the einsum allocates.
+STACK_PATH_MIN = 64
+STACK_BLOCK = 256
+
+
+def _nonzero_terms(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a complex weight matrix, column by column.
+
+    For each column m, the rows r with ``weights[r, m] != 0``, ascending,
+    padded with zero weights to the longest column.  Returns the row
+    indices and the real and imaginary weights at them, each of shape
+    ``(K, n_columns)``.
+    """
+    rows = [np.flatnonzero(column) for column in weights.T]
+    k = max(1, max(len(r) for r in rows))
+    idx = np.zeros((k, weights.shape[1]), dtype=np.intp)
+    picked = np.zeros((k, weights.shape[1]), dtype=complex)
+    for m, r in enumerate(rows):
+        idx[:len(r), m] = r
+        picked[:len(r), m] = weights[r, m]
+    return idx, picked.real.copy(), picked.imag.copy()
+
+
+def _stack_last(arr: np.ndarray, n_item_axes: int) -> np.ndarray:
+    """Flatten the leading (stack) axes and move them last, contiguously."""
+    items = arr.shape[arr.ndim - n_item_axes:]
+    return np.ascontiguousarray(np.moveaxis(arr.reshape((-1,) + items), 0, -1))
+
+
+def _by_blocks(block_fn, out_shape: tuple, *stacks: np.ndarray) -> np.ndarray:
+    """``block_fn`` applied to consecutive STACK_BLOCK-long slices of the
+    stacks' first axis, gathered into one C-contiguous complex array."""
+    out = np.empty(out_shape, dtype=complex)
+    for lo in range(0, out_shape[0], STACK_BLOCK):
+        block = slice(lo, lo + STACK_BLOCK)
+        out[block] = block_fn(*(s[block] for s in stacks))
+    return out
+
+
+def _complex_stack(re: np.ndarray, im: np.ndarray, n_item_axes: int) -> np.ndarray:
+    """Inverse of :func:`_stack_last` for a real and an imaginary part:
+    a C-contiguous complex array with the stack axis first."""
+    out = np.empty((re.shape[-1],) + re.shape[:n_item_axes], dtype=complex)
+    out.real = np.moveaxis(re, -1, 0)
+    out.imag = np.moveaxis(im, -1, 0)
+    return out
 
 
 def check_states(stack: np.ndarray, channel_dim: Optional[int] = None) -> np.ndarray:
@@ -140,7 +204,27 @@ class OperatorBasis:
             raise DimensionMismatchError(
                 f"coordinate length {coords.shape[-1]} does not match basis size {self.size}"
             )
-        return np.einsum("...a,aij->...ij", coords, self.elements)
+        if coords.size < STACK_PATH_MIN * self.size:
+            return np.einsum("...a,aij->...ij", coords, self.elements)
+        flat = coords.reshape(-1, self.size)
+        out = _by_blocks(self._devectorize_block, (flat.shape[0], self.dim**2), flat)
+        return out.reshape(coords.shape[:-1] + (self.dim, self.dim))
+
+    def _devectorize_block(self, coords: np.ndarray) -> np.ndarray:
+        x = _stack_last(coords, 1)
+        idx, b_re, b_im = self._devectorize_terms
+        re = np.zeros((self.dim**2, x.shape[1]))
+        im = np.zeros_like(re)
+        for i, w_re, w_im in zip(idx, b_re, b_im):
+            picked = x[i]
+            re = picked * w_re[:, None] + re
+            im = picked * w_im[:, None] + im
+        return _complex_stack(re, im, 1)
+
+    @cached_property
+    def _devectorize_terms(self) -> tuple[np.ndarray, ...]:
+        """Coordinates feeding each matrix entry, with the entry's weights."""
+        return _nonzero_terms(self.elements.reshape(self.size, -1))
 
 
 @lru_cache(maxsize=None)
@@ -356,10 +440,37 @@ def restore_trace_preservation(stack, channel_dim: int) -> np.ndarray:
     lam = np.maximum(lam, MARGINAL_FLOOR)
     # (D * Y)^(-1/2), so the repaired marginal is exactly I/D.
     inv_sqrt = np.einsum("nik,nk,njk->nij", vecs, 1.0 / np.sqrt(d * lam), vecs.conj())
-    out = np.einsum("nxa,nabcd,nyc->nxbyd", inv_sqrt, resh, inv_sqrt.conj())
-    out = out.reshape(n, d * d, d * d)
+    out = _sandwich(inv_sqrt, resh).reshape(n, d * d, d * d)
     traces = np.einsum("nii->n", out).real
     return out / traces[:, None, None]
+
+
+def _sandwich(k: np.ndarray, resh: np.ndarray) -> np.ndarray:
+    """``np.einsum("nxa,nabcd,nyc->nxbyd", k, resh, k.conj())``, with the
+    stack axis last (see the note on stacked contractions)."""
+    if k.shape[0] < STACK_PATH_MIN:
+        return np.einsum("nxa,nabcd,nyc->nxbyd", k, resh, k.conj())
+    return _by_blocks(_sandwich_block, resh.shape, k, resh)
+
+
+def _sandwich_block(k: np.ndarray, resh: np.ndarray) -> np.ndarray:
+    d = k.shape[1]
+    k_re, k_im = _stack_last(k.real, 2), _stack_last(k.imag, 2)
+    r_re, r_im = _stack_last(resh.real, 4), _stack_last(resh.imag, 4)
+    out_re = np.zeros((d, d, d, d, k_re.shape[-1]))
+    out_im = np.zeros_like(out_re)
+    for a in range(d):
+        # k[x, a] * resh[a, b, c, e], axes (x, b, c, e)
+        x_re, x_im = k_re[:, a, None, None, None], k_im[:, a, None, None, None]
+        p_re = x_re * r_re[a] - x_im * r_im[a]
+        p_im = x_re * r_im[a] + x_im * r_re[a]
+        for c in range(d):
+            # times conj(k[y, c]), axes (x, b, y, e)
+            q_re, q_im = p_re[:, :, None, c], p_im[:, :, None, c]
+            y_re, y_im = k_re[:, c, None], -k_im[:, c, None]
+            out_re = (q_re * y_re - q_im * y_im) + out_re
+            out_im = (q_re * y_im + q_im * y_re) + out_im
+    return _complex_stack(out_re, out_im, 4)
 
 
 def choi_of_channel(kraus_ops: Sequence[np.ndarray]) -> ChoiState:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_projector, random_state_matrix
 from tomolab.qobj import (
+    MARGINAL_FLOOR,
+    STACK_PATH_MIN,
     ChoiState,
     DensityOperator,
     DimensionMismatchError,
@@ -21,6 +23,7 @@ from tomolab.qobj import (
     partial_trace,
     pauli_basis,
     process_effect,
+    restore_trace_preservation,
     standard_basis,
     vectorize,
 )
@@ -142,6 +145,61 @@ class TestVectorization:
         vec = vectorize(DensityOperator(matrix=I2 / 2), basis)
         assert vec.size == 4
         assert np.abs(vec.matrix() - I2 / 2).max() < 1e-12
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and memory layout, and equal bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
+            and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                               np.ascontiguousarray(b).view(np.uint64)))
+
+
+def einsum_restore_trace_preservation(stack, d):
+    """restore_trace_preservation written with np.einsum throughout."""
+    n = stack.shape[0]
+    resh = stack.reshape(n, d, d, d, d)
+    lam, vecs = np.linalg.eigh(np.einsum("nabcb->nac", resh))
+    lam = np.maximum(lam, MARGINAL_FLOOR)
+    inv_sqrt = np.einsum("nik,nk,njk->nij", vecs, 1.0 / np.sqrt(d * lam), vecs.conj())
+    out = np.einsum("nxa,nabcd,nyc->nxbyd", inv_sqrt, resh, inv_sqrt.conj())
+    out = out.reshape(n, d * d, d * d)
+    return out / np.einsum("nii->n", out).real[:, None, None]
+
+
+class TestStackPaths:
+    """Long stacks take stack-last loops that must equal the einsum
+    expressions bit for bit, so recorded runs do not change."""
+
+    @pytest.mark.parametrize("basis", [pauli_basis(1), pauli_basis(2), pauli_basis(3),
+                                       gell_mann_basis(3), gell_mann_basis(4)],
+                             ids=lambda b: b.name)
+    @pytest.mark.parametrize("shape", [(STACK_PATH_MIN - 1,), (STACK_PATH_MIN,), (2000,), (3, 70)])
+    def test_devectorize_matches_einsum(self, basis, shape):
+        rng = np.random.default_rng(basis.size * 1000 + shape[-1])
+        coords = rng.standard_normal(shape + (basis.size,))
+        flat = coords.reshape(-1, basis.size)
+        flat[:5] = 0.0
+        flat[5:10, 1:] = -0.0
+        flat[10:20, 2] = 0.0
+        got = basis.devectorize(coords)
+        assert same_bits(got, np.einsum("...a,aij->...ij", coords, basis.elements))
+        # a strided view (the state columns of a tracked cloud) as well
+        wide = np.column_stack([flat, rng.random(flat.shape[0])])
+        assert same_bits(basis.devectorize(wide[:, :-1]),
+                         np.einsum("...a,aij->...ij", wide[:, :-1], basis.elements))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, STACK_PATH_MIN - 1, STACK_PATH_MIN, 1000])
+    def test_restore_trace_preservation_matches_einsum(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        x = rng.standard_normal((n, d * d, d * d)) + 1j * rng.standard_normal((n, d * d, d * d))
+        stack = x @ x.conj().swapaxes(-1, -2)
+        stack[: n // 4] = np.diag(rng.random(d * d) + 0.1)  # real, with exact zeros
+        got = restore_trace_preservation(stack, d)
+        assert same_bits(got, einsum_restore_trace_preservation(stack, d))
+        marginals = partial_trace(got, (d, d), keep="first")
+        assert np.abs(marginals - np.eye(d) / d).max() < 1e-12
 
 
 class TestHsInner:
