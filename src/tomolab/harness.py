@@ -18,9 +18,10 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -84,29 +85,60 @@ def decode_matrix(spec) -> np.ndarray:
     return arr.astype(complex)
 
 
-def _take(raw, allowed: dict, what: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(raw)
-    return merged
-
-
-def _integer(block: dict, key: str, what: str = "") -> int:
-    """``block[key]`` if it is a JSON integer; floats, strings and booleans
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; strings and booleans
     are config errors, not silently converted."""
-    value = block[key]
-    if type(value) is not int:
-        raise ConfigError(f"{what}{key} must be an integer, got {value!r}")
+    if type(value) not in (int, float):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+_hints = lru_cache(maxsize=None)(get_type_hints)
+
+
+def _value(kind, value, what: str):
+    """``value`` checked against the field annotation ``kind``."""
+    if get_origin(kind) is Union:  # Optional[X]
+        if value is None:
+            return None
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    if is_dataclass(kind):
+        return _parse(kind, value, what)
+    if kind is float:
+        return _number(value, what)
+    expected = {int: "an integer", bool: "true or false", str: "a string",
+                dict: "a JSON object"}.get(kind)
+    if expected is not None and type(value) is not kind:
+        raise ConfigError(f"{what} must be {expected}, got {value!r}")
     return value
 
 
-def _defaults(cls) -> dict:
-    """Each field of dataclass ``cls`` mapped to its default (None if required)."""
-    return {f.name: None if f.default is MISSING else f.default for f in fields(cls)}
+def _parse(cls, raw, what: str):
+    """Dataclass ``cls`` built from the JSON object ``raw``, each value
+    checked against its field's annotation; ``what`` names the block in
+    messages ("" for the top level).  The class's ``__post_init__``
+    checks ranges, and whatever it rejects is a :class:`ConfigError`."""
+    name = what or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {raw!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    prefix = f"{what} " if what else ""
+    hints = _hints(cls)
+    values = {}
+    for key, f in known.items():
+        if key in raw:
+            values[key] = _value(hints[key], raw[key], prefix + key)
+        elif f.default is MISSING:
+            raise ConfigError(f"{prefix}{key} is required")
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"bad {name}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -117,15 +149,11 @@ class PriorSpec:
     rank: Optional[int] = None
     gad_mean: object = None  # matrix spec for states/channels, float for coins
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PriorSpec":
-        merged = _take(raw, _defaults(cls), "prior")
-        if merged["fiducial"] not in FIDUCIALS:
-            raise ConfigError(f"unknown fiducial prior {merged['fiducial']!r}")
-        rank = merged["rank"]
-        if rank is not None and (type(rank) is not int or rank < 1):
-            raise ConfigError(f"prior rank must be a positive integer, got {rank!r}")
-        return cls(**merged)
+    def __post_init__(self):
+        if self.fiducial not in FIDUCIALS:
+            raise ConfigError(f"unknown fiducial prior {self.fiducial!r}")
+        if self.rank is not None and self.rank < 1:
+            raise ConfigError(f"prior rank must be a positive integer, got {self.rank!r}")
 
 
 @dataclass(frozen=True)
@@ -138,17 +166,11 @@ class TruthSpec:
     p: Optional[float] = None
     prior: Optional[PriorSpec] = None
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TruthSpec":
-        merged = _take(raw, _defaults(cls), "truth")
-        kind = merged["kind"]
-        if kind not in ("explicit", "kraus", "from_prior", "from_distribution", "coin"):
-            raise ConfigError(f"unknown truth kind {kind!r}")
-        prior = PriorSpec.from_dict(merged["prior"]) if merged["prior"] else None
-        if kind == "from_distribution" and prior is None:
+    def __post_init__(self):
+        if self.kind not in ("explicit", "kraus", "from_prior", "from_distribution", "coin"):
+            raise ConfigError(f"unknown truth kind {self.kind!r}")
+        if self.kind == "from_distribution" and self.prior is None:
             raise ConfigError("from_distribution truth needs a prior spec")
-        return cls(kind=kind, matrix=merged["matrix"], kraus=merged["kraus"],
-                   p=merged["p"], prior=prior)
 
 
 @dataclass(frozen=True)
@@ -161,22 +183,13 @@ class TrackingSpec:
     eta_mean: float = 0.006
     eta_log_std: float = 1.0
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrackingSpec":
-        merged = _take(raw, _defaults(cls), "tracking")
-        if merged["n_steps"] is None or merged["trajectory"] is None:
-            raise ConfigError("tracking needs n_steps and a trajectory")
-        n_steps = _integer(merged, "n_steps", "tracking ")
-        if n_steps < 1:
+    def __post_init__(self):
+        if self.n_steps < 1:
             raise ConfigError("n_steps must be positive")
-        if merged["dt"] <= 0.0:
+        if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
-        if merged["eta_mean"] < 0.0 or merged["eta_log_std"] < 0.0:
+        if self.eta_mean < 0.0 or self.eta_log_std < 0.0:
             raise ConfigError("eta_mean and eta_log_std must be nonnegative")
-        return cls(dt=float(merged["dt"]), n_steps=n_steps,
-                   trajectory=dict(merged["trajectory"]),
-                   eta_mean=float(merged["eta_mean"]),
-                   eta_log_std=float(merged["eta_log_std"]))
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,7 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.seed is None or int(self.seed) < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.model != "coin" and self.dim < 2:
             raise ConfigError("dim must be at least 2")
@@ -228,43 +241,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        merged = _take(raw, {"schema_version": SCHEMA_VERSION, **_defaults(cls)}, "config")
-        if merged["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema version {merged['schema_version']!r}")
-        heuristic = None
-        if merged["heuristic"] is not None:
-            hraw = _take(merged["heuristic"], _defaults(design_mod.DesignHeuristic),
-                         "heuristic")
-            n_meas = _integer(hraw, "n_meas", "heuristic ")
-            n_proposals = _integer(hraw, "n_proposals", "heuristic ")
-            try:
-                heuristic = design_mod.DesignHeuristic(
-                    kind=hraw["kind"], n_meas=n_meas, n_proposals=n_proposals,
-                    adaptive_fraction=float(hraw["adaptive_fraction"]))
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"bad heuristic: {err}") from err
-        if type(merged["dump_cloud"]) is not bool:
-            raise ConfigError(f"dump_cloud must be true or false, got {merged['dump_cloud']!r}")
-        try:
-            return cls(
-                mode=merged["mode"], seed=_integer(merged, "seed"),
-                model=merged["model"], dim=_integer(merged, "dim"),
-                prior=PriorSpec.from_dict(merged["prior"]) if merged["prior"] else None,
-                truth=TruthSpec.from_dict(merged["truth"]) if merged["truth"] else None,
-                heuristic=heuristic,
-                n_particles=_integer(merged, "n_particles"),
-                n_experiments=_integer(merged, "n_experiments"),
-                n_trials=_integer(merged, "n_trials"),
-                resample_a=float(merged["resample_a"]),
-                resample_threshold=float(merged["resample_threshold"]),
-                tracking=TrackingSpec.from_dict(merged["tracking"]) if merged["tracking"] else None,
-                dump_cloud=merged["dump_cloud"],
-                out_dir=merged["out_dir"],
-            )
-        except (TypeError, ValueError) as err:
-            if isinstance(err, ConfigError):
-                raise
-            raise ConfigError(str(err)) from err
+        if isinstance(raw, dict):
+            raw = dict(raw)
+            version = raw.pop("schema_version", SCHEMA_VERSION)
+            if type(version) is not int or version != SCHEMA_VERSION:
+                raise ConfigError(f"unsupported schema version {version!r}")
+        return _parse(cls, raw, "")
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
@@ -332,7 +314,7 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
                 raise ConfigError("coin runs use the coin_uniform fiducial")
             if spec.gad_mean is None:
                 return coin_uniform_prior()
-            return coin_insightful_prior(float(spec.gad_mean))
+            return coin_insightful_prior(_number(spec.gad_mean, "prior gad_mean"))
         if spec.fiducial == "coin_uniform":
             raise ConfigError("coin_uniform prior needs the coin model")
         if spec.fiducial == "ginibre":
@@ -365,9 +347,9 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
     """Coordinates of the true state, channel, or coin."""
     if model == "coin":
         if spec.kind == "coin":
-            if type(spec.p) not in (int, float) or not 0.0 <= spec.p <= 1.0:
+            if spec.p is None or not 0.0 <= spec.p <= 1.0:
                 raise ConfigError("coin truth needs p in [0, 1]")
-            return np.array([float(spec.p)])
+            return np.array([spec.p], dtype=float)
         if spec.kind == "from_prior":
             return prior.sample(1, rng)[0]
         raise ConfigError(f"truth kind {spec.kind!r} is not defined for coins")
@@ -532,12 +514,7 @@ def _make_trajectory(config: RunConfig, prior: PriorDistribution,
     kind = spec.get("kind")
 
     def number(key: str, default=None) -> float:
-        value = spec.get(key, default)
-        try:
-            return float(value)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{kind} trajectory needs a number {key!r}, "
-                              f"got {value!r}") from err
+        return _number(spec.get(key, default), f"{kind} trajectory {key!r}")
 
     if kind == "two_tone_coin":
         f1, f2 = number("f1"), number("f2")

@@ -25,8 +25,6 @@ from .qobj import (
 )
 from .randq import RngStream
 
-PROB_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class ExperimentDesign:
@@ -110,30 +108,6 @@ def binomial_likelihood(state_coords, design: ExperimentDesign, n_success: int) 
 def datum_log_likelihood(locations, datum: Datum) -> np.ndarray:
     """Vectorized log likelihood of one datum for each hypothesis row."""
     return binomial_log_likelihood(locations, datum.design, datum.n_success)
-
-
-def sequence_log_likelihood(state_coords, effects, counts) -> float:
-    """Log likelihood of an i.i.d. outcome record: sum_k n_k log Tr[E_k rho].
-
-    ``effects`` lists the observed outcomes (as vectorized operators or
-    bare coordinate arrays) and ``counts`` how often each occurred; there
-    is no combinatorial factor.  Returns -inf when an observed outcome
-    has zero probability.
-    """
-    if len(effects) != len(counts):
-        raise ValueError("effects and counts must align")
-    total = 0.0
-    for effect, n_k in zip(effects, counts):
-        if n_k < 0:
-            raise ValueError("counts must be nonnegative")
-        if n_k == 0:
-            continue
-        coords = effect.coords if isinstance(effect, VectorizedOperator) else effect
-        p = float(born_probability(state_coords, coords))
-        if p <= 0.0:
-            return -np.inf
-        total += n_k * np.log(max(p, PROB_FLOOR))
-    return total
 
 
 def simulate_experiment(true_coords, design: ExperimentDesign, rng: RngStream) -> Datum:

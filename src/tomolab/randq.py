@@ -6,26 +6,18 @@ Two streams with the same key replay bit-identical sequences; distinct
 keys are statistically independent, so per-trial or per-worker streams
 can be drawn in any scheduling order without changing results.
 
-Each ensemble draws a stack of n matrices in one call; a stack of n
-equals n single draws made in a row from the same stream, and the
-single-draw functions are its n = 1 case.  Stacks are valid by
-construction and are returned unchecked: their consumer validates each
-stack once (:func:`tomolab.qobj.check_states`), and a single draw is
-validated by the :class:`DensityOperator` or :class:`ChoiState` it
-returns.
+Each state and channel ensemble draws a stack of n matrices in one
+call, and these stacks are the only way to sample them; a stack of n
+equals n single draws made in a row from the same stream.  Stacks are valid by construction and are
+returned unchecked: their consumer validates each stack once
+(:func:`tomolab.qobj.check_states`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qobj import (
-    MARGINAL_FLOOR,
-    ChoiState,
-    DensityOperator,
-    partial_trace,
-    restore_trace_preservation,
-)
+from .qobj import MARGINAL_FLOOR, partial_trace, restore_trace_preservation
 
 _BCSZ_MAX_RETRIES = 100
 
@@ -92,11 +84,6 @@ def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    return _haar_from_ginibre(ginibre_matrices(1, dim, dim, rng))[0]
-
-
 def ginibre_states(n: int, dim: int, rank: int, rng: RngStream) -> np.ndarray:
     """(n, dim, dim) stack of random density operators A A^dag / Tr[A A^dag],
     A Ginibre dim x rank."""
@@ -104,11 +91,6 @@ def ginibre_states(n: int, dim: int, rank: int, rng: RngStream) -> np.ndarray:
         raise ValueError("rank cannot exceed dimension")
     a = ginibre_matrices(n, dim, rank, rng)
     return _unit_trace(a @ _dag(a))
-
-
-def ginibre_state(dim: int, rank: int, rng: RngStream) -> DensityOperator:
-    """One draw of :func:`ginibre_states`."""
-    return DensityOperator(matrix=ginibre_states(1, dim, rank, rng)[0])
 
 
 def bures_states(n: int, dim: int, rng: RngStream) -> np.ndarray:
@@ -122,11 +104,6 @@ def bures_states(n: int, dim: int, rng: RngStream) -> np.ndarray:
     return _unit_trace(m @ _dag(m))
 
 
-def bures_state(dim: int, rng: RngStream) -> DensityOperator:
-    """One draw of :func:`bures_states`."""
-    return DensityOperator(matrix=bures_states(1, dim, rng)[0])
-
-
 def ginibre_rebit_states(n: int, rank: int, rng: RngStream) -> np.ndarray:
     """(n, 2, 2) stack of random rebits: real 2 x rank Ginibre entries, so
     the states have no Y component."""
@@ -134,11 +111,6 @@ def ginibre_rebit_states(n: int, rank: int, rng: RngStream) -> np.ndarray:
         raise ValueError("rebit rank must be 1 or 2")
     a = rng.generator.standard_normal((n, 2, rank))
     return _unit_trace(a @ a.swapaxes(-1, -2)).astype(complex)
-
-
-def ginibre_rebit_state(rank: int, rng: RngStream) -> DensityOperator:
-    """One draw of :func:`ginibre_rebit_states`."""
-    return DensityOperator(matrix=ginibre_rebit_states(1, rank, rng)[0])
 
 
 def bcsz_channels(n: int, dim: int, kraus_rank: int, rng: RngStream) -> np.ndarray:
@@ -169,9 +141,3 @@ def bcsz_channels(n: int, dim: int, kraus_rank: int, rng: RngStream) -> np.ndarr
     else:
         raise RuntimeError("input marginal stayed numerically singular after retries")
     return restore_trace_preservation(rho, dim)
-
-
-def bcsz_channel(dim: int, kraus_rank: int, rng: RngStream) -> ChoiState:
-    """One draw of :func:`bcsz_channels`."""
-    return ChoiState(matrix=bcsz_channels(1, dim, kraus_rank, rng)[0],
-                     dim_in=dim, dim_out=dim)

@@ -297,30 +297,6 @@ def credible_ellipsoid(cloud: ParticleCloud, z: float) -> CredibleEllipsoid:
                              covariance=posterior_covariance(cloud), z=float(z))
 
 
-def predictive_variance(cloud: ParticleCloud, observable: VectorizedOperator) -> float:
-    """Posterior-predictive variance of a Hermitian observable.
-
-    Law of total variance: the coordinate form x^T Sigma x (uncertainty of
-    the estimate) plus the quantum variance Tr[X^2 rho_hat] - Tr[X rho_hat]**2
-    at the mean.
-    """
-    basis = cloud.space.basis
-    if basis is None:
-        raise ValueError("predictive variance needs an operator basis")
-    x = np.asarray(observable.coords, dtype=float)
-    d = cloud.space.n_state_coords
-    if x.shape[0] != d:
-        raise DimensionMismatchError("observable does not match the state coordinates")
-    cov = posterior_covariance(cloud)[:d, :d]
-    mean = posterior_mean_coords(cloud)[:d]
-    op = basis.devectorize(x)
-    rho = basis.devectorize(mean)
-    spread = float(x @ cov @ x)
-    second_moment = float(np.trace(op @ op @ rho).real)
-    first_moment = float(x @ mean)
-    return spread + second_moment - first_moment**2
-
-
 def principal_components(summary: PosteriorSummary, k: int) -> list[tuple[float, VectorizedOperator]]:
     """Top-k eigenpairs of the posterior covariance, largest first.
 

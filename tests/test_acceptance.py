@@ -34,14 +34,16 @@ from tomolab.priors import (
     rebit_ginibre_prior,
 )
 from tomolab.qobj import (
+    ChoiState,
     DensityOperator,
     Effect,
     apply_choi,
+    check_states,
     pauli_basis,
     process_effect,
     standard_basis,
 )
-from tomolab.randq import RngStream, bcsz_channel, ginibre_state, haar_unitary
+from tomolab.randq import RngStream, bcsz_channels, ginibre_states
 from tomolab.smc import (
     bayes_update,
     credible_ellipsoid,
@@ -93,8 +95,8 @@ def test_c02_random_channel_ensemble():
     worst_tp = 0.0
     for k_idx, rank in enumerate((1, 2, 4)):
         stream = RngStream(2000 + k_idx)
-        draws = np.stack([bcsz_channel(2, rank, stream.child(i)).matrix
-                          for i in range(10_000)])
+        draws = check_states(np.stack([bcsz_channels(1, 2, rank, stream.child(i))[0]
+                                       for i in range(10_000)]), channel_dim=2)
         eigs = np.linalg.eigvalsh(draws)
         worst_eig = min(worst_eig, float(eigs.min()))
         marginals = np.einsum("niaja->nij", draws.reshape(-1, 2, 2, 2, 2))
@@ -103,8 +105,10 @@ def test_c02_random_channel_ensemble():
     acc = np.zeros((4, 4), dtype=complex)
     stream = RngStream(2525)
     n = 100_000
-    for i in range(n):
-        acc += bcsz_channel(2, 4, stream.child(i)).matrix
+    draws = [bcsz_channels(1, 2, 4, stream.child(i))[0] for i in range(n)]
+    check_states(np.stack(draws), channel_dim=2)
+    for draw in draws:
+        acc += draw
     mean_dist = trace_distance(acc / n, np.eye(4) / 4.0)
     elapsed = time.perf_counter() - start
     ok = (worst_eig >= -1e-8 and worst_tp <= 1e-8
@@ -138,8 +142,9 @@ def test_c04_channel_state_pairing_oracle():
     stream = RngStream(4040)
     gen = np.random.default_rng(4040)
     for i in range(1000):
-        choi = bcsz_channel(2, 4, stream.child(0, i))
-        rho = ginibre_state(2, 2, stream.child(1, i))
+        choi = ChoiState(matrix=bcsz_channels(1, 2, 4, stream.child(0, i))[0],
+                         dim_in=2, dim_out=2)
+        rho = DensityOperator(matrix=ginibre_states(1, 2, 2, stream.child(1, i))[0])
         ket = gen.standard_normal(2) + 1j * gen.standard_normal(2)
         ket /= np.linalg.norm(ket)
         proj = np.outer(ket, ket.conj())

@@ -181,8 +181,9 @@ class TestRunConfig:
             RunConfig.from_dict(state_config(model="die"))
 
     def test_schema_version(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(state_config(schema_version=99))
+        for version in (99, True, 1.0):
+            with pytest.raises(ConfigError):
+                RunConfig.from_dict(state_config(schema_version=version))
 
     def test_missing_pieces(self):
         with pytest.raises(ConfigError):
@@ -212,6 +213,12 @@ class TestRunConfig:
                     risk_config(n_trials=0)):
             with pytest.raises(ConfigError):
                 RunConfig.from_dict(bad)
+
+    def test_integers_widen_to_float_fields(self):
+        cfg = RunConfig.from_dict(track_config(
+            resample_a=1, tracking=dict(track_config()["tracking"], dt=2)))
+        assert type(cfg.resample_a) is float and cfg.resample_a == 1.0
+        assert type(cfg.tracking.dt) is float and cfg.tracking.dt == 2.0
 
     def test_truth_spec_checks(self):
         with pytest.raises(ConfigError):
@@ -552,7 +559,8 @@ class TestCli:
             track_config()["tracking"], trajectory={"kind": "single_tone_coin", "f": "x"})),
             "'f'", id="single_tone_f_not_a_number"),
         pytest.param("estimate", state_config(prior={"fiducial": "ginibre", "rank": "two"}),
-                     "rank must be a positive integer", id="rank_not_an_integer"),
+                     "prior rank must be an integer, got 'two'",
+                     id="rank_not_an_integer"),
         pytest.param("estimate", qutrit_config(prior={"fiducial": "ginibre", "rank": 7}),
                      "rank 7 must lie in [1, 3]", id="rank_above_dim"),
         pytest.param("estimate", qutrit_config(
@@ -566,7 +574,8 @@ class TestCli:
         pytest.param("estimate", state_config(prior="ginibre"),
                      "prior must be a JSON object", id="prior_not_an_object"),
         pytest.param("estimate", coin_config(truth={"kind": "coin", "p": "x"}),
-                     "coin truth needs p in [0, 1]", id="coin_p_not_a_number"),
+                     "truth p must be a number, got 'x'",
+                     id="coin_p_not_a_number"),
         pytest.param("estimate", state_config(truth={
             "kind": "explicit", "matrix": {"re": [[0.5, 0.4], [0.1, 0.5]]}}),
             "explicit truth: density operator is not Hermitian", id="non_hermitian_truth"),
@@ -601,6 +610,34 @@ class TestCli:
         pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
                                                          n_steps=25.0)),
                      "tracking n_steps must be an integer, got 25.0", id="float_tracking_steps"),
+        pytest.param("estimate", state_config(resample_a="0.5"),
+                     "resample_a must be a number, got '0.5'", id="string_resample_a"),
+        pytest.param("estimate", state_config(resample_threshold=True),
+                     "resample_threshold must be a number, got True",
+                     id="boolean_resample_threshold"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, heuristic={
+            "kind": "process_adaptive_mix", "n_meas": 10, "adaptive_fraction": True}),
+            "heuristic adaptive_fraction must be a number, got True",
+            id="boolean_adaptive_fraction"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         dt=True)),
+                     "tracking dt must be a number, got True", id="boolean_dt"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         eta_mean="0.1")),
+                     "tracking eta_mean must be a number, got '0.1'", id="string_eta_mean"),
+        pytest.param("estimate", state_config(out_dir=5),
+                     "out_dir must be a string, got 5", id="integer_out_dir"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         trajectory=5)),
+                     "tracking trajectory must be a JSON object, got 5",
+                     id="trajectory_not_an_object"),
+        pytest.param("track", track_config(tracking=dict(
+            track_config()["tracking"], trajectory={"kind": "two_tone_coin",
+                                                    "f1": True, "f2": 0.02})),
+            "'f1' must be a number, got True", id="boolean_trajectory_f1"),
+        pytest.param("estimate", coin_config(prior={"fiducial": "coin_uniform",
+                                                    "gad_mean": "0.3"}),
+                     "prior gad_mean must be a number, got '0.3'", id="string_coin_gad_mean"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)

@@ -16,7 +16,6 @@ from tomolab.likelihood import (
     coin_design,
     datum_log_likelihood,
     process_design,
-    sequence_log_likelihood,
     simulate_experiment,
 )
 from tomolab.qobj import (
@@ -29,7 +28,7 @@ from tomolab.qobj import (
     standard_basis,
     vectorize,
 )
-from tomolab.randq import RngStream, ginibre_state
+from tomolab.randq import RngStream, ginibre_states
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -85,7 +84,7 @@ class TestBornProbability:
     def test_batched_rows(self):
         rng = np.random.default_rng(5)
         stream = RngStream(7)
-        rows = np.stack([BASIS2.vectorize(ginibre_state(2, 2, stream.child(i)).matrix)
+        rows = np.stack([BASIS2.vectorize(ginibre_states(1, 2, 2, stream.child(i))[0])
                          for i in range(8)])
         effect = BASIS2.vectorize(random_projector(rng, 2))
         batch = born_probability(rows, effect)
@@ -113,7 +112,7 @@ class TestBornProbability:
     def test_two_outcome_normalization(self, seed):
         rng = np.random.default_rng(seed)
         stream = RngStream(seed)
-        state = BASIS2.vectorize(ginibre_state(2, 2, stream).matrix)
+        state = BASIS2.vectorize(ginibre_states(1, 2, 2, stream)[0])
         e = random_projector(rng, 2)
         p = float(born_probability(state, BASIS2.vectorize(e)))
         q = float(born_probability(state, BASIS2.vectorize(np.eye(2) - e)))
@@ -175,50 +174,6 @@ class TestBinomial:
         assert binomial_log_pmf(7, 0, 0.0) == 0.0
         assert binomial_log_pmf(7, 3, 1.0) == -np.inf
         assert binomial_log_pmf(7, 2, 0.0) == -np.inf
-
-
-class TestSequenceLogLikelihood:
-    def test_coin_heads_record(self):
-        ll = sequence_log_likelihood(np.array([0.6]), [np.array([1.0])], [2])
-        assert abs(ll - 2 * np.log(0.6)) < 1e-12
-
-    def test_two_outcome_record(self):
-        # diagonal state with outcome probabilities (0.6, 0.4): two hits
-        # on the first outcome and one on the second give 0.6^2 * 0.4
-        state = BASIS2.vectorize((np.eye(2) + 0.2 * Z) / 2)
-        e = BASIS2.vectorize(np.diag([1.0, 0.0]))
-        rest = BASIS2.vectorize(np.diag([0.0, 1.0]))
-        ll = sequence_log_likelihood(state, [e, rest], [2, 1])
-        assert abs(ll - np.log(0.144)) < 1e-12
-
-    def test_empty_record(self):
-        state = BASIS2.vectorize(np.eye(2) / 2)
-        assert sequence_log_likelihood(state, [], []) == 0.0
-        e = BASIS2.vectorize(np.diag([1.0, 0.0]))
-        assert sequence_log_likelihood(state, [e], [0]) == 0.0
-
-    def test_impossible_outcome(self):
-        state = BASIS2.vectorize(np.diag([1.0, 0.0]))
-        excited = BASIS2.vectorize(np.diag([0.0, 1.0]))
-        assert sequence_log_likelihood(state, [excited], [1]) == -np.inf
-
-    def test_matches_product_of_born_powers(self):
-        rng = np.random.default_rng(11)
-        stream = RngStream(13)
-        for i in range(100):
-            state = BASIS2.vectorize(ginibre_state(2, 2, stream.child(i)).matrix)
-            effects = [BASIS2.vectorize(random_projector(rng, 2)) for _ in range(3)]
-            counts = rng.integers(0, 6, size=3)
-            direct = sum(int(n) * np.log(float(born_probability(state, e)))
-                         for e, n in zip(effects, counts) if n)
-            ll = sequence_log_likelihood(state, effects, list(counts))
-            assert abs(ll - direct) < 1e-10
-
-    def test_misaligned_inputs(self):
-        with pytest.raises(ValueError):
-            sequence_log_likelihood(np.array([0.5]), [np.array([1.0])], [1, 2])
-        with pytest.raises(ValueError):
-            sequence_log_likelihood(np.array([0.5]), [np.array([1.0])], [-1])
 
 
 class TestSimulate:

@@ -23,7 +23,7 @@ from tomolab.priors import (
     sample_epsilon,
 )
 from tomolab.qobj import choi_of_channel, partial_trace, pauli_basis, standard_basis
-from tomolab.randq import RngStream, ginibre_state
+from tomolab.randq import RngStream, ginibre_states
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
@@ -63,7 +63,7 @@ class TestGadParams:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]))
     def test_target_sits_on_the_boundary(self, seed, dim):
-        rho = ginibre_state(dim, dim, RngStream(seed)).matrix
+        rho = ginibre_states(1, dim, dim, RngStream(seed))[0]
         mu = 0.9 * rho + 0.1 * np.eye(dim) / dim
         _, beta, rho_star = gad_params(mu)
         assert abs(np.linalg.eigvalsh(rho_star).min()) < 1e-8

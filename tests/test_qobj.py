@@ -312,12 +312,13 @@ class TestProcessEffect:
         assert abs(p - np.trace(meas.matrix).real / 2) < 1e-12
 
     def test_contraction_identity_random_channels(self):
-        from tomolab.randq import RngStream, bcsz_channel, ginibre_state
+        from tomolab.randq import RngStream, bcsz_channels, ginibre_states
         stream = RngStream(4242)
         rng = np.random.default_rng(99)
         for i in range(100):
-            choi = bcsz_channel(2, 4, stream.child(i))
-            rho = ginibre_state(2, 2, stream.child(1000 + i))
+            choi = ChoiState(matrix=bcsz_channels(1, 2, 4, stream.child(i))[0],
+                             dim_in=2, dim_out=2)
+            rho = DensityOperator(matrix=ginibre_states(1, 2, 2, stream.child(1000 + i))[0])
             eff = Effect(matrix=random_projector(rng, 2))
             kraus_free = hs_inner(process_effect(rho, eff).matrix, choi.matrix).real
             # independent route: reconstruct the channel action by contraction

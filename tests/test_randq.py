@@ -6,20 +6,21 @@ from scipy import stats
 
 from conftest import trace_distance
 from tomolab import randq
-from tomolab.qobj import partial_trace, pauli_basis
+from tomolab.qobj import check_states, partial_trace, pauli_basis
 from tomolab.randq import (
     RngStream,
-    bcsz_channel,
+    _haar_from_ginibre,
     bcsz_channels,
-    bures_state,
     bures_states,
+    ginibre_matrices,
     ginibre_matrix,
-    ginibre_rebit_state,
     ginibre_rebit_states,
-    ginibre_state,
     ginibre_states,
-    haar_unitary,
 )
+
+
+def _haar(dim, stream):
+    return _haar_from_ginibre(ginibre_matrices(1, dim, dim, stream))[0]
 
 
 class TestRngStream:
@@ -66,11 +67,11 @@ class TestHaarUnitary:
     def test_unitarity(self, dim):
         stream = RngStream(5)
         for i in range(100):
-            u = haar_unitary(dim, stream.child(i))
+            u = _haar(dim, stream.child(i))
             assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-10
 
     def test_scalar_case(self):
-        u = haar_unitary(1, RngStream(2))
+        u = _haar(1, RngStream(2))
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
@@ -79,7 +80,7 @@ class TestHaarUnitary:
         n = 100_000
         acc = 0.0
         for i in range(n):
-            acc += abs(haar_unitary(4, stream.child(i))[0, 0]) ** 2
+            acc += abs(_haar(4, stream.child(i))[0, 0]) ** 2
         assert abs(acc / n - 0.25) < 0.01
 
 
@@ -87,22 +88,22 @@ class TestGinibreState:
     def test_rank_one_is_pure(self):
         stream = RngStream(9)
         for i in range(50):
-            rho = ginibre_state(2, 1, stream.child(i))
-            assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) < 1e-10
+            rho = ginibre_states(1, 2, 1, stream.child(i))[0]
+            assert abs(np.trace(rho @ rho).real - 1.0) < 1e-10
 
     def test_rank_deficiency(self):
-        rho = ginibre_state(3, 2, RngStream(12))
-        assert np.linalg.eigvalsh(rho.matrix).min() < 1e-10
+        rho = ginibre_states(1, 3, 2, RngStream(12))[0]
+        assert np.linalg.eigvalsh(rho).min() < 1e-10
 
     def test_rank_larger_than_dim_rejected(self):
         with pytest.raises(ValueError):
-            ginibre_state(2, 3, RngStream(0))
+            ginibre_states(1, 2, 3, RngStream(0))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_validity_bulk(self, dim):
         stream = RngStream(14)
-        mats = np.stack([ginibre_state(dim, dim, stream.child(dim, i)).matrix
-                         for i in range(10_000)])
+        mats = check_states(np.stack([ginibre_states(1, dim, dim, stream.child(dim, i))[0]
+                                      for i in range(10_000)]))
         assert np.abs(mats - mats.conj().transpose(0, 2, 1)).max() < 1e-12
         assert np.abs(np.einsum("nii->n", mats).real - 1.0).max() < 1e-12
         assert np.linalg.eigvalsh(mats).min() > -1e-10
@@ -116,12 +117,12 @@ class TestBuresState:
     def test_validity(self):
         stream = RngStream(18)
         for i in range(200):
-            rho = bures_state(3, stream.child(i)).matrix
+            rho = check_states(bures_states(1, 3, stream.child(i)))[0]
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_scalar_case(self):
-        rho = bures_state(1, RngStream(1)).matrix
+        rho = bures_states(1, 1, RngStream(1))[0]
         assert np.abs(rho - 1.0).max() < 1e-12
 
     def test_mean_is_maximally_mixed(self):
@@ -134,20 +135,20 @@ class TestRebit:
         basis = pauli_basis(1)
         stream = RngStream(23)
         for i in range(200):
-            coords = basis.vectorize(ginibre_rebit_state(2, stream.child(i)).matrix)
+            coords = basis.vectorize(ginibre_rebit_states(1, 2, stream.child(i))[0])
             assert abs(coords[2]) < 1e-15
 
     def test_entries_real(self):
-        rho = ginibre_rebit_state(2, RngStream(4)).matrix
+        rho = ginibre_rebit_states(1, 2, RngStream(4))[0]
         assert np.abs(rho.imag).max() < 1e-15
 
     def test_rank_one_is_pure(self):
-        rho = ginibre_rebit_state(1, RngStream(6)).matrix
+        rho = ginibre_rebit_states(1, 1, RngStream(6))[0]
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-10
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            ginibre_rebit_state(3, RngStream(0))
+            ginibre_rebit_states(1, 3, RngStream(0))
 
     def test_mean_is_maximally_mixed(self):
         mean = ginibre_rebit_states(100_000, 2, RngStream(27)).mean(axis=0)
@@ -159,23 +160,24 @@ class TestBcszChannel:
         stream = RngStream(29)
         for dim in (2, 3):
             for i in range(100):
-                choi = bcsz_channel(dim, dim * dim, stream.child(dim, i))
-                marg = partial_trace(choi.matrix, (dim, dim), keep="first")
+                choi = check_states(bcsz_channels(1, dim, dim * dim, stream.child(dim, i)),
+                                    channel_dim=dim)[0]
+                marg = partial_trace(choi, (dim, dim), keep="first")
                 assert np.abs(marg - np.eye(dim) / dim).max() < 1e-8
 
     def test_rank_one_is_unitary_channel(self):
         stream = RngStream(33)
         for i in range(50):
-            choi = bcsz_channel(2, 1, stream.child(i))
-            purity = np.trace(choi.matrix @ choi.matrix).real
+            choi = bcsz_channels(1, 2, 1, stream.child(i))[0]
+            purity = np.trace(choi @ choi).real
             assert abs(purity - 1.0) < 1e-8
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
     def test_kraus_rank(self, rank):
         stream = RngStream(35)
         for i in range(20):
-            choi = bcsz_channel(2, rank, stream.child(rank, i))
-            eig = np.linalg.eigvalsh(choi.matrix)
+            choi = bcsz_channels(1, 2, rank, stream.child(rank, i))[0]
+            eig = np.linalg.eigvalsh(choi)
             assert int((eig > 1e-10).sum()) == rank
 
     def test_mean_is_depolarizing(self):
@@ -184,7 +186,7 @@ class TestBcszChannel:
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            bcsz_channel(2, 5, RngStream(0))
+            bcsz_channels(1, 2, 5, RngStream(0))
 
 
 class TestUnitaryInvariance:
@@ -193,15 +195,15 @@ class TestUnitaryInvariance:
     @staticmethod
     def _batches(sampler, n, seed):
         stream = RngStream(seed)
-        u = haar_unitary(2, stream.child(2, 0))
-        plain = np.stack([sampler(stream.child(0, i)).matrix for i in range(n)])
-        rotated = np.stack([sampler(stream.child(1, i)).matrix for i in range(n)])
+        u = _haar(2, stream.child(2, 0))
+        plain = np.stack([sampler(stream.child(0, i)) for i in range(n)])
+        rotated = np.stack([sampler(stream.child(1, i)) for i in range(n)])
         rotated = np.einsum("ab,nbc,dc->nad", u, rotated, u.conj())
         return plain, rotated
 
     @pytest.mark.parametrize("sampler,seed", [
-        (lambda s: ginibre_state(2, 2, s), 41),
-        (lambda s: bures_state(2, s), 43),
+        (lambda s: ginibre_states(1, 2, 2, s)[0], 41),
+        (lambda s: bures_states(1, 2, s)[0], 43),
     ])
     def test_largest_eigenvalue_distribution(self, sampler, seed):
         plain, rotated = self._batches(sampler, 10_000, seed)
@@ -210,8 +212,8 @@ class TestUnitaryInvariance:
         assert stats.ks_2samp(top, top_rot).pvalue > 0.01
 
     @pytest.mark.parametrize("sampler,seed", [
-        (lambda s: ginibre_state(2, 2, s), 47),
-        (lambda s: bures_state(2, s), 53),
+        (lambda s: ginibre_states(1, 2, 2, s)[0], 47),
+        (lambda s: bures_states(1, 2, s)[0], 53),
     ])
     def test_fixed_vector_overlap_distribution(self, sampler, seed):
         # stricter probe: <psi|rho|psi> actually moves under conjugation
@@ -293,9 +295,9 @@ class TestBatchedDraws:
         assert np.abs(batch - _reference_bcsz(500, dim, rank, RngStream(83))).max() < 1e-14
 
     def test_single_draw_is_first_row(self):
-        assert np.array_equal(ginibre_state(3, 2, RngStream(89)).matrix,
+        assert np.array_equal(ginibre_states(1, 3, 2, RngStream(89))[0],
                               ginibre_states(4, 3, 2, RngStream(89))[0])
-        assert np.array_equal(bcsz_channel(2, 4, RngStream(89)).matrix,
+        assert np.array_equal(bcsz_channels(1, 2, 4, RngStream(89))[0],
                               bcsz_channels(4, 2, 4, RngStream(89))[0])
 
     def test_bcsz_redraws_only_singular_rows(self, monkeypatch):

@@ -10,7 +10,7 @@ from tomolab.design import random_pauli_design
 from tomolab.likelihood import Datum, ExperimentDesign, coin_design, datum_log_likelihood
 from tomolab.priors import coin_insightful_prior, coin_uniform_prior, ginibre_prior, insightful_prior, rebit_ginibre_prior
 from tomolab.qobj import Effect, VectorizedOperator, pauli_basis, vectorize
-from tomolab.randq import RngStream, ginibre_state
+from tomolab.randq import RngStream
 from tomolab.smc import (
     CredibleEllipsoid,
     DegenerateUpdateError,
@@ -24,7 +24,6 @@ from tomolab.smc import (
     posterior_covariance,
     posterior_mean,
     posterior_mean_coords,
-    predictive_variance,
     principal_components,
     resample,
     space_for_prior,
@@ -341,51 +340,6 @@ class TestCredibleEllipsoid:
         assert ell.contains(on_line)
         off_line = posterior_mean_coords(cloud) + np.array([0.0, 0.0, 0.01, 0.0])
         assert not ell.contains(off_line)
-
-
-class TestPredictiveVariance:
-    def test_delta_posterior_maximally_mixed(self):
-        locs = np.array([[1 / np.sqrt(2), 0.0, 0.0, 0.0]] * 2)
-        cloud = ParticleCloud(locations=locs, weights=np.array([0.5, 0.5]),
-                              space=HypothesisSpace(kind="state", basis=BASIS2))
-        z_op = vectorize(np.diag([1.0, -1.0]), BASIS2)
-        assert abs(predictive_variance(cloud, z_op) - 1.0) < 1e-12
-
-    def test_delta_posterior_eigenstate(self):
-        coords = BASIS2.vectorize(np.diag([1.0, 0.0]))
-        cloud = ParticleCloud(locations=np.stack([coords, coords]),
-                              weights=np.array([0.5, 0.5]),
-                              space=HypothesisSpace(kind="state", basis=BASIS2))
-        z_op = vectorize(np.diag([1.0, -1.0]), BASIS2)
-        assert abs(predictive_variance(cloud, z_op)) < 1e-12
-
-    def test_matches_two_stage_sampling(self):
-        # concentrated posterior around (I + 0.6 Z)/2; the outcome noise
-        # dominates the parameter spread there
-        rng = np.random.default_rng(73)
-        n = 400
-        center = BASIS2.vectorize((np.eye(2) + 0.6 * np.diag([1.0, -1.0])) / 2)
-        locs = np.tile(center, (n, 1))
-        locs[:, 1:] += rng.standard_normal((n, 3)) * 0.005
-        cloud = ParticleCloud(locations=locs, weights=np.full(n, 1.0 / n),
-                              space=HypothesisSpace(kind="state", basis=BASIS2))
-        z_op = vectorize(np.diag([1.0, -1.0]), BASIS2)
-        predicted = predictive_variance(cloud, z_op)
-
-        draws = 100_000
-        idx = rng.integers(0, n, size=draws)
-        z_vals = np.sqrt(2.0) * locs[idx, 3]
-        outcomes = np.where(rng.random(draws) < (1.0 + z_vals) / 2.0, 1.0, -1.0)
-        mc_var = outcomes.var()
-        centered = (outcomes - outcomes.mean()) ** 2
-        se = np.sqrt(centered.var() / draws)
-        assert abs(predicted - mc_var) < 3.0 * se
-
-    def test_coin_cloud_rejected(self):
-        cloud = coin_cloud([0.2, 0.8])
-        z_op = vectorize(np.diag([1.0, -1.0]), BASIS2)
-        with pytest.raises(ValueError):
-            predictive_variance(cloud, z_op)
 
 
 class TestPrincipalComponents:

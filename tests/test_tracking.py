@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian
 from tomolab.likelihood import Datum, coin_design
 from tomolab.qobj import partial_trace, pauli_basis, standard_basis
-from tomolab.randq import RngStream, bcsz_channel
+from tomolab.randq import RngStream, bcsz_channels
 from tomolab.smc import HypothesisSpace, ParticleCloud, bayes_update
 from tomolab.tracking import (
     DegenerateStateError,
@@ -64,12 +64,12 @@ class TestTruncateToState:
 
 class TestTruncateToChoi:
     def test_valid_choi_fixed(self):
-        choi = bcsz_channel(2, 4, RngStream(3)).matrix
+        choi = bcsz_channels(1, 2, 4, RngStream(3))[0]
         assert np.abs(truncate_to_choi(choi, 2) - choi).max() < 1e-10
 
     def test_repairs_perturbed_choi(self):
         rng = np.random.default_rng(11)
-        choi = bcsz_channel(2, 4, RngStream(5)).matrix
+        choi = bcsz_channels(1, 2, 4, RngStream(5))[0]
         for _ in range(20):
             noisy = choi + random_hermitian(rng, 4, scale=0.05)
             fixed = truncate_to_choi(noisy, 2)
@@ -80,7 +80,7 @@ class TestTruncateToChoi:
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
-        choi = bcsz_channel(2, 4, RngStream(7)).matrix
+        choi = bcsz_channels(1, 2, 4, RngStream(7))[0]
         noisy = choi + random_hermitian(rng, 4, scale=0.1)
         once = truncate_to_choi(noisy, 2)
         twice = truncate_to_choi(once, 2)
