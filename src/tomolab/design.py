@@ -2,12 +2,12 @@
 
 Random Pauli measurements for qubits, the twelve qutrit stabilizer
 states, random preparation/measurement pairs for process tomography, and
-a covariance-guided adaptive rule that picks the proposal whose effect
-direction carries the most posterior uncertainty.
+a covariance-guided adaptive rule that picks the proposed table entry
+whose effect direction carries the most posterior uncertainty.
 
 Each family has a fixed, finite set of effects.  They are built and
 validated once, on first use, into an effect table; a random design is a
-random index into its table, drawn with one ``integers`` call per index.
+random index into its table.
 """
 
 from __future__ import annotations
@@ -128,32 +128,37 @@ def process_effects(basis: OperatorBasis) -> tuple[VectorizedOperator, ...]:
                  for prep in states for meas in states)
 
 
+def process_entries(n: int, rng: RngStream) -> np.ndarray:
+    """``n`` random entries of :func:`process_effects` from one ``integers``
+    call: the values and stream state of ``2 * n`` scalar calls in turn."""
+    drawn = rng.generator.integers(0, 6, size=2 * n)
+    return 6 * drawn[0::2] + drawn[1::2]
+
+
 def random_process_design(n_meas: int, rng: RngStream, basis: OperatorBasis,
                           time: float = 0.0) -> ExperimentDesign:
     """Random composite design for qubit process tomography: a uniformly
     random preparation, then measurement, among the Pauli eigenstates."""
-    g = rng.generator
-    prep = int(g.integers(0, 6))
-    meas = int(g.integers(0, 6))
-    return ExperimentDesign(effect=process_effects(basis)[6 * prep + meas],
+    return ExperimentDesign(effect=process_effects(basis)[process_entries(1, rng)[0]],
                             n_meas=n_meas, time=time)
 
 
-def adaptive_design(proposals: list[ExperimentDesign],
-                    covariance: np.ndarray) -> ExperimentDesign:
-    """Pick the proposal maximizing x^T Sigma x for its effect coordinates.
+def adaptive_design(effects: tuple[VectorizedOperator, ...], entries,
+                    covariance: np.ndarray) -> int:
+    """The entry of ``entries`` whose effect coordinates x in the table
+    ``effects`` maximize x^T Sigma x.
 
-    Proposals drawn from an effect table share effect objects, and each
-    distinct effect is scored once.  Ties resolve to the earliest proposal.
+    Each distinct entry is scored once.  Ties resolve to the earliest
+    entry drawn.
     """
-    if not proposals:
+    if len(entries) == 0:
         raise ValueError("need at least one proposal")
     scores = {}
-    for p in proposals:
-        if id(p.effect) not in scores:
-            coords = p.effect.coords
-            scores[id(p.effect)] = float(coords @ covariance @ coords)
-    return proposals[int(np.argmax([scores[id(p.effect)] for p in proposals]))]
+    for entry in entries:
+        if entry not in scores:
+            coords = effects[entry].coords
+            scores[entry] = float(coords @ covariance @ coords)
+    return int(entries[int(np.argmax([scores[e] for e in entries]))])
 
 
 def scheduled_mix(heuristics, fractions, rng: RngStream) -> ExperimentDesign:

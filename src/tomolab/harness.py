@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from . import design as design_mod
-from .likelihood import coin_design, simulate_experiment
+from .likelihood import ExperimentDesign, coin_design, simulate_experiment
 from .priors import (
     PriorDistribution,
     bcsz_prior,
@@ -68,21 +68,31 @@ class ConfigError(ValueError):
 
 def decode_matrix(spec) -> np.ndarray:
     """Decode a JSON matrix spec: nested real lists, {"diag": [...]}, or
-    {"re": [[...]], "im": [[...]]}."""
+    {"re": [[...]], "im": [[...]]}.  Every entry must be a JSON number."""
     if isinstance(spec, dict):
         if "diag" in spec:
-            return np.diag(np.asarray(spec["diag"], dtype=float)).astype(complex)
+            return np.diag(_numbers(spec["diag"], 1)).astype(complex)
         if "re" in spec:
-            re = np.asarray(spec["re"], dtype=float)
-            im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
+            re = _numbers(spec["re"], 2)
+            im = _numbers(spec["im"], 2) if "im" in spec else np.zeros_like(re)
             if re.shape != im.shape:
                 raise ConfigError("re and im blocks must have equal shapes")
             return re + 1j * im
         raise ConfigError(f"unknown matrix spec keys {sorted(spec)}")
-    arr = np.asarray(spec, dtype=float)
-    if arr.ndim != 2:
-        raise ConfigError("matrix spec must be two dimensional")
-    return arr.astype(complex)
+    return _numbers(spec, 2).astype(complex)
+
+
+def _numbers(spec, ndim: int) -> np.ndarray:
+    """``spec``, nested lists of JSON numbers in rows of equal length, as an
+    ``ndim``-dimensional float array; anything else is a config error."""
+    arr = np.asarray(spec, dtype=object)
+    for value in arr.flat:
+        if isinstance(value, list):
+            raise ConfigError("matrix spec rows must be equal in length")
+        _number(value, "matrix spec entry")
+    if arr.ndim != ndim:
+        raise ConfigError(f"matrix spec must have {ndim} dimension(s)")
+    return arr.astype(float)
 
 
 def _number(value, what: str) -> float:
@@ -365,6 +375,8 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
         if spec.kind == "kraus":
             if model != "channel":
                 raise ConfigError("kraus truth needs the channel model")
+            if not isinstance(spec.kraus, list) or not spec.kraus:
+                raise ConfigError("kraus truth needs a non-empty list of matrix specs")
             kraus = [decode_matrix(k) for k in spec.kraus]
             return basis.vectorize(choi_of_channel(kraus).matrix)
     except ValueError as err:
@@ -378,14 +390,15 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
 
 
 def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
-    """Turn the declared heuristic into ``f(step, cloud, rng, time)``."""
+    """Turn the declared heuristic into ``f(step, cloud, rng, time=0.0, cov=None)``;
+    ``cov`` is the posterior covariance of ``cloud``, computed if ``None``."""
     h = config.heuristic
     basis = prior.basis
     if h.kind == "coin":
         if config.model != "coin":
             raise ConfigError("coin heuristic needs the coin model")
 
-        def coin_rule(step, cloud, rng, time=0.0):
+        def coin_rule(step, cloud, rng, time=0.0, cov=None):
             return coin_design(h.n_meas, time=time)
         return coin_rule
     if h.kind == "random_pauli":
@@ -393,37 +406,37 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
         if 2**n_qubits != config.dim:
             raise ConfigError("random_pauli needs a power-of-two dimension")
 
-        def pauli_rule(step, cloud, rng, time=0.0):
+        def pauli_rule(step, cloud, rng, time=0.0, cov=None):
             return design_mod.random_pauli_design(n_qubits, h.n_meas, rng, time=time)
         return pauli_rule
     if h.kind == "stabilizer_qutrit":
         if config.dim != 3:
             raise ConfigError("stabilizer_qutrit needs dim 3")
 
-        def stab_rule(step, cloud, rng, time=0.0):
+        def stab_rule(step, cloud, rng, time=0.0, cov=None):
             return design_mod.random_stabilizer_qutrit_design(h.n_meas, rng, time=time)
         return stab_rule
     if h.kind in ("process_random", "process_adaptive_mix"):
         if config.model != "channel" or config.dim != 2:
             raise ConfigError("process heuristics cover single-qubit channels")
 
-        def random_rule(step, cloud, rng, time=0.0):
+        def random_rule(step, cloud, rng, time=0.0, cov=None):
             return design_mod.random_process_design(h.n_meas, rng, basis, time=time)
 
         if h.kind == "process_random":
             return random_rule
 
-        def adaptive_rule(step, cloud, rng, time=0.0):
+        def adaptive_rule(step, cloud, rng, time=0.0, cov=None):
             def adaptive():
-                proposals = [design_mod.random_process_design(h.n_meas, rng, basis, time=time)
-                             for _ in range(h.n_proposals)]
-                return design_mod.adaptive_design(proposals, posterior_covariance(cloud))
-
-            def rand():
-                return random_rule(step, cloud, rng, time=time)
+                effects = design_mod.process_effects(basis)
+                entries = design_mod.process_entries(h.n_proposals, rng)
+                sigma = posterior_covariance(cloud) if cov is None else cov
+                entry = design_mod.adaptive_design(effects, entries, sigma)
+                return ExperimentDesign(effect=effects[entry], n_meas=h.n_meas, time=time)
 
             return design_mod.scheduled_mix(
-                [rand, adaptive], [1.0 - h.adaptive_fraction, h.adaptive_fraction], rng)
+                [lambda: random_rule(step, cloud, rng, time=time), adaptive],
+                [1.0 - h.adaptive_fraction, h.adaptive_fraction], rng)
         return adaptive_rule
     raise ConfigError(f"unknown heuristic kind {h.kind!r}")
 
@@ -580,20 +593,22 @@ def _filter(config: RunConfig, root: RngStream) -> RunRecord:
 
     def row_of(step, t, truth, n_meas, n_success, log_norm):
         est = posterior_mean_coords(cloud)
+        cov = posterior_covariance(cloud)
         row = {
             "step": step, "time": t, "n_meas": n_meas, "n_success": n_success,
             "ess": effective_sample_size(cloud), "log_norm": log_norm,
-            "cov_trace": float(np.trace(posterior_covariance(cloud))),
+            "cov_trace": float(np.trace(cov)),
             "loss": loss_norm(est[:w], truth[:w]),
             "est": _coords_list(est),
         }
         if tr is not None:
             row["truth"] = _coords_list(truth)
             row["eta_mean"] = float(est[-1])
-        return row
+        return row, cov
 
     truth = trajectory(0.0)
-    rows = [row_of(0, 0.0, truth, 0, 0, 0.0)]
+    row, cov = row_of(0, 0.0, truth, 0, 0, 0.0)
+    rows = [row]
     failed = False
     reason = None
     n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
@@ -601,7 +616,7 @@ def _filter(config: RunConfig, root: RngStream) -> RunRecord:
     for step in range(1, n_steps + 1):
         t = step * dt
         truth = trajectory(t)
-        exp_design = heuristic(step, cloud, design_rng, time=t)
+        exp_design = heuristic(step, cloud, design_rng, time=t, cov=cov)
         if tr is not None:
             cloud = diffuse_cloud(cloud, t - prev_t, engine_rng)
         datum = simulate_experiment(truth, exp_design, data_rng)
@@ -616,7 +631,8 @@ def _filter(config: RunConfig, root: RngStream) -> RunRecord:
         cloud = maybe_resample(cloud, engine_rng, a=config.resample_a,
                                threshold=config.resample_threshold)
         n_resamples += int(cloud is not before)
-        rows.append(row_of(step, t, truth, exp_design.n_meas, datum.n_success, log_norm))
+        row, cov = row_of(step, t, truth, exp_design.n_meas, datum.n_success, log_norm)
+        rows.append(row)
         prev_t = t
     summ = summarize(cloud, total_log_norm=total_log_norm)
     est = posterior_mean_coords(cloud)

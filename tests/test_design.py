@@ -10,6 +10,7 @@ from tomolab.design import (
     pauli_effects,
     pauli_eigenstates,
     process_effects,
+    process_entries,
     qutrit_stabilizer_states,
     random_pauli_design,
     random_process_design,
@@ -148,30 +149,31 @@ class TestProcessProposals:
 class TestAdaptive:
     def test_zero_covariance_tie_breaks_to_first(self):
         stream = RngStream(29)
-        proposals = [random_process_design(1, stream.child(i), BASIS4) for i in range(5)]
-        pick = adaptive_design(proposals, np.zeros((16, 16)))
-        assert pick is proposals[0]
+        entries = [process_entries(1, stream.child(i))[0] for i in range(5)]
+        pick = adaptive_design(process_effects(BASIS4), entries, np.zeros((16, 16)))
+        assert pick == entries[0]
 
     def test_rank_one_covariance_picks_aligned_effect(self):
         e = np.array([0.0, 0.0, 0.0, 1.0])
         cov = 0.04 * np.outer(e, e)
         stream = RngStream(31)
-        proposals = [random_pauli_design(1, 1, stream.child(i)) for i in range(40)]
-        pick = adaptive_design(proposals, cov)
-        overlaps = [abs(float(p.effect.coords @ e)) for p in proposals]
-        assert abs(float(pick.effect.coords @ e)) == max(overlaps)
+        table = pauli_effects(1)
+        entries = [int(stream.child(i).generator.integers(1, 4)) for i in range(40)]
+        pick = adaptive_design(table, entries, cov)
+        overlaps = [abs(float(table[i].coords @ e)) for i in entries]
+        assert abs(float(table[pick].coords @ e)) == max(overlaps)
 
     def test_argmax_dominates_mean(self):
         rng = np.random.default_rng(37)
         stream = RngStream(41)
+        table = process_effects(BASIS4)
         for trial in range(100):
             m = rng.standard_normal((16, 16))
             cov = m @ m.T
-            proposals = [random_process_design(1, stream.child(trial, i), BASIS4)
-                         for i in range(10)]
-            scores = [float(p.effect.coords @ cov @ p.effect.coords) for p in proposals]
-            pick = adaptive_design(proposals, cov)
-            pick_score = float(pick.effect.coords @ cov @ pick.effect.coords)
+            entries = process_entries(10, stream.child(trial))
+            scores = [float(table[i].coords @ cov @ table[i].coords) for i in entries]
+            pick = adaptive_design(table, entries, cov)
+            pick_score = float(table[pick].coords @ cov @ table[pick].coords)
             assert pick_score >= np.mean(scores) - 1e-12
             assert pick_score == max(scores)
 
@@ -180,14 +182,13 @@ class TestAdaptive:
         m = rng.standard_normal((4, 4))
         cov = m @ m.T
         stream = RngStream(47)
-        proposals = [random_pauli_design(1, 1, stream.child(i)) for i in range(20)]
-        a = adaptive_design(proposals, cov)
-        b = adaptive_design(proposals, 5.0 * cov)
-        assert a is b
+        table = pauli_effects(1)
+        entries = [int(stream.child(i).generator.integers(1, 4)) for i in range(20)]
+        assert adaptive_design(table, entries, cov) == adaptive_design(table, entries, 5.0 * cov)
 
     def test_empty_proposals(self):
         with pytest.raises(ValueError):
-            adaptive_design([], np.zeros((4, 4)))
+            adaptive_design(process_effects(BASIS4), [], np.zeros((16, 16)))
 
 
 class TestEffectTables:
@@ -356,6 +357,52 @@ class TestAdaptiveRule:
         for step in range(2, 22):
             rule(step, cloud, rng)
         assert checks == []
+
+
+class TestBatchedDraws:
+    """An adaptive step draws all its proposal entries with one
+    ``integers`` call; it must give the values, and leave the stream in
+    the state, of one scalar call per preparation and per measurement."""
+
+    def test_batched_entries_equal_scalar_draws(self):
+        for seed in range(600):
+            batched, scalar = RngStream(seed), RngStream(seed)
+            g = scalar.generator
+            for n in (50, 1, 7, 50):
+                assert batched.generator.random() == g.random()
+                expected = []
+                for _ in range(n):
+                    prep = int(g.integers(0, 6))
+                    expected.append(6 * prep + int(g.integers(0, 6)))
+                assert process_entries(n, batched).tolist() == expected, seed
+            assert batched.generator.random() == g.random(), seed
+
+    def test_mixed_rule_steps_match_scalar_reference(self):
+        config = harness.RunConfig.from_dict(dict(QPT_ADAPTIVE, heuristic=dict(
+            QPT_ADAPTIVE["heuristic"], adaptive_fraction=0.8)))
+        prior = harness.build_prior(config.prior, config.model, config.dim)
+        rule = harness.make_heuristic(config, prior)
+        covs = TestAdaptiveRule().covariances()
+        states = pauli_eigenstates()
+        rng, ref = RngStream(79), RngStream(79)
+        g = ref.generator
+        kinds = set()
+        for step in range(1, 21):
+            cov = covs[3 * step]
+            pick = rule(step, None, rng, cov=cov)
+            adaptive = g.random() >= 1.0 - 0.8  # scheduled_mix's cut
+            kinds.add(adaptive)
+            proposals = []
+            for _ in range(50 if adaptive else 1):
+                prep = DensityOperator(matrix=states[int(g.integers(0, 6))])
+                meas = Effect(matrix=states[int(g.integers(0, 6))])
+                proposals.append(process_design(prep, meas, 5, BASIS4))
+            scores = [float(p.effect.coords @ cov @ p.effect.coords) for p in proposals]
+            expected = proposals[int(np.argmax(scores))]
+            assert np.array_equal(pick.effect.coords, expected.effect.coords), step
+            assert pick.n_meas == 5
+        assert kinds == {False, True}
+        assert rng.generator.random() == g.random()
 
 
 class TestScheduledMix:

@@ -368,6 +368,23 @@ class TestQpt:
         rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.8])
+    def test_one_covariance_per_row(self, monkeypatch, fraction):
+        # The adaptive rule scores against the covariance the row built.
+        calls = []
+        original = harness.posterior_covariance
+
+        def counted(cloud):
+            calls.append(None)
+            return original(cloud)
+        monkeypatch.setattr(harness, "posterior_covariance", counted)
+        cfg = dict(self.CONFIG, n_experiments=20, heuristic={
+            "kind": "process_adaptive_mix", "n_meas": 10, "n_proposals": 10,
+            "adaptive_fraction": fraction})
+        rec = run(RunConfig.from_dict(cfg))
+        assert not rec.failed
+        assert len(calls) == len(rec.steps) == 21
+
 
 class TestRisk:
     def test_curve_is_mean_of_trials(self):
@@ -638,6 +655,21 @@ class TestCli:
         pytest.param("estimate", coin_config(prior={"fiducial": "coin_uniform",
                                                     "gad_mean": "0.3"}),
                      "prior gad_mean must be a number, got '0.3'", id="string_coin_gad_mean"),
+        pytest.param("estimate", state_config(truth={
+            "kind": "explicit", "matrix": {"diag": ["0.8", "0.2"]}}),
+            "matrix spec entry must be a number, got '0.8'", id="string_in_diag"),
+        pytest.param("estimate", state_config(prior={
+            "fiducial": "ginibre", "gad_mean": {"re": [[0.9, False], [0, 0.1]]}}),
+            "matrix spec entry must be a number, got False", id="boolean_in_re"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, truth={
+            "kind": "kraus", "kraus": [{"diag": [1.0, "1.0"]}]}),
+            "matrix spec entry must be a number, got '1.0'", id="string_in_kraus"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, truth={"kind": "kraus", "kraus": 5}),
+                     "kraus truth needs a non-empty list of matrix specs",
+                     id="kraus_not_a_list"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, truth={"kind": "kraus"}),
+                     "kraus truth needs a non-empty list of matrix specs",
+                     id="kraus_missing"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)
