@@ -698,21 +698,23 @@ def _run_risk(config: RunConfig) -> RiskResult:
     start = time.perf_counter()
     n_threads = _threads()
 
-    def trial(i: int) -> RunRecord:
-        return _filter(config, RngStream(config.seed).child(i))
+    def trial(i: int) -> Optional[list]:
+        # Keep only the loss column, so no trial's cloud outlives it.
+        record = _filter(config, RngStream(config.seed).child(i))
+        return None if record.failed else [row["loss"] for row in record.steps]
 
     trials = range(config.n_trials)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(trial, trials))
+            columns = list(pool.map(trial, trials))
     else:
-        records = [trial(i) for i in trials]
-    good = [r for r in records if not r.failed]
-    n_failed = len(records) - len(good)
+        columns = [trial(i) for i in trials]
+    good = [c for c in columns if c is not None]
+    n_failed = len(columns) - len(good)
     if not good:
         return RiskResult(config=config.to_dict(), curve=[], per_trial=[],
                           n_failed=n_failed, wall_time=time.perf_counter() - start)
-    losses = np.array([[row["loss"] for row in r.steps] for r in good])
+    losses = np.array(good)
     curve = losses.mean(axis=0)
     return RiskResult(config=config.to_dict(), curve=[float(v) for v in curve],
                       per_trial=[[float(v) for v in row] for row in losses],

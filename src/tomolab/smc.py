@@ -21,7 +21,7 @@ from .likelihood import Datum, datum_log_likelihood
 from .priors import PriorDistribution
 from .qobj import DimensionMismatchError, OperatorBasis, VectorizedOperator
 from .randq import RngStream
-from .tracking import coin_truncate, truncate_to_choi, truncate_to_state
+from .tracking import coin_truncate, positive_definite, truncate_to_choi, truncate_to_state
 
 RANK_CUTOFF = 1e-12
 SUPPORT_RESIDUAL_TOL = 1e-8
@@ -63,7 +63,15 @@ class HypothesisSpace:
         return self.n_state_coords + self.n_hyper
 
     def project(self, locations: np.ndarray) -> np.ndarray:
-        """Project rows onto the valid set (hyper columns clamped at 0)."""
+        """Project rows onto the valid set (hyper columns clamped at 0).
+
+        State rows that are already positive definite only have their
+        trace renormalized: coordinate 0 is tr(rho)/sqrt(D) and the other
+        basis elements are traceless, so such a row is divided by
+        ``row[0] * sqrt(D)``.  The other state rows are truncated by
+        eigenvalue.  Choi rows are always truncated and then repaired to
+        trace preservation; coins are clamped to [0, 1].
+        """
         out = np.array(locations, dtype=float)
         w = self.n_state_coords
         if self.kind == "coin":
@@ -71,10 +79,11 @@ class HypothesisSpace:
         else:
             mats = self.basis.devectorize(out[:, :w])
             if self.kind == "choi":
-                mats = truncate_to_choi(mats, self.channel_dim)
+                out[:, :w] = self.basis.vectorize(truncate_to_choi(mats, self.channel_dim))
             else:
-                mats = truncate_to_state(mats)
-            out[:, :w] = self.basis.vectorize(mats)
+                valid = positive_definite(mats)
+                out[valid, :w] /= out[valid, :1] * math.sqrt(self.basis.dim)
+                out[~valid, :w] = self.basis.vectorize(truncate_to_state(mats[~valid]))
         if self.n_hyper:
             out[:, w:] = np.maximum(out[:, w:], 0.0)
         return out

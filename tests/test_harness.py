@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,23 @@ class TestRisk:
         result = run(RunConfig.from_dict(cfg))
         assert result.n_failed >= 1
         assert len(result.per_trial) == 2 - result.n_failed
+
+    def test_trials_free_their_clouds(self, monkeypatch):
+        monkeypatch.setenv("TOMOLAB_THREADS", "1")
+        filter_run = harness._filter
+        clouds = []
+
+        def tracked(config, rng):
+            alive = [i for i, ref in enumerate(clouds) if ref() is not None]
+            assert alive == [], f"trial {len(clouds)} starts with clouds {alive} alive"
+            record = filter_run(config, rng)
+            clouds.append(weakref.ref(record.final_cloud))
+            return record
+
+        monkeypatch.setattr(harness, "_filter", tracked)
+        result = run(RunConfig.from_dict(risk_config(n_trials=10)))
+        assert len(clouds) == 10
+        assert len(result.per_trial) == 10
 
     def test_written_outputs(self, tmp_path):
         result = run(RunConfig.from_dict(risk_config()))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from tomolab.likelihood import Datum, coin_design
-from tomolab.qobj import partial_trace, pauli_basis, standard_basis
+from tomolab.qobj import check_states, gell_mann_basis, partial_trace, pauli_basis, standard_basis
 from tomolab.randq import RngStream, bcsz_channels
 from tomolab.smc import HypothesisSpace, ParticleCloud, bayes_update
 from tomolab.tracking import (
@@ -15,12 +15,45 @@ from tomolab.tracking import (
     coin_truncate,
     diffuse_cloud,
     lognormal_eta_sampler,
+    positive_definite,
     tracking_bandwidth,
     truncate_to_choi,
     truncate_to_state,
 )
 
 BASIS2 = pauli_basis(1)
+
+
+class TestPositiveDefiniteScreen:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
+    def test_screen_and_projection(self, seed, dim):
+        basis = {2: pauli_basis(1), 3: gell_mann_basis(3), 4: pauli_basis(2)}[dim]
+        rng = np.random.default_rng(seed)
+        n = 60
+        g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+        u, _ = np.linalg.qr(g)
+        # Thirds of the stack: positive definite, one clearly negative
+        # eigenvalue, and positive semidefinite with one or more zeros.
+        lam = rng.uniform(0.05, 1.0, (n, dim))
+        lam[n // 3:2 * n // 3, 0] = -rng.uniform(0.01, 0.5, n // 3)
+        for row, n_zero in zip(lam[2 * n // 3:], rng.integers(1, dim, n - 2 * n // 3)):
+            row[:n_zero] = 0.0
+        lam *= rng.uniform(0.5, 2.0, (n, 1))
+        mats = np.einsum("nik,nk,njk->nij", u, lam, u.conj())
+
+        low = np.linalg.eigvalsh(mats).min(axis=1)
+        clear = np.abs(low) >= 1e-9
+        screen = positive_definite(mats)
+        assert np.array_equal(screen[clear], low[clear] > 0.0)
+
+        space = HypothesisSpace(kind="state", basis=basis)
+        rows = basis.vectorize(mats)
+        passed = positive_definite(basis.devectorize(rows))
+        out = space.project(rows)
+        for row, row_out in zip(rows[passed], out[passed]):
+            assert np.array_equal(row_out, row / (row[0] * np.sqrt(dim)))
+        check_states(basis.devectorize(out))
 
 
 class TestTruncateToState:
