@@ -20,9 +20,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOLDEN = {
     "estimate_wrong_prior": {
-        "covariance.csv": "545e20c27b82ce1a640ae676e7284c039fe00e5b6961ef46470ef1a92153ee3f",
-        "record.json": "2fa66b970e63fcef555e0566b30f9dbc6084fb9e5d5043ab637ab5b2ee5ec13c",
-        "steps.csv": "82b5dcd88142fa51573300ed81062f130913fb62a52c8e36d9ae4d113e9aec4a",
+        "covariance.csv": "da7eb20f33cc9fc3fa80dcc16a081ea50685d040f7122913e3fbecb8bcc0f956",
+        "record.json": "93b8ac68b5a038a049c617de25842f88aa432e59ab8f82087e81d2be81677085",
+        "steps.csv": "125101b296ec51c3c5d8b6006bbb892b4aec1ceb7179c9d08792e657b42d62a2",
     },
     "qpt_hadamard_mix": {
         "covariance.csv": "d74e638035e119f2a3b9bc1b1eb972ad64ccde79fb574982976d462df9b7ca88",
@@ -30,9 +30,9 @@ GOLDEN = {
         "steps.csv": "d8b687e8c68bbd3be63cd7236cd351b8d890761cafc43c39d3a08977bf44a2d1",
     },
     "risk_qutrit_matched": {
-        "record.json": "1375130307a33ed58682b2730a36c477f3c91cbebb77e83e84aa4c909929f465",
-        "risk_curve.csv": "d1f05a2b1d7276cb70a161156284ca06558f541e80bcd89be96da5dc002d66d4",
-        "trials_loss.csv": "ff5333745964ca00193628cbfcd5d9f3a59a4d007a48864e2019262fd67449a7",
+        "record.json": "f8f8aa92adc19509ac8c73a9362a758c19855ca54a801558d6099c0fb9033b56",
+        "risk_curve.csv": "f2121eb869ba69857c60ba0aa3e73d507925b898ee2d160d137f01a9f77f9604",
+        "trials_loss.csv": "1c02f9b8763ed26040f7335f67458ed8db65b99ffb5e530058977e8928f6a2ac",
     },
     "sample_ginibre_qutrit": {
         "samples.csv": "3f0ef10d6d7408445d240c2256ab1ae40e73dd997e8702b6debecb7257277943",
