@@ -51,8 +51,7 @@ class TestPositiveDefiniteScreen:
         rows = basis.vectorize(mats)
         passed = positive_definite(basis.devectorize(rows))
         out = space.project(rows)
-        for row, row_out in zip(rows[passed], out[passed]):
-            assert np.array_equal(row_out, row / (row[0] * np.sqrt(dim)))
+        assert np.array_equal(out[passed], rows[passed] / (rows[passed, :1] * np.sqrt(dim)))
         check_states(basis.devectorize(out))
 
 
