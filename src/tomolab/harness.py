@@ -96,11 +96,17 @@ def _numbers(spec, ndim: int) -> np.ndarray:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; strings and booleans
-    are config errors, not silently converted."""
+    """``value`` as a float if it is a finite JSON number; strings,
+    booleans, NaN and infinities are config errors, not silently converted."""
     if type(value) not in (int, float):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 _hints = lru_cache(maxsize=None)(get_type_hints)
@@ -352,9 +358,11 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
         raise ConfigError(f"bad {spec.fiducial} prior: {err}") from err
 
 
-def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
+def resolve_truth(spec: TruthSpec, prior: PriorDistribution,
+                  truth_prior: Optional[PriorDistribution], model: str,
                   dim: int, rng: RngStream) -> np.ndarray:
-    """Coordinates of the true state, channel, or coin."""
+    """Coordinates of the true state, channel, or coin; ``truth_prior`` is
+    the built ``spec.prior`` of a ``from_distribution`` truth."""
     if model == "coin":
         if spec.kind == "coin":
             if spec.p is None or not 0.0 <= spec.p <= 1.0:
@@ -384,8 +392,7 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution, model: str,
     if spec.kind == "from_prior":
         return prior.sample(1, rng)[0]
     if spec.kind == "from_distribution":
-        dist = build_prior(spec.prior, model, dim)
-        return dist.sample(1, rng)[0]
+        return truth_prior.sample(1, rng)[0]
     raise ConfigError(f"truth kind {spec.kind!r} is not usable here")
 
 
@@ -439,6 +446,26 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
                 [1.0 - h.adaptive_fraction, h.adaptive_fraction], rng)
         return adaptive_rule
     raise ConfigError(f"unknown heuristic kind {h.kind!r}")
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """What a run builds from its config alone, before any trial: the
+    prior, the prior of a ``from_distribution`` truth (else None) and the
+    design rule.  Risk trials share one setup read-only."""
+
+    prior: PriorDistribution
+    truth_prior: Optional[PriorDistribution]
+    heuristic: Callable
+
+
+def _set_up(config: RunConfig) -> _Setup:
+    prior = build_prior(config.prior, config.model, config.dim)
+    heuristic = make_heuristic(config, prior)
+    truth = config.truth
+    truth_prior = (build_prior(truth.prior, config.model, config.dim)
+                   if truth.kind == "from_distribution" else None)
+    return _Setup(prior=prior, truth_prior=truth_prior, heuristic=heuristic)
 
 
 @dataclass
@@ -520,7 +547,7 @@ def _coords_list(arr) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def _make_trajectory(config: RunConfig, prior: PriorDistribution,
+def _make_trajectory(config: RunConfig, setup: _Setup,
                      truth_rng: RngStream) -> Callable[[float], np.ndarray]:
     """The truth as a function of time; constant unless the run tracks."""
     spec = config.tracking.trajectory if config.mode == "track" else {"kind": "static"}
@@ -548,8 +575,9 @@ def _make_trajectory(config: RunConfig, prior: PriorDistribution,
         return single_tone
     if kind == "diffusing_state":
         std = number("step_std")
-        start = resolve_truth(config.truth, prior, config.model, config.dim, truth_rng)
-        basis = prior.basis
+        start = resolve_truth(config.truth, setup.prior, setup.truth_prior,
+                              config.model, config.dim, truth_rng)
+        basis = setup.prior.basis
         state = {"coords": start, "t": 0.0}
 
         def diffusing(t: float) -> np.ndarray:
@@ -562,7 +590,8 @@ def _make_trajectory(config: RunConfig, prior: PriorDistribution,
             return state["coords"]
         return diffusing
     if kind == "static":
-        fixed = resolve_truth(config.truth, prior, config.model, config.dim, truth_rng)
+        fixed = resolve_truth(config.truth, setup.prior, setup.truth_prior,
+                              config.model, config.dim, truth_rng)
 
         def static(t: float) -> np.ndarray:
             return fixed
@@ -570,35 +599,41 @@ def _make_trajectory(config: RunConfig, prior: PriorDistribution,
     raise ConfigError(f"unknown trajectory kind {kind!r}")
 
 
-def _filter(config: RunConfig, root: RngStream) -> RunRecord:
+def _filter(config: RunConfig, root: RngStream, setup: _Setup,
+            losses_only: bool = False) -> RunRecord:
     """Run the SMC filter along one truth trajectory.
 
     Estimate, qpt and risk runs hold the truth fixed for
     ``n_experiments`` steps at time 0.  Track runs follow the configured
     trajectory for ``n_steps`` steps of ``dt`` and diffuse the cloud over
     each interval before its update.  Children 0-3 of ``root`` feed the
-    truth, the designs, the data and the engine.
+    truth, the designs, the data and the engine.  With ``losses_only``
+    (risk trials) each step's row holds only its loss and the summary is
+    empty; the filter itself, and so every loss, is the same.
     """
     start = time.perf_counter()
     truth_rng, design_rng, data_rng, engine_rng = (root.child(i) for i in range(4))
-    prior = build_prior(config.prior, config.model, config.dim)
-    heuristic = make_heuristic(config, prior)
-    trajectory = _make_trajectory(config, prior, truth_rng)
+    heuristic = setup.heuristic
+    trajectory = _make_trajectory(config, setup, truth_rng)
     tr = config.tracking if config.mode == "track" else None
     eta_sampler = None if tr is None else lognormal_eta_sampler(tr.eta_mean, tr.eta_log_std)
-    cloud = init_cloud(prior, config.n_particles, engine_rng, eta_sampler=eta_sampler)
+    cloud = init_cloud(setup.prior, config.n_particles, engine_rng, eta_sampler=eta_sampler)
     w = cloud.space.n_state_coords
     total_log_norm = 0.0
     n_resamples = 0
 
     def row_of(step, t, truth, n_meas, n_success, log_norm):
         est = posterior_mean_coords(cloud)
+        loss = loss_norm(est[:w], truth[:w])
+        if losses_only:
+            # The next adaptive design then builds its own covariance.
+            return {"loss": loss}, None
         cov = posterior_covariance(cloud)
         row = {
             "step": step, "time": t, "n_meas": n_meas, "n_success": n_success,
             "ess": effective_sample_size(cloud), "log_norm": log_norm,
             "cov_trace": float(np.trace(cov)),
-            "loss": loss_norm(est[:w], truth[:w]),
+            "loss": loss,
             "est": _coords_list(est),
         }
         if tr is not None:
@@ -634,23 +669,25 @@ def _filter(config: RunConfig, root: RngStream) -> RunRecord:
         row, cov = row_of(step, t, truth, exp_design.n_meas, datum.n_success, log_norm)
         rows.append(row)
         prev_t = t
-    summ = summarize(cloud, total_log_norm=total_log_norm)
-    est = posterior_mean_coords(cloud)
-    summary = {
-        "mean": _coords_list(est),
-        "covariance": [_coords_list(r) for r in summ.covariance],
-        "ess": summ.ess,
-        "total_log_norm": summ.total_log_norm,
-        "loss": loss_norm(est[:w], truth[:w]),
-        "truth": _coords_list(truth),
-        "n_resamples": n_resamples,
-    }
-    if tr is not None:
-        summary["eta_mean"] = float(est[-1])
-    elif config.model == "channel":
-        lam, comp = principal_components(summ, 1)[0]
-        summary["principal_eigenvalue"] = lam
-        summary["principal_component"] = _coords_list(comp.coords)
+    summary = {}
+    if not losses_only:
+        summ = summarize(cloud, total_log_norm=total_log_norm)
+        est = posterior_mean_coords(cloud)
+        summary = {
+            "mean": _coords_list(est),
+            "covariance": [_coords_list(r) for r in summ.covariance],
+            "ess": summ.ess,
+            "total_log_norm": summ.total_log_norm,
+            "loss": loss_norm(est[:w], truth[:w]),
+            "truth": _coords_list(truth),
+            "n_resamples": n_resamples,
+        }
+        if tr is not None:
+            summary["eta_mean"] = float(est[-1])
+        elif config.model == "channel":
+            lam, comp = principal_components(summ, 1)[0]
+            summary["principal_eigenvalue"] = lam
+            summary["principal_component"] = _coords_list(comp.coords)
     return RunRecord(config=config.to_dict(), mode=config.mode, steps=rows,
                      summary=summary, failed=failed, failure_reason=reason,
                      wall_time=time.perf_counter() - start, final_cloud=cloud)
@@ -697,10 +734,11 @@ def _run_risk(config: RunConfig) -> RiskResult:
     """
     start = time.perf_counter()
     n_threads = _threads()
+    setup = _set_up(config)
 
     def trial(i: int) -> Optional[list]:
         # Keep only the loss column, so no trial's cloud outlives it.
-        record = _filter(config, RngStream(config.seed).child(i))
+        record = _filter(config, RngStream(config.seed).child(i), setup, losses_only=True)
         return None if record.failed else [row["loss"] for row in record.steps]
 
     trials = range(config.n_trials)
@@ -728,4 +766,4 @@ def run(config: RunConfig):
         return _run_risk(config)
     if config.mode == "sample":
         raise ConfigError(f"mode {config.mode!r} has no runner")
-    return _filter(config, RngStream(config.seed))
+    return _filter(config, RngStream(config.seed), _set_up(config))

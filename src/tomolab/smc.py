@@ -19,9 +19,9 @@ import numpy as np
 
 from .likelihood import Datum, datum_log_likelihood
 from .priors import PriorDistribution
-from .qobj import DimensionMismatchError, OperatorBasis, VectorizedOperator
+from .qobj import DimensionMismatchError, OperatorBasis, VectorizedOperator, positive_definite
 from .randq import RngStream
-from .tracking import coin_truncate, positive_definite, truncate_to_choi, truncate_to_state
+from .tracking import coin_truncate, truncate_to_choi, truncate_to_state
 
 RANK_CUTOFF = 1e-12
 SUPPORT_RESIDUAL_TOL = 1e-8
@@ -104,7 +104,7 @@ class ParticleCloud:
             raise DimensionMismatchError("locations and weights do not align")
         if loc.shape[1] != self.space.n_coords:
             raise DimensionMismatchError("row width does not match the hypothesis space")
-        if w.min() < 0.0 or abs(w.sum() - 1.0) > 1e-9:
+        if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be nonnegative and sum to one")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", w)

@@ -45,24 +45,6 @@ def truncate_to_state(matrix) -> np.ndarray:
     return out[0] if single else out
 
 
-def positive_definite(mats) -> np.ndarray:
-    """Which matrices of an (n, D, D) Hermitian stack are positive definite.
-
-    Sylvester's criterion through Schur complements: eliminate one pivot
-    at a time (an LDL^H factorization without pivoting) and require every
-    pivot to be positive.  Costs D rank-one updates of the stack, far
-    less than an eigendecomposition.
-    """
-    a = np.array(mats, dtype=complex)
-    ok = np.ones(a.shape[0], dtype=bool)
-    for k in range(a.shape[-1]):
-        pivot = a[:, k, k].real
-        ok &= pivot > 0.0
-        safe = np.where(ok, pivot, 1.0)
-        a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, None] * (a[:, None, k, k + 1:] / safe[:, None, None])
-    return ok
-
-
 def truncate_to_choi(matrix, channel_dim: int) -> np.ndarray:
     """Project onto valid Choi states: truncation plus a trace-preservation
     repair that rescales the input marginal back to I/D."""

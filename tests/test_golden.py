@@ -99,3 +99,29 @@ def test_qpt_outputs_at_other_seeds(kind, seed, tmp_path):
     written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("record.json", "steps.csv")}
     assert written == QPT_GOLDEN[kind, seed]
+
+
+# A channel risk ensemble with adaptive designs: its trials record only
+# their losses, so the adaptive rule builds each step's covariance itself.
+# Hashes taken before risk trials stopped recording whole rows.
+RISK_ADAPTIVE_GOLDEN = {
+    "record.json": "2b8b2d27b31f950e622538aa1a35c2ca4bf1aba42c92ac5e22b8d8d58a0f26a8",
+    "risk_curve.csv": "a8e85459e3159df4fb7d4ab8c5220711fe4c44b2eac8b94336644d58666ec135",
+    "trials_loss.csv": "5eeeb4729cbd53ebe23ecceff22abeaee879c52d8af865d96360975ad1cc3a13",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_adaptive_channel_risk_outputs(threads, tmp_path, monkeypatch):
+    monkeypatch.setenv("TOMOLAB_THREADS", threads)
+    cfg = json.loads((CONFIGS / "qpt_hadamard_mix.json").read_text(encoding="utf-8"))
+    cfg.update(mode="risk", seed=3, n_particles=300, n_experiments=40, n_trials=4,
+               truth={"kind": "from_distribution", "prior": {"fiducial": "bcsz"}})
+    cfg["heuristic"]["n_proposals"] = 20
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["risk", "--config", str(path), "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "meta.json"}
+    assert written == RISK_ADAPTIVE_GOLDEN

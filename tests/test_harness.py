@@ -20,6 +20,7 @@ from tomolab.harness import (
     PriorSpec,
     RunConfig,
     _filter,
+    _set_up,
     build_prior,
     decode_matrix,
     loss_norm,
@@ -404,8 +405,8 @@ class TestRisk:
         cfg_a = RunConfig.from_dict(risk_config())
         cfg_b = RunConfig.from_dict(risk_config(prior={"fiducial": "ginibre",
                                                        "rank": 1}))
-        rec_a = _filter(cfg_a, RngStream(cfg_a.seed).child(2))
-        rec_b = _filter(cfg_b, RngStream(cfg_b.seed).child(2))
+        rec_a = _filter(cfg_a, RngStream(cfg_a.seed).child(2), _set_up(cfg_a))
+        rec_b = _filter(cfg_b, RngStream(cfg_b.seed).child(2), _set_up(cfg_b))
         assert rec_a.summary["truth"] == rec_b.summary["truth"]
         outcomes_a = [row["n_success"] for row in rec_a.steps]
         outcomes_b = [row["n_success"] for row in rec_b.steps]
@@ -414,8 +415,8 @@ class TestRisk:
 
     def test_trials_differ(self):
         cfg = RunConfig.from_dict(risk_config())
-        t0 = _filter(cfg, RngStream(cfg.seed).child(0))
-        t1 = _filter(cfg, RngStream(cfg.seed).child(1))
+        t0 = _filter(cfg, RngStream(cfg.seed).child(0), _set_up(cfg))
+        t1 = _filter(cfg, RngStream(cfg.seed).child(1), _set_up(cfg))
         assert t0.summary["truth"] != t1.summary["truth"]
 
     def test_deterministic(self):
@@ -447,10 +448,10 @@ class TestRisk:
         filter_run = harness._filter
         clouds = []
 
-        def tracked(config, rng):
+        def tracked(*args, **kwargs):
             alive = [i for i, ref in enumerate(clouds) if ref() is not None]
             assert alive == [], f"trial {len(clouds)} starts with clouds {alive} alive"
-            record = filter_run(config, rng)
+            record = filter_run(*args, **kwargs)
             clouds.append(weakref.ref(record.final_cloud))
             return record
 
@@ -458,6 +459,52 @@ class TestRisk:
         result = run(RunConfig.from_dict(risk_config(n_trials=10)))
         assert len(clouds) == 10
         assert len(result.per_trial) == 10
+
+    @pytest.mark.parametrize("cfg", [
+        risk_config(),
+        dict(TestQpt.CONFIG, mode="risk", n_trials=2,
+             truth={"kind": "from_distribution", "prior": {"fiducial": "bcsz"}},
+             heuristic={"kind": "process_adaptive_mix", "n_meas": 10,
+                        "n_proposals": 10, "adaptive_fraction": 0.8}),
+    ], ids=["state", "channel_adaptive"])
+    def test_loss_only_trial_matches_full_rows(self, cfg):
+        config = RunConfig.from_dict(cfg)
+        for i in range(2):
+            full = _filter(config, RngStream(config.seed).child(i), _set_up(config))
+            lean = _filter(config, RngStream(config.seed).child(i), _set_up(config),
+                           losses_only=True)
+            assert lean.steps == [{"loss": row["loss"]} for row in full.steps]
+            assert lean.failed is full.failed is False
+            assert np.array_equal(lean.final_cloud.locations, full.final_cloud.locations)
+
+    def test_setup_is_built_once_per_run(self, monkeypatch):
+        counts = {"build_prior": 0, "make_heuristic": 0}
+        for name in counts:
+            original = getattr(harness, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        seen = []
+        for n_trials in (1, 4):
+            counts.update(dict.fromkeys(counts, 0))
+            run(RunConfig.from_dict(risk_config(n_trials=n_trials)))
+            seen.append(dict(counts))
+        # The prior and the truth distribution's prior, and one rule.
+        assert seen == [{"build_prior": 2, "make_heuristic": 1}] * 2
+
+    def test_non_adaptive_risk_builds_no_covariance(self, monkeypatch):
+        calls = []
+        original = harness.posterior_covariance
+
+        def counted(cloud):
+            calls.append(None)
+            return original(cloud)
+        monkeypatch.setattr(harness, "posterior_covariance", counted)
+        result = run(RunConfig.from_dict(risk_config()))
+        assert result.n_failed == 0 and len(result.per_trial) == 3
+        assert calls == []
 
     def test_written_outputs(self, tmp_path):
         result = run(RunConfig.from_dict(risk_config()))
@@ -688,6 +735,15 @@ class TestCli:
         pytest.param("qpt", dict(TestQpt.CONFIG, truth={"kind": "kraus"}),
                      "kraus truth needs a non-empty list of matrix specs",
                      id="kraus_missing"),
+        pytest.param("estimate", state_config(truth={
+            "kind": "explicit", "matrix": {"diag": [math.nan, 1.0]}}),
+            "matrix spec entry must be finite, got nan", id="nan_in_diag"),
+        pytest.param("track", track_config(tracking=dict(
+            track_config()["tracking"], trajectory={"kind": "two_tone_coin",
+                                                    "f1": math.nan, "f2": 0.02})),
+            "'f1' must be finite, got nan", id="nan_trajectory_f1"),
+        pytest.param("estimate", state_config(resample_a=math.inf),
+                     "resample_a must be finite, got inf", id="infinite_resample_a"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian, random_projector, random_state_matrix
 from tomolab.qobj import (
     MARGINAL_FLOOR,
+    PSD_TOL,
     STACK_PATH_MIN,
     ChoiState,
     DensityOperator,
@@ -381,6 +382,97 @@ class TestValidation:
             check_states(stack, channel_dim=2)
         with pytest.raises(InvalidOperatorError, match="trace preserving"):
             ChoiState(matrix=stack[1], dim_in=2, dim_out=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        stack = np.stack([I2 / 2] * 3).astype(complex)
+        stack[1, 0, 1] = stack[1, 1, 0] = bad
+        for checked in (stack, np.full((1, 2, 2), bad)):
+            with pytest.raises(InvalidOperatorError, match="non-finite"):
+                check_states(checked)
+        with pytest.raises(InvalidOperatorError, match="non-finite"):
+            DensityOperator(matrix=stack[1])
+        with pytest.raises(InvalidOperatorError, match="non-finite"):
+            ChoiState(matrix=np.full((4, 4), bad), dim_in=2, dim_out=2)
+        with pytest.raises(InvalidOperatorError):
+            Effect(matrix=stack[1])
+        with pytest.raises(InvalidOperatorError):
+            Effect(matrix=np.diag([bad, 0.5]))
+
+    def test_effect_with_nan_bound_rejected(self):
+        with pytest.raises(InvalidOperatorError, match="upper bound"):
+            Effect(matrix=I2 / 2, upper=float("nan"))
+
+    # The positivity decision of check_states before the pivot screen.
+    @staticmethod
+    def eigvalsh_rejects(stack) -> bool:
+        return bool(np.linalg.eigvalsh(stack).min() < -PSD_TOL)
+
+    @staticmethod
+    def spectrum_row(rng, dim):
+        """A unit-trace Hermitian matrix: positive definite, rank deficient,
+        or with lambda_min = +-(1e-12 .. 1e-8)."""
+        kind = rng.integers(3)
+        lam = rng.uniform(0.05, 1.0, dim)
+        if kind == 1:
+            lam[:rng.integers(1, dim)] = 0.0
+        lam /= lam.sum()
+        if kind == 2:
+            lam[0] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -8.0)
+            lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u, _ = np.linalg.qr(g)
+        return (u * lam) @ u.conj().T
+
+    @staticmethod
+    def choi_row(rng):
+        """A trace-preserving unit-trace Choi matrix on the 4-dim space: a
+        unitary channel (rank one), its mix with the depolarizing channel,
+        or the unitary channel plus +-(1e-12 .. 1e-8) X (x) Y with Y
+        traceless, which keeps both marginal and trace."""
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u, _ = np.linalg.qr(g)
+        v = u.T.reshape(-1)
+        j = np.outer(v, v.conj()) / 2.0
+        kind = rng.integers(3)
+        if kind == 1:
+            p = rng.uniform(0.05, 1.0)
+            j = (1.0 - p) * j + p * np.eye(4) / 4.0
+        elif kind == 2:
+            y = random_hermitian(rng, 2)
+            y -= np.trace(y).real / 2.0 * I2
+            kick = np.kron(random_hermitian(rng, 2), y)
+            size = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -8.0)
+            j = j + size * kick / np.abs(kick).max()
+        return j
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           case=st.sampled_from([(2, None), (3, None), (4, None), (4, 2)]),
+           near_hermitian=st.booleans())
+    def test_screened_check_decides_as_eigvalsh(self, seed, case, near_hermitian):
+        dim, channel_dim = case
+        rng = np.random.default_rng(seed)
+        # Stacks this long take the screen.
+        stack = np.stack([self.spectrum_row(rng, dim) if channel_dim is None
+                          else self.choi_row(rng) for _ in range(STACK_PATH_MIN)])
+        if near_hermitian:
+            # Off-diagonal entries off by up to 1e-11 from Hermitian.
+            noise = rng.uniform(-1.0, 1.0, stack.shape) + 1j * rng.uniform(-1.0, 1.0, stack.shape)
+            stack = stack + 7e-12 * noise * (1.0 - np.eye(dim))
+
+        def rejects(checked) -> bool:
+            try:
+                check_states(checked, channel_dim=channel_dim)
+            except InvalidOperatorError as err:
+                assert "positive semidefinite" in str(err)
+                return True
+            return False
+
+        for i in range(len(stack)):
+            copies = np.repeat(stack[i:i + 1], STACK_PATH_MIN, axis=0)
+            assert rejects(copies) == self.eigvalsh_rejects(stack[i:i + 1]), i
+        assert rejects(stack) == self.eigvalsh_rejects(stack)
 
     def test_immutability(self):
         rho = DensityOperator(matrix=I2 / 2)

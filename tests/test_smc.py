@@ -68,6 +68,12 @@ class TestInitCloud:
         assert cloud.space.kind == "state"
         assert np.abs(cloud.locations[:, 0] - 1 / np.sqrt(2)).max() < 1e-12
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0],
+                                         [-0.5, 1.5], [0.5, 0.6]])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="nonnegative and sum to one"):
+            coin_cloud([0.2, 0.7], weights=weights)
+
     def test_hyperparameter_column(self):
         cloud = init_cloud(ginibre_prior(2), 16, RngStream(7),
                            eta_sampler=lambda n, rng: np.full(n, 0.01))

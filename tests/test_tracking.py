@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from tomolab.likelihood import Datum, coin_design
-from tomolab.qobj import check_states, gell_mann_basis, partial_trace, pauli_basis, standard_basis
+from tomolab.qobj import (
+    check_states,
+    gell_mann_basis,
+    partial_trace,
+    pauli_basis,
+    positive_definite,
+    standard_basis,
+)
 from tomolab.randq import RngStream, bcsz_channels
 from tomolab.smc import HypothesisSpace, ParticleCloud, bayes_update
 from tomolab.tracking import (
@@ -15,7 +22,6 @@ from tomolab.tracking import (
     coin_truncate,
     diffuse_cloud,
     lognormal_eta_sampler,
-    positive_definite,
     tracking_bandwidth,
     truncate_to_choi,
     truncate_to_state,
