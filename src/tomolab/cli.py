@@ -8,7 +8,9 @@ with modes ``estimate``, ``qpt``, ``track``, ``risk``, and ``sample``.
     tomolab sample --prior ginibre --dim 3 --rank 2 --n 1000 --seed 7 --out draws
 
 Exit codes: 0 success, 2 configuration error, 3 heralded inference
-failure.  ``TOMOLAB_THREADS`` caps worker threads for risk ensembles.
+failure.  ``TOMOLAB_THREADS`` sets the number of forked worker processes
+for risk ensembles, capped by the trial count and by the CPUs the process
+may run on; it never changes the results.
 """
 
 from __future__ import annotations

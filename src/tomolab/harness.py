@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -309,13 +308,17 @@ def loss_norm(est_coords, true_coords) -> float:
     return math.sqrt(quadratic_loss(est_coords, true_coords))
 
 
-def _threads() -> int:
+def _workers(n_trials: int) -> int:
+    """Worker processes for a risk ensemble: ``TOMOLAB_THREADS``, capped by
+    the trial count and by the CPUs this process may run on."""
     raw = os.environ.get("TOMOLAB_THREADS", "1")
     try:
         n = int(raw)
     except ValueError as err:
         raise ConfigError(f"TOMOLAB_THREADS must be an integer, got {raw!r}") from err
-    return max(1, n)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(n, n_trials, cpus))
 
 
 def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
@@ -516,9 +519,10 @@ class RunRecord:
         return out
 
 
-def _write_meta(out: Path, wall_time: float) -> None:
+def _write_meta(out: Path, wall_time: float, **facts) -> None:
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"wall_time_s": wall_time, "out_dir": out.as_posix()}, fh, indent=2)
+        json.dump({"wall_time_s": wall_time, "out_dir": out.as_posix(), **facts},
+                  fh, indent=2)
 
 
 def _write_csv(path: Path, rows: list) -> None:
@@ -608,8 +612,8 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     trajectory for ``n_steps`` steps of ``dt`` and diffuse the cloud over
     each interval before its update.  Children 0-3 of ``root`` feed the
     truth, the designs, the data and the engine.  With ``losses_only``
-    (risk trials) each step's row holds only its loss and the summary is
-    empty; the filter itself, and so every loss, is the same.
+    (risk trials) each step's row holds only its loss and the summary only
+    the resample count; the filter itself, and so every loss, is the same.
     """
     start = time.perf_counter()
     truth_rng, design_rng, data_rng, engine_rng = (root.child(i) for i in range(4))
@@ -669,19 +673,18 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
         row, cov = row_of(step, t, truth, exp_design.n_meas, datum.n_success, log_norm)
         rows.append(row)
         prev_t = t
-    summary = {}
+    summary = {"n_resamples": n_resamples}
     if not losses_only:
         summ = summarize(cloud, total_log_norm=total_log_norm)
         est = posterior_mean_coords(cloud)
-        summary = {
+        summary.update({
             "mean": _coords_list(est),
             "covariance": [_coords_list(r) for r in summ.covariance],
             "ess": summ.ess,
             "total_log_norm": summ.total_log_norm,
             "loss": loss_norm(est[:w], truth[:w]),
             "truth": _coords_list(truth),
-            "n_resamples": n_resamples,
-        }
+        })
         if tr is not None:
             summary["eta_mean"] = float(est[-1])
         elif config.model == "channel":
@@ -702,6 +705,8 @@ class RiskResult:
     per_trial: list
     n_failed: int
     wall_time: float = 0.0
+    workers: int = 1
+    n_resamples: int = 0
 
     def to_json(self) -> str:
         payload = {"config": self.config, "curve": self.curve,
@@ -712,7 +717,8 @@ class RiskResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "record.json").write_text(self.to_json(), encoding="utf-8")
-        _write_meta(out, self.wall_time)
+        _write_meta(out, self.wall_time, workers=self.workers,
+                    n_resamples=self.n_resamples)
         steps = np.arange(len(self.curve))
         np.savetxt(out / "risk_curve.csv",
                    np.column_stack([steps, np.asarray(self.curve)]),
@@ -720,6 +726,27 @@ class RiskResult:
         np.savetxt(out / "trials_loss.csv", np.asarray(self.per_trial),
                    delimiter=",")
         return out
+
+
+def _risk_trial(config: RunConfig, setup: _Setup, i: int) -> tuple:
+    """Trial ``i``'s loss column, or None if it heralded a failure, and its
+    resample count.  Only these cross back from a worker process, so no
+    trial's cloud outlives it."""
+    record = _filter(config, RngStream(config.seed).child(i), setup, losses_only=True)
+    losses = None if record.failed else [row["loss"] for row in record.steps]
+    return losses, record.summary["n_resamples"]
+
+
+_worker_run = None  # (config, setup) of the ensemble, in a risk worker process
+
+
+def _keep_run(config: RunConfig, setup: _Setup) -> None:
+    global _worker_run
+    _worker_run = (config, setup)
+
+
+def _worker_trial(i: int) -> tuple:
+    return _risk_trial(*_worker_run, i)
 
 
 def _run_risk(config: RunConfig) -> RiskResult:
@@ -730,33 +757,35 @@ def _run_risk(config: RunConfig) -> RiskResult:
     and counted).  Truth, design, and data streams are functions of
     (seed, trial) only, so runs that differ in nothing but the prior see
     identical truths, designs, and data; risk comparisons across priors
-    are paired.
+    are paired, and the result does not depend on the number of workers.
     """
     start = time.perf_counter()
-    n_threads = _threads()
+    n_workers = _workers(config.n_trials)
     setup = _set_up(config)
-
-    def trial(i: int) -> Optional[list]:
-        # Keep only the loss column, so no trial's cloud outlives it.
-        record = _filter(config, RngStream(config.seed).child(i), setup, losses_only=True)
-        return None if record.failed else [row["loss"] for row in record.steps]
-
     trials = range(config.n_trials)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            columns = list(pool.map(trial, trials))
+    if n_workers > 1:
+        # Forked workers inherit the setup, whose design rule is a closure
+        # that cannot be pickled, and skip re-importing the package.  Tasks
+        # carry trial indices in chunks of two, so no worker is left with a
+        # long tail.  The pool module is imported here, not by every run.
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_keep_run, initargs=(config, setup)) as pool:
+            results = list(pool.map(_worker_trial, trials, chunksize=2))
     else:
-        columns = [trial(i) for i in trials]
-    good = [c for c in columns if c is not None]
-    n_failed = len(columns) - len(good)
-    if not good:
-        return RiskResult(config=config.to_dict(), curve=[], per_trial=[],
-                          n_failed=n_failed, wall_time=time.perf_counter() - start)
-    losses = np.array(good)
-    curve = losses.mean(axis=0)
-    return RiskResult(config=config.to_dict(), curve=[float(v) for v in curve],
-                      per_trial=[[float(v) for v in row] for row in losses],
-                      n_failed=n_failed, wall_time=time.perf_counter() - start)
+        results = [_risk_trial(config, setup, i) for i in trials]
+    good = [losses for losses, _ in results if losses is not None]
+    result = RiskResult(config=config.to_dict(), curve=[], per_trial=[],
+                        n_failed=len(results) - len(good), workers=n_workers,
+                        n_resamples=sum(n for _, n in results))
+    if good:
+        losses = np.array(good)
+        result.curve = [float(v) for v in losses.mean(axis=0)]
+        result.per_trial = [[float(v) for v in row] for row in losses]
+    result.wall_time = time.perf_counter() - start
+    return result
 
 
 def run(config: RunConfig):

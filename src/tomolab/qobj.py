@@ -377,6 +377,8 @@ class Effect:
 
     def __post_init__(self):
         arr = _as_square(self.matrix)
+        if not np.isfinite(arr).all():
+            raise InvalidOperatorError("effect has a non-finite entry")
         _check_hermitian(arr, "effect")
         eig = np.linalg.eigvalsh(arr)
         if not eig.min() >= -PSD_TOL:

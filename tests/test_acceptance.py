@@ -210,8 +210,10 @@ def test_c06_recovery_from_a_wrong_prior():
                      f"ellipsoid {covered}/100 (need >=90), {elapsed:.0f}s")
 
 
-def test_c07_qutrit_risk_ordering():
+def test_c07_qutrit_risk_ordering(monkeypatch):
     """Risk curves order by prior quality on a qutrit ensemble."""
+    # Trials run on worker processes; records do not depend on their number.
+    monkeypatch.setenv("TOMOLAB_THREADS", "2")
     start = time.perf_counter()
 
     def risk(name):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from tomolab.harness import (
     RunConfig,
     _filter,
     _set_up,
+    _workers,
     build_prior,
     decode_matrix,
     loss_norm,
@@ -103,6 +105,10 @@ IMPOSSIBLE_DATA = {"prior": {"fiducial": "coin_uniform", "gad_mean": 2e-6},
                    "truth": {"kind": "coin", "p": 1.0},
                    "heuristic": {"kind": "coin", "n_meas": 1}}
 FAIL_CONFIG = coin_config(seed=0, n_particles=2, n_experiments=1, **IMPOSSIBLE_DATA)
+
+
+class InjectedError(RuntimeError):
+    """Raised by a patched trial step; module level, so a worker can pickle it."""
 
 
 class TestLoss:
@@ -389,6 +395,11 @@ class TestQpt:
 
 
 class TestRisk:
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        # The worker cap then leaves up to three workers on any machine.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
     def test_curve_is_mean_of_trials(self):
         result = run(RunConfig.from_dict(risk_config()))
         assert result.n_failed == 0
@@ -425,23 +436,69 @@ class TestRisk:
         assert a.to_json() == b.to_json()
 
     def test_thread_count_invariance(self, monkeypatch):
+        results = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("TOMOLAB_THREADS", str(workers))
+            result = run(RunConfig.from_dict(risk_config(n_trials=5)))
+            assert result.workers == workers
+            assert multiprocessing.active_children() == []
+            results[workers] = (result.to_json(), result.per_trial)
+        assert results[1] == results[2] == results[3]
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        for raw, n_trials, expected in [("1000000", 2, 2), ("1000000", 100, 3),
+                                        ("0", 5, 1), ("-3", 5, 1), ("2", 1, 1)]:
+            monkeypatch.setenv("TOMOLAB_THREADS", raw)
+            assert _workers(n_trials) == expected
         monkeypatch.setenv("TOMOLAB_THREADS", "1")
-        serial = run(RunConfig.from_dict(risk_config(n_trials=4)))
+        serial = run(RunConfig.from_dict(risk_config(n_trials=2)))
+        monkeypatch.setenv("TOMOLAB_THREADS", "1000000")
+        capped = run(RunConfig.from_dict(risk_config(n_trials=2)))
+        assert capped.workers == 2
+        assert (capped.to_json(), capped.per_trial) == (serial.to_json(), serial.per_trial)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setenv("TOMOLAB_THREADS", "4")
-        threaded = run(RunConfig.from_dict(risk_config(n_trials=4)))
-        assert serial.to_json() == threaded.to_json()
+        assert _workers(100) == 1
 
     def test_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("TOMOLAB_THREADS", "lots")
         with pytest.raises(ConfigError):
             run(RunConfig.from_dict(risk_config()))
 
-    def test_failed_trials_counted(self):
+    def test_failed_trials_counted(self, monkeypatch):
         cfg = risk_config(model="coin", n_trials=2, n_particles=2,
                           n_experiments=1, seed=0, **IMPOSSIBLE_DATA)
-        result = run(RunConfig.from_dict(cfg))
-        assert result.n_failed >= 1
-        assert len(result.per_trial) == 2 - result.n_failed
+        seen = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TOMOLAB_THREADS", workers)
+            result = run(RunConfig.from_dict(cfg))
+            assert result.n_failed >= 1
+            assert len(result.per_trial) == 2 - result.n_failed
+            seen.append((result.n_failed, result.per_trial))
+        assert seen[0] == seen[1]
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InjectedError("injected in a trial")
+        # The forked workers inherit the patched name.
+        monkeypatch.setattr(harness, "simulate_experiment", broken)
+        monkeypatch.setenv("TOMOLAB_THREADS", "2")
+        with pytest.raises(InjectedError, match="injected in a trial"):
+            run(RunConfig.from_dict(risk_config(n_trials=4)))
+        assert multiprocessing.active_children() == []
+
+    def test_meta_records_workers_and_resamples(self, tmp_path, monkeypatch):
+        written = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("TOMOLAB_THREADS", workers)
+            out = run(RunConfig.from_dict(risk_config(n_trials=4))).write(tmp_path / workers)
+            written[workers] = (json.loads((out / "meta.json").read_text(encoding="utf-8")),
+                                (out / "record.json").read_bytes())
+        (meta_1, record_1), (meta_2, record_2) = written["1"], written["2"]
+        assert (meta_1["workers"], meta_2["workers"]) == (1, 2)
+        assert meta_1["n_resamples"] == meta_2["n_resamples"] > 0
+        assert record_1 == record_2
+        assert b"workers" not in record_1 and b"n_resamples" not in record_1
 
     def test_trials_free_their_clouds(self, monkeypatch):
         monkeypatch.setenv("TOMOLAB_THREADS", "1")

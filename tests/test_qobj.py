@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -387,17 +389,20 @@ class TestValidation:
     def test_non_finite_entries_rejected(self, bad):
         stack = np.stack([I2 / 2] * 3).astype(complex)
         stack[1, 0, 1] = stack[1, 1, 0] = bad
-        for checked in (stack, np.full((1, 2, 2), bad)):
+        with warnings.catch_warnings():
+            # Rejected before any arithmetic on the bad entry can warn.
+            warnings.simplefilter("error")
+            for checked in (stack, np.full((1, 2, 2), bad)):
+                with pytest.raises(InvalidOperatorError, match="non-finite"):
+                    check_states(checked)
             with pytest.raises(InvalidOperatorError, match="non-finite"):
-                check_states(checked)
-        with pytest.raises(InvalidOperatorError, match="non-finite"):
-            DensityOperator(matrix=stack[1])
-        with pytest.raises(InvalidOperatorError, match="non-finite"):
-            ChoiState(matrix=np.full((4, 4), bad), dim_in=2, dim_out=2)
-        with pytest.raises(InvalidOperatorError):
-            Effect(matrix=stack[1])
-        with pytest.raises(InvalidOperatorError):
-            Effect(matrix=np.diag([bad, 0.5]))
+                DensityOperator(matrix=stack[1])
+            with pytest.raises(InvalidOperatorError, match="non-finite"):
+                ChoiState(matrix=np.full((4, 4), bad), dim_in=2, dim_out=2)
+            with pytest.raises(InvalidOperatorError, match="non-finite"):
+                Effect(matrix=stack[1])
+            with pytest.raises(InvalidOperatorError, match="non-finite"):
+                Effect(matrix=np.diag([bad, 0.5]))
 
     def test_effect_with_nan_bound_rejected(self):
         with pytest.raises(InvalidOperatorError, match="upper bound"):
