@@ -148,17 +148,15 @@ def adaptive_design(effects: tuple[VectorizedOperator, ...], entries,
     """The entry of ``entries`` whose effect coordinates x in the table
     ``effects`` maximize x^T Sigma x.
 
-    Each distinct entry is scored once.  Ties resolve to the earliest
-    entry drawn.
+    Each distinct entry is scored once, all in one product.  Ties resolve
+    to the earliest entry drawn.
     """
     if len(entries) == 0:
         raise ValueError("need at least one proposal")
-    scores = {}
-    for entry in entries:
-        if entry not in scores:
-            coords = effects[entry].coords
-            scores[entry] = float(coords @ covariance @ coords)
-    return int(entries[int(np.argmax([scores[e] for e in entries]))])
+    distinct, drawn = np.unique(entries, return_inverse=True)
+    coords = np.array([effects[entry].coords for entry in distinct])
+    scores = np.einsum("ij,ij->i", coords @ covariance, coords)
+    return int(entries[int(np.argmax(scores[drawn]))])
 
 
 def scheduled_mix(heuristics, fractions, rng: RngStream) -> ExperimentDesign:

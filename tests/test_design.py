@@ -262,17 +262,22 @@ def adaptive_rule():
 
 def reference_adaptive_pick(cov, rng, n_proposals=50, n_meas=5):
     """The adaptive step as a loop: one mixture draw, then every proposal
-    built and validated on its own and scored by float(c @ cov @ c)."""
+    built and validated on its own.  The distinct proposals, in table
+    order, are scored with the rule's batched expression: a product over
+    n rows may round a row differently from a product over one."""
     states = pauli_eigenstates()
     g = rng.generator
     g.random()
-    proposals = []
+    proposals, entries = [], []
     for _ in range(n_proposals):
-        prep = DensityOperator(matrix=states[int(g.integers(0, 6))])
-        meas = Effect(matrix=states[int(g.integers(0, 6))])
-        proposals.append(process_design(prep, meas, n_meas, BASIS4))
-    scores = np.array([float(p.effect.coords @ cov @ p.effect.coords) for p in proposals])
-    return proposals, int(np.argmax(scores))
+        i, j = int(g.integers(0, 6)), int(g.integers(0, 6))
+        proposals.append(process_design(DensityOperator(matrix=states[i]),
+                                        Effect(matrix=states[j]), n_meas, BASIS4))
+        entries.append(6 * i + j)
+    distinct = sorted(set(entries))
+    coords = np.array([proposals[entries.index(e)].effect.coords for e in distinct])
+    scores = dict(zip(distinct, np.einsum("ij,ij->i", coords @ cov, coords)))
+    return proposals, int(np.argmax([scores[e] for e in entries]))
 
 
 def cyclic_relabellings():
@@ -357,6 +362,27 @@ class TestAdaptiveRule:
         for step in range(2, 22):
             rule(step, cloud, rng)
         assert checks == []
+
+    def test_exact_ties_go_to_the_earliest_entry_drawn(self):
+        effects = process_effects(BASIS4)
+        rng = np.random.default_rng(79)
+        for _ in range(50):
+            entries = rng.integers(0, 36, size=50)
+            assert adaptive_design(effects, entries, np.zeros((16, 16))) == entries[0]
+        # Preparations +X and -X with one measurement: their coordinates
+        # differ only in sign, so a diagonal covariance scores them equal.
+        plus, minus = 6 * 0 + 4, 6 * 1 + 4
+        assert np.array_equal(np.abs(effects[plus].coords), np.abs(effects[minus].coords))
+        cov = np.diag(rng.random(16) + 0.5)
+        coords = np.array([e.coords for e in effects])
+        scores = np.einsum("ij,ij->i", coords @ cov, coords)
+        assert scores[plus] == scores[minus]
+        weak = int(np.argmin(scores))
+        assert scores[weak] < scores[plus]
+        for drawn, pick in (([weak, plus, minus], plus), ([weak, minus, plus], minus),
+                            ([minus, weak, plus, minus], minus),
+                            ([weak, weak, plus, weak, minus, plus], plus)):
+            assert adaptive_design(effects, np.array(drawn), cov) == pick, drawn
 
 
 class TestBatchedDraws:

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tomolab
 from tomolab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -125,3 +129,40 @@ def test_adaptive_channel_risk_outputs(threads, tmp_path, monkeypatch):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir() if p.name != "meta.json"}
     assert written == RISK_ADAPTIVE_GOLDEN
+
+
+# Records must not depend on the BLAS thread count.  OpenBLAS reads
+# OPENBLAS_NUM_THREADS when numpy loads, so each count runs in its own
+# process.  With 2000 particles the basis products of prior draws and
+# projections are large enough for OpenBLAS to split them over two
+# threads; both runs resample a few times.
+BLAS_THREAD_CONFIGS = {
+    "qpt_adaptive": dict(
+        json.loads((CONFIGS / "qpt_hadamard_mix.json").read_text(encoding="utf-8")),
+        seed=1, n_particles=2000, n_experiments=200),
+    "estimate_qutrit": {
+        "mode": "estimate", "seed": 11, "model": "state", "dim": 3,
+        "prior": {"fiducial": "ginibre", "gad_mean": {"diag": [0.9, 0.05, 0.05]}},
+        "truth": {"kind": "from_distribution", "prior": {"fiducial": "ginibre"}},
+        "heuristic": {"kind": "stabilizer_qutrit", "n_meas": 20},
+        "n_particles": 2000, "n_experiments": 40,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLAS_THREAD_CONFIGS))
+def test_records_do_not_depend_on_blas_threads(name, tmp_path):
+    cfg = BLAS_THREAD_CONFIGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    src_dir = str(Path(tomolab.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src_dir)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tomolab", cfg["mode"], "--config", str(path),
+             "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        written.append({n: (out / n).read_bytes() for n in ("record.json", "steps.csv")})
+    assert written[0] == written[1]

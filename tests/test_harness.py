@@ -864,19 +864,21 @@ class TestCli:
     def test_sample_config_matches_one_draw_at_a_time(self, tmp_path):
         # The batched draw writes the bytes of the earlier loop of single
         # Ginibre draws: each consumes its real, then imaginary, normals.
+        # The states are vectorized in one call, as the sampler does: a
+        # product over one row may round it differently from one over n.
         path = CONFIGS / "sample_ginibre_qutrit.json"
         assert main(["sample", "--config", str(path), "--out", str(tmp_path / "batch")]) == 0
         cfg = json.loads(path.read_text(encoding="utf-8"))
         dim, rank = cfg["dim"], cfg["prior"]["rank"]
         basis = gell_mann_basis(dim)
         stream = RngStream(cfg["seed"])
-        rows = []
+        states = []
         for _ in range(100):
             block = stream.generator.standard_normal((2, dim, rank))
             a = block[0] + 1j * block[1]
             rho = a @ a.conj().T
-            rows.append(basis.vectorize(rho / np.trace(rho).real))
-        np.savetxt(tmp_path / "loop.csv", np.stack(rows), delimiter=",",
+            states.append(rho / np.trace(rho).real)
+        np.savetxt(tmp_path / "loop.csv", basis.vectorize(np.stack(states)), delimiter=",",
                    header=",".join(basis.labels), comments="")
         assert ((tmp_path / "batch" / "samples.csv").read_bytes()
                 == (tmp_path / "loop.csv").read_bytes())

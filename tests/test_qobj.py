@@ -11,7 +11,7 @@ from conftest import random_hermitian, random_projector, random_state_matrix
 from tomolab.qobj import (
     MARGINAL_FLOOR,
     PSD_TOL,
-    STACK_PATH_MIN,
+    SCREEN_MIN_ROWS,
     ChoiState,
     DensityOperator,
     DimensionMismatchError,
@@ -150,14 +150,6 @@ class TestVectorization:
         assert np.abs(vec.matrix() - I2 / 2).max() < 1e-12
 
 
-def same_bits(a, b):
-    """Equal shape, dtype and memory layout, and equal bit for bit."""
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype and a.strides == b.strides
-            and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                               np.ascontiguousarray(b).view(np.uint64)))
-
-
 def einsum_restore_trace_preservation(stack, d):
     """restore_trace_preservation written with np.einsum throughout."""
     n = stack.shape[0]
@@ -170,39 +162,58 @@ def einsum_restore_trace_preservation(stack, d):
     return out / np.einsum("nii->n", out).real[:, None, None]
 
 
-class TestStackPaths:
-    """Long stacks take stack-last loops that must equal the einsum
-    expressions bit for bit, so recorded runs do not change."""
+def assert_close(got, want, tol=1e-14):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max(initial=0.0) <= tol
 
-    @pytest.mark.parametrize("basis", [pauli_basis(1), pauli_basis(2), pauli_basis(3),
-                                       gell_mann_basis(3), gell_mann_basis(4)],
-                             ids=lambda b: b.name)
-    @pytest.mark.parametrize("shape", [(STACK_PATH_MIN - 1,), (STACK_PATH_MIN,), (2000,), (3, 70)])
+
+BASES = [pauli_basis(1), pauli_basis(2), pauli_basis(3), gell_mann_basis(3), gell_mann_basis(4)]
+
+
+class TestStackPaths:
+    """The stacked contractions are BLAS products; they agree with the
+    einsum expressions to rounding, for every stack size, the empty one
+    included."""
+
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.name)
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2000,), (3, 70)])
     def test_devectorize_matches_einsum(self, basis, shape):
         rng = np.random.default_rng(basis.size * 1000 + shape[-1])
         coords = rng.standard_normal(shape + (basis.size,))
         flat = coords.reshape(-1, basis.size)
         flat[:5] = 0.0
         flat[5:10, 1:] = -0.0
-        flat[10:20, 2] = 0.0
         got = basis.devectorize(coords)
-        assert same_bits(got, np.einsum("...a,aij->...ij", coords, basis.elements))
+        assert_close(got, np.einsum("...a,aij->...ij", coords, basis.elements))
         # a strided view (the state columns of a tracked cloud) as well
         wide = np.column_stack([flat, rng.random(flat.shape[0])])
-        assert same_bits(basis.devectorize(wide[:, :-1]),
-                         np.einsum("...a,aij->...ij", wide[:, :-1], basis.elements))
+        assert_close(basis.devectorize(wide[:, :-1]),
+                     np.einsum("...a,aij->...ij", wide[:, :-1], basis.elements))
+
+    @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.name)
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2000,), (3, 70)])
+    def test_vectorize_matches_einsum(self, basis, shape):
+        rng = np.random.default_rng(basis.size * 1000 + shape[-1] + 1)
+        d = basis.dim
+        x = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+        ops = x + x.conj().swapaxes(-1, -2)
+        want = np.einsum("aij,...ij->...a", basis.elements.conj(), ops).real
+        assert_close(basis.vectorize(ops), want)
+        # a strided view: every other matrix of a longer stack
+        twice = np.repeat(ops.reshape((-1, d, d)), 2, axis=0)
+        assert_close(basis.vectorize(twice[::2]), want.reshape(-1, basis.size))
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("n", [1, STACK_PATH_MIN - 1, STACK_PATH_MIN, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 1000])
     def test_restore_trace_preservation_matches_einsum(self, d, n):
         rng = np.random.default_rng(10 * d + n)
         x = rng.standard_normal((n, d * d, d * d)) + 1j * rng.standard_normal((n, d * d, d * d))
         stack = x @ x.conj().swapaxes(-1, -2)
         stack[: n // 4] = np.diag(rng.random(d * d) + 0.1)  # real, with exact zeros
         got = restore_trace_preservation(stack, d)
-        assert same_bits(got, einsum_restore_trace_preservation(stack, d))
+        assert_close(got, einsum_restore_trace_preservation(stack, d))
         marginals = partial_trace(got, (d, d), keep="first")
-        assert np.abs(marginals - np.eye(d) / d).max() < 1e-12
+        assert np.abs(marginals - np.eye(d) / d).max(initial=0.0) < 1e-12
 
 
 class TestHsInner:
@@ -460,7 +471,7 @@ class TestValidation:
         rng = np.random.default_rng(seed)
         # Stacks this long take the screen.
         stack = np.stack([self.spectrum_row(rng, dim) if channel_dim is None
-                          else self.choi_row(rng) for _ in range(STACK_PATH_MIN)])
+                          else self.choi_row(rng) for _ in range(SCREEN_MIN_ROWS)])
         if near_hermitian:
             # Off-diagonal entries off by up to 1e-11 from Hermitian.
             noise = rng.uniform(-1.0, 1.0, stack.shape) + 1j * rng.uniform(-1.0, 1.0, stack.shape)
@@ -475,7 +486,7 @@ class TestValidation:
             return False
 
         for i in range(len(stack)):
-            copies = np.repeat(stack[i:i + 1], STACK_PATH_MIN, axis=0)
+            copies = np.repeat(stack[i:i + 1], SCREEN_MIN_ROWS, axis=0)
             assert rejects(copies) == self.eigvalsh_rejects(stack[i:i + 1]), i
         assert rejects(stack) == self.eigvalsh_rejects(stack)
 
