@@ -398,16 +398,15 @@ def restore_trace_preservation(stack, channel_dim: int) -> np.ndarray:
     """
     d = int(channel_dim)
     n = stack.shape[0]
-    resh = stack.reshape(n, d, d, d, d)
-    marginal = np.einsum("nabcb->nac", resh)
-    lam, vecs = np.linalg.eigh(marginal)
+    lam, vecs = np.linalg.eigh(partial_trace(stack, (d, d), keep="first"))
     lam = np.maximum(lam, MARGINAL_FLOOR)
     # (D * Y)^(-1/2), so the repaired marginal is exactly I/D.
     inv_sqrt = np.einsum("nik,nk,njk->nij", vecs, 1.0 / np.sqrt(d * lam), vecs.conj())
     lift = np.einsum("nxa,bc->nxbac", inv_sqrt, np.eye(d)).reshape(n, d * d, d * d)
-    out = lift @ stack @ lift.conj().swapaxes(-1, -2)
-    traces = np.einsum("nii->n", out).real
-    return out / traces[:, None, None]
+    out = lift @ stack
+    out = out @ np.conjugate(lift, out=lift).swapaxes(-1, -2)  # lift^dag, in place
+    out /= np.einsum("nii->n", out).real[:, None, None]
+    return out
 
 
 def choi_of_channel(kraus_ops: Sequence[np.ndarray]) -> ChoiState:

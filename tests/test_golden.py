@@ -5,11 +5,10 @@ A refactor of the run path must leave them unchanged; a change that
 alters results on purpose updates the hashes and says why.  ``meta.json``
 holds wall time and the output directory, so it is not compared.
 
-Every record but track_two_tone's was last re-pinned when the basis
-products, the Choi trace-preservation repair and the adaptive scores
-became BLAS products: BLAS sums in a different order than np.einsum, so
-the last bits of coordinates and scores moved.  The coin tracker takes
-none of those products, so its record kept its bytes.
+The hashes hold for one numpy and BLAS build: basis coordinates, the
+Choi trace-preservation repair and the adaptive scores are BLAS
+products, and another build may sum them in another order.  They do not
+depend on the BLAS thread count (checked at the end of this file).
 """
 
 from __future__ import annotations
