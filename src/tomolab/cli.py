@@ -52,21 +52,19 @@ def _sample(args) -> int:
         config = RunConfig.from_json_file(args.config)
         if config.prior is None:
             raise ConfigError("sample config needs a prior spec")
-        prior = build_prior(config.prior, config.model, config.dim)
-        seed = config.seed if args.seed is None else args.seed
-        out_dir = args.out or config.out_dir or "."
     else:
         if args.prior is None:
             raise ConfigError("sample needs --prior or --config")
         model = {"bcsz": "channel", "coin_uniform": "coin"}.get(args.prior, "state")
-        prior = build_prior(PriorSpec(fiducial=args.prior, rank=args.rank),
-                            model, args.dim)
-        seed = 0 if args.seed is None else args.seed
-        out_dir = args.out or "."
+        config = RunConfig(mode="sample", seed=0, model=model, dim=args.dim,
+                           prior=PriorSpec(fiducial=args.prior, rank=args.rank))
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    prior = build_prior(config.prior, config.model, config.dim)
     if args.n < 1:
         raise ConfigError("--n must be positive")
-    rows = prior.sample(args.n, RngStream(seed))
-    out = Path(out_dir)
+    rows = prior.sample(args.n, RngStream(config.seed))
+    out = Path(args.out or config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     labels = ("p",) if prior.basis is None else prior.basis.labels
     path = out / "samples.csv"

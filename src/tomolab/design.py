@@ -61,12 +61,11 @@ def pauli_effects(n_qubits: int) -> tuple[VectorizedOperator, ...]:
                  for element in basis.elements)
 
 
-def random_pauli_design(n_qubits: int, n_meas: int, rng: RngStream,
-                        time: float = 0.0) -> ExperimentDesign:
+def random_pauli_design(n_qubits: int, n_meas: int, rng: RngStream) -> ExperimentDesign:
     """Uniformly random non-identity Pauli string P, measured as (I + P)/2."""
     effects = pauli_effects(n_qubits)
     idx = int(rng.generator.integers(1, len(effects)))
-    return ExperimentDesign(effect=effects[idx], n_meas=n_meas, time=time)
+    return ExperimentDesign(effect=effects[idx], n_meas=n_meas)
 
 
 @lru_cache(maxsize=1)
@@ -98,12 +97,11 @@ def stabilizer_qutrit_effects() -> tuple[VectorizedOperator, ...]:
                  for ket in qutrit_stabilizer_states())
 
 
-def random_stabilizer_qutrit_design(n_meas: int, rng: RngStream,
-                                    time: float = 0.0) -> ExperimentDesign:
+def random_stabilizer_qutrit_design(n_meas: int, rng: RngStream) -> ExperimentDesign:
     """Rank-one projector onto a uniformly random qutrit stabilizer state."""
     effects = stabilizer_qutrit_effects()
     idx = int(rng.generator.integers(0, len(effects)))
-    return ExperimentDesign(effect=effects[idx], n_meas=n_meas, time=time)
+    return ExperimentDesign(effect=effects[idx], n_meas=n_meas)
 
 
 @lru_cache(maxsize=1)
@@ -135,12 +133,12 @@ def process_entries(n: int, rng: RngStream) -> np.ndarray:
     return 6 * drawn[0::2] + drawn[1::2]
 
 
-def random_process_design(n_meas: int, rng: RngStream, basis: OperatorBasis,
-                          time: float = 0.0) -> ExperimentDesign:
+def random_process_design(n_meas: int, rng: RngStream,
+                          basis: OperatorBasis) -> ExperimentDesign:
     """Random composite design for qubit process tomography: a uniformly
     random preparation, then measurement, among the Pauli eigenstates."""
     return ExperimentDesign(effect=process_effects(basis)[process_entries(1, rng)[0]],
-                            n_meas=n_meas, time=time)
+                            n_meas=n_meas)
 
 
 def adaptive_design(effects: tuple[VectorizedOperator, ...], entries,
@@ -158,18 +156,3 @@ def adaptive_design(effects: tuple[VectorizedOperator, ...], entries,
     scores = np.einsum("ij,ij->i", coords @ covariance, coords)
     return int(entries[int(np.argmax(scores[drawn]))])
 
-
-def scheduled_mix(heuristics, fractions, rng: RngStream) -> ExperimentDesign:
-    """Draw one sub-heuristic by its fraction and emit its design.
-
-    ``heuristics`` are zero-argument callables returning a design.
-    """
-    fractions = np.asarray(fractions, dtype=float)
-    if len(heuristics) != fractions.shape[0] or fractions.shape[0] == 0:
-        raise ValueError("heuristics and fractions must align")
-    if fractions.min() < 0.0 or abs(fractions.sum() - 1.0) > 1e-9:
-        raise ValueError("fractions must be nonnegative and sum to one")
-    u = rng.generator.random()
-    idx = int(np.searchsorted(np.cumsum(fractions), u, side="right"))
-    idx = min(idx, len(heuristics) - 1)
-    return heuristics[idx]()

@@ -89,6 +89,8 @@ def _numbers(spec, ndim: int) -> np.ndarray:
         if isinstance(value, list):
             raise ConfigError("matrix spec rows must be equal in length")
         _number(value, "matrix spec entry")
+    if arr.size == 0:
+        raise ConfigError("matrix spec must not be empty")
     if arr.ndim != ndim:
         raise ConfigError(f"matrix spec must have {ndim} dimension(s)")
     return arr.astype(float)
@@ -169,6 +171,8 @@ class PriorSpec:
             raise ConfigError(f"unknown fiducial prior {self.fiducial!r}")
         if self.rank is not None and self.rank < 1:
             raise ConfigError(f"prior rank must be a positive integer, got {self.rank!r}")
+        if self.rank is not None and self.fiducial in ("bures", "coin_uniform"):
+            raise ConfigError(f"{self.fiducial} prior takes no rank")
 
 
 @dataclass(frozen=True)
@@ -286,21 +290,15 @@ class RunConfig:
         return out
 
 
-def quadratic_loss(est_coords, true_coords, q: Optional[np.ndarray] = None) -> float:
-    """Quadratic loss (x_est - x_true)^T Q (x_est - x_true).
-
-    With the default identity Q this is the squared coordinate 2-norm,
-    i.e. Tr[(rho_est - rho_true)**2] for states in an orthonormal basis.
+def quadratic_loss(est_coords, true_coords) -> float:
+    """Quadratic loss (x_est - x_true)^T (x_est - x_true): the squared
+    coordinate 2-norm, i.e. Tr[(rho_est - rho_true)**2] for states in an
+    orthonormal basis.
     """
     delta = np.asarray(est_coords, dtype=float) - np.asarray(true_coords, dtype=float)
     if delta.ndim != 1:
         raise ValueError("coordinate vectors must be flat")
-    if q is None:
-        return float(delta @ delta)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (delta.shape[0], delta.shape[0]):
-        raise ValueError("Q must be square and match the coordinates")
-    return float(delta @ q @ delta)
+    return float(delta @ delta)
 
 
 def loss_norm(est_coords, true_coords) -> float:
@@ -400,7 +398,7 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution,
 
 
 def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
-    """Turn the declared heuristic into ``f(step, cloud, rng, time=0.0, cov=None)``;
+    """Turn the declared heuristic into ``f(step, cloud, rng, cov=None)``;
     ``cov`` is the posterior covariance of ``cloud``, computed if ``None``."""
     h = config.heuristic
     basis = prior.basis
@@ -408,45 +406,42 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
         if config.model != "coin":
             raise ConfigError("coin heuristic needs the coin model")
 
-        def coin_rule(step, cloud, rng, time=0.0, cov=None):
-            return coin_design(h.n_meas, time=time)
+        def coin_rule(step, cloud, rng, cov=None):
+            return coin_design(h.n_meas)
         return coin_rule
     if h.kind == "random_pauli":
         n_qubits = int(math.log2(config.dim))
         if 2**n_qubits != config.dim:
             raise ConfigError("random_pauli needs a power-of-two dimension")
 
-        def pauli_rule(step, cloud, rng, time=0.0, cov=None):
-            return design_mod.random_pauli_design(n_qubits, h.n_meas, rng, time=time)
+        def pauli_rule(step, cloud, rng, cov=None):
+            return design_mod.random_pauli_design(n_qubits, h.n_meas, rng)
         return pauli_rule
     if h.kind == "stabilizer_qutrit":
         if config.dim != 3:
             raise ConfigError("stabilizer_qutrit needs dim 3")
 
-        def stab_rule(step, cloud, rng, time=0.0, cov=None):
-            return design_mod.random_stabilizer_qutrit_design(h.n_meas, rng, time=time)
+        def stab_rule(step, cloud, rng, cov=None):
+            return design_mod.random_stabilizer_qutrit_design(h.n_meas, rng)
         return stab_rule
     if h.kind in ("process_random", "process_adaptive_mix"):
         if config.model != "channel" or config.dim != 2:
             raise ConfigError("process heuristics cover single-qubit channels")
 
-        def random_rule(step, cloud, rng, time=0.0, cov=None):
-            return design_mod.random_process_design(h.n_meas, rng, basis, time=time)
+        def random_rule(step, cloud, rng, cov=None):
+            return design_mod.random_process_design(h.n_meas, rng, basis)
 
         if h.kind == "process_random":
             return random_rule
 
-        def adaptive_rule(step, cloud, rng, time=0.0, cov=None):
-            def adaptive():
-                effects = design_mod.process_effects(basis)
-                entries = design_mod.process_entries(h.n_proposals, rng)
-                sigma = posterior_covariance(cloud) if cov is None else cov
-                entry = design_mod.adaptive_design(effects, entries, sigma)
-                return ExperimentDesign(effect=effects[entry], n_meas=h.n_meas, time=time)
-
-            return design_mod.scheduled_mix(
-                [lambda: random_rule(step, cloud, rng, time=time), adaptive],
-                [1.0 - h.adaptive_fraction, h.adaptive_fraction], rng)
+        def adaptive_rule(step, cloud, rng, cov=None):
+            if rng.generator.random() < 1.0 - h.adaptive_fraction:
+                return random_rule(step, cloud, rng)
+            effects = design_mod.process_effects(basis)
+            entries = design_mod.process_entries(h.n_proposals, rng)
+            sigma = posterior_covariance(cloud) if cov is None else cov
+            entry = design_mod.adaptive_design(effects, entries, sigma)
+            return ExperimentDesign(effect=effects[entry], n_meas=h.n_meas)
         return adaptive_rule
     raise ConfigError(f"unknown heuristic kind {h.kind!r}")
 
@@ -655,7 +650,7 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     for step in range(1, n_steps + 1):
         t = step * dt
         truth = trajectory(t)
-        exp_design = heuristic(step, cloud, design_rng, time=t, cov=cov)
+        exp_design = heuristic(step, cloud, design_rng, cov=cov)
         if tr is not None:
             cloud = diffuse_cloud(cloud, t - prev_t, engine_rng)
         datum = simulate_experiment(truth, exp_design, data_rng)

@@ -28,18 +28,14 @@ from .randq import RngStream
 
 @dataclass(frozen=True)
 class ExperimentDesign:
-    """One configured experiment: an effect measured n_meas times at a
-    given clock time."""
+    """One configured experiment: an effect measured n_meas times."""
 
     effect: VectorizedOperator
     n_meas: int
-    time: float = 0.0
 
     def __post_init__(self):
         if self.n_meas < 1:
             raise ValueError("n_meas must be positive")
-        if self.time < 0.0:
-            raise ValueError("time must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,10 @@ class Datum:
             raise ValueError("success count must lie in [0, n_meas]")
 
 
-def coin_design(n_meas: int, time: float = 0.0) -> ExperimentDesign:
+def coin_design(n_meas: int) -> ExperimentDesign:
     """Design measuring the heads outcome of a coin."""
     return ExperimentDesign(effect=VectorizedOperator(coords=np.array([1.0]), basis=None),
-                            n_meas=n_meas, time=time)
+                            n_meas=n_meas)
 
 
 def born_probability(state_coords, effect_coords) -> np.ndarray:
@@ -118,7 +114,7 @@ def simulate_experiment(true_coords, design: ExperimentDesign, rng: RngStream) -
 
 
 def process_design(prep: DensityOperator, meas: Effect, n_meas: int,
-                   basis: OperatorBasis, time: float = 0.0) -> ExperimentDesign:
+                   basis: OperatorBasis) -> ExperimentDesign:
     """Design measuring a channel: composite effect on the D**2 space."""
     composite = process_effect(prep, meas)
-    return ExperimentDesign(effect=vectorize(composite, basis), n_meas=n_meas, time=time)
+    return ExperimentDesign(effect=vectorize(composite, basis), n_meas=n_meas)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -42,27 +42,6 @@ class PriorConstructionError(ValueError):
     """The requested prior mean cannot be realized."""
 
 
-@dataclass(frozen=True)
-class GadPrior:
-    """Closed-form ingredients of an insightful (mean-damped) prior."""
-
-    alpha: float
-    beta: float
-    lambda_min: float
-    rho_mu: np.ndarray
-    rho_star: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoinPrior:
-    """Coin analogue of :class:`GadPrior`."""
-
-    alpha: float
-    beta: float
-    p_mu: float
-    p_star: float
-
-
 @dataclass(frozen=True, eq=False)
 class PriorDistribution:
     """Named sampler over hypothesis coordinate vectors.
@@ -72,18 +51,18 @@ class PriorDistribution:
     (a :mod:`randq` sampler), validates it once and vectorizes it; a
     fiducial coin prior (``basis`` None) draws its heads probability
     uniformly.  A damped prior mixes the draws of its ``fiducial`` prior
-    toward the extremal target of ``gad`` (or ``coin``).  ``channel_dim``
-    is set when samples are Choi states on a D**2 space.
+    toward ``target``, the coordinates of the extremal target, with
+    Beta(1, ``beta``) weights.  ``channel_dim`` is set when samples are
+    Choi states on a D**2 space.
     """
 
     name: str
-    kind: str  # "fiducial" | "insightful"
     basis: Optional[OperatorBasis]
     ensemble: Optional[Callable[..., np.ndarray]] = None
     channel_dim: Optional[int] = None
     fiducial: Optional["PriorDistribution"] = None
-    gad: Optional[GadPrior] = None
-    coin: Optional[CoinPrior] = None
+    beta: Optional[float] = None
+    target: Optional[Union[np.ndarray, float]] = None
 
     @property
     def n_coords(self) -> int:
@@ -97,12 +76,8 @@ class PriorDistribution:
         """
         if self.fiducial is not None:
             fid = self.fiducial.sample(n, rng)
-            if self.coin is not None:
-                beta, star = self.coin.beta, self.coin.p_star
-            else:
-                beta, star = self.gad.beta, self.basis.vectorize(self.gad.rho_star)
-            eps = sample_epsilon(beta, n, rng)[:, None]
-            return (1.0 - eps) * fid + eps * star
+            eps = sample_epsilon(self.beta, n, rng)[:, None]
+            return (1.0 - eps) * fid + eps * self.target
         if self.basis is None:
             return rng.generator.random((n, 1))
         stack = check_states(self.ensemble(n=n, rng=rng), channel_dim=self.channel_dim)
@@ -114,13 +89,13 @@ def ginibre_prior(dim: int, rank: Optional[int] = None,
     rank = dim if rank is None else rank
     if not 1 <= rank <= dim:
         raise PriorConstructionError(f"Ginibre rank {rank} must lie in [1, {dim}]")
-    return PriorDistribution(name=f"ginibre(d={dim},k={rank})", kind="fiducial",
+    return PriorDistribution(name=f"ginibre(d={dim},k={rank})",
                              basis=standard_basis(dim) if basis is None else basis,
                              ensemble=partial(ginibre_states, dim=dim, rank=rank))
 
 
 def bures_prior(dim: int, basis: Optional[OperatorBasis] = None) -> PriorDistribution:
-    return PriorDistribution(name=f"bures(d={dim})", kind="fiducial",
+    return PriorDistribution(name=f"bures(d={dim})",
                              basis=standard_basis(dim) if basis is None else basis,
                              ensemble=partial(bures_states, dim=dim))
 
@@ -128,7 +103,7 @@ def bures_prior(dim: int, basis: Optional[OperatorBasis] = None) -> PriorDistrib
 def rebit_ginibre_prior(rank: int = 2, basis: Optional[OperatorBasis] = None) -> PriorDistribution:
     if rank not in (1, 2):
         raise PriorConstructionError(f"rebit rank {rank} must be 1 or 2")
-    return PriorDistribution(name=f"rebit-ginibre(k={rank})", kind="fiducial",
+    return PriorDistribution(name=f"rebit-ginibre(k={rank})",
                              basis=standard_basis(2) if basis is None else basis,
                              ensemble=partial(ginibre_rebit_states, rank=rank))
 
@@ -138,14 +113,14 @@ def bcsz_prior(dim: int, kraus_rank: Optional[int] = None,
     kraus_rank = dim * dim if kraus_rank is None else kraus_rank
     if not 1 <= kraus_rank <= dim * dim:
         raise PriorConstructionError(f"Kraus rank {kraus_rank} must lie in [1, {dim * dim}]")
-    return PriorDistribution(name=f"bcsz(d={dim},k={kraus_rank})", kind="fiducial",
+    return PriorDistribution(name=f"bcsz(d={dim},k={kraus_rank})",
                              basis=standard_basis(dim * dim) if basis is None else basis,
                              ensemble=partial(bcsz_channels, dim=dim, kraus_rank=kraus_rank),
                              channel_dim=dim)
 
 
 def coin_uniform_prior() -> PriorDistribution:
-    return PriorDistribution(name="coin-uniform", kind="fiducial", basis=None)
+    return PriorDistribution(name="coin-uniform", basis=None)
 
 
 def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
@@ -200,7 +175,7 @@ def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
     mu = np.asarray(rho_mu, dtype=complex)
     if mu.shape != (basis.dim, basis.dim):
         raise PriorConstructionError("prior mean dimension does not match the fiducial prior")
-    alpha, beta, rho_star = gad_params(mu)
+    _, beta, rho_star = gad_params(mu)
     if np.isinf(beta):
         return fiducial
     if fiducial.channel_dim is not None:
@@ -212,12 +187,9 @@ def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
         DensityOperator(matrix=rho_star)
     except InvalidOperatorError as err:
         raise PriorConstructionError(f"extremal target is not a valid state: {err}") from err
-    gad = GadPrior(alpha=alpha, beta=beta,
-                   lambda_min=float(np.linalg.eigvalsh(mu).min()),
-                   rho_mu=mu, rho_star=rho_star)
-    return PriorDistribution(name=f"insightful({fiducial.name})", kind="insightful",
-                             basis=basis, channel_dim=fiducial.channel_dim,
-                             fiducial=fiducial, gad=gad)
+    return PriorDistribution(name=f"insightful({fiducial.name})", basis=basis,
+                             channel_dim=fiducial.channel_dim, fiducial=fiducial,
+                             beta=beta, target=basis.vectorize(rho_star))
 
 
 def coin_gad_params(p_mu: float) -> tuple[float, float, float]:
@@ -248,9 +220,8 @@ def coin_gad_params(p_mu: float) -> tuple[float, float, float]:
 
 def coin_insightful_prior(p_mu: float) -> PriorDistribution:
     """Uniform coin prior damped toward mean ``p_mu``."""
-    alpha, beta, p_star = coin_gad_params(p_mu)
+    _, beta, p_star = coin_gad_params(p_mu)
     if np.isinf(beta):
         return coin_uniform_prior()
-    coin = CoinPrior(alpha=alpha, beta=beta, p_mu=p_mu, p_star=p_star)
-    return PriorDistribution(name=f"coin-insightful(p={p_mu})", kind="insightful",
-                             basis=None, fiducial=coin_uniform_prior(), coin=coin)
+    return PriorDistribution(name=f"coin-insightful(p={p_mu})", basis=None,
+                             fiducial=coin_uniform_prior(), beta=beta, target=p_star)

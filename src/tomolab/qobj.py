@@ -59,12 +59,6 @@ def _check_hermitian(arr: np.ndarray, what: str) -> None:
         raise InvalidOperatorError(f"{what} is not Hermitian")
 
 
-# check_states screens stacks of at least this many rows by Cholesky
-# pivots before eigvalsh.  The screen pays off from about a dozen rows
-# on; shorter stacks, mostly single operators, take eigvalsh directly.
-SCREEN_MIN_ROWS = 64
-
-
 def check_states(stack: np.ndarray, channel_dim: Optional[int] = None) -> np.ndarray:
     """Validate an (n, D, D) stack of density operators in one pass.
 
@@ -81,7 +75,7 @@ def check_states(stack: np.ndarray, channel_dim: Optional[int] = None) -> np.nda
         raise InvalidOperatorError(f"{what} must have unit trace")
     # Rows with every pivot positive have lambda_min above about -1e-15
     # (see positive_definite), so only the others need eigenvalues.
-    doubtful = stack if len(stack) < SCREEN_MIN_ROWS else stack[~positive_definite(stack)]
+    doubtful = stack[~positive_definite(stack)]
     if len(doubtful) and not np.linalg.eigvalsh(doubtful).min() >= -PSD_TOL:
         raise InvalidOperatorError(f"{what} must be positive semidefinite")
     if channel_dim is not None:

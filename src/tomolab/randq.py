@@ -1,7 +1,7 @@
 """Seedable samplers for random matrices, states, and channels.
 
 All samplers consume randomness through an :class:`RngStream`, a thin
-wrapper around a counter-based generator keyed by ``(seed, stream_id)``.
+wrapper around a counter-based generator keyed by ``(seed, key)``.
 Two streams with the same key replay bit-identical sequences; distinct
 keys are statistically independent, so per-trial or per-worker streams
 can be drawn in any scheduling order without changing results.
@@ -23,24 +23,24 @@ _BCSZ_MAX_RETRIES = 100
 
 
 class RngStream:
-    """Reproducible randomness source addressed by (seed, stream_id).
+    """Reproducible randomness source addressed by (seed, key).
 
-    ``child(i, j, ...)`` derives an independent stream that is a pure
-    function of the parent key and the indices, which keeps parallel
-    simulations reproducible regardless of thread scheduling.
+    A new stream has the root key ``(0,)``.  ``child(i, j, ...)`` derives
+    an independent stream whose key is the parent key followed by the
+    indices, which keeps parallel simulations reproducible regardless of
+    thread scheduling.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0, _key: tuple | None = None):
+    def __init__(self, seed: int, _key: tuple = (0,)):
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self._key = (self.stream_id,) if _key is None else _key
+        self._key = _key
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._key)
         self.generator = np.random.Generator(np.random.Philox(seq))
 
     def child(self, *indices: int) -> "RngStream":
         """Independent stream derived deterministically from this one."""
         key = self._key + tuple(int(i) for i in indices)
-        return RngStream(self.seed, self.stream_id, _key=key)
+        return RngStream(self.seed, _key=key)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self._key})"

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tomolab import design as design_module
 from tomolab import harness
 from tomolab.design import (
     DesignHeuristic,
@@ -15,7 +19,6 @@ from tomolab.design import (
     random_pauli_design,
     random_process_design,
     random_stabilizer_qutrit_design,
-    scheduled_mix,
     stabilizer_qutrit_effects,
 )
 from tomolab.likelihood import process_design
@@ -79,9 +82,8 @@ class TestRandomPauli:
         assert np.array_equal(a.effect.coords, b.effect.coords)
 
     def test_metadata(self):
-        d = random_pauli_design(1, 7, RngStream(13), time=4.5)
+        d = random_pauli_design(1, 7, RngStream(13))
         assert d.n_meas == 7
-        assert d.time == 4.5
 
 
 class TestQutritStabilizers:
@@ -254,8 +256,9 @@ QPT_ADAPTIVE = {
 }
 
 
-def adaptive_rule():
-    config = harness.RunConfig.from_dict(QPT_ADAPTIVE)
+def adaptive_rule(fraction=1.0):
+    config = harness.RunConfig.from_dict(dict(QPT_ADAPTIVE, heuristic=dict(
+        QPT_ADAPTIVE["heuristic"], adaptive_fraction=fraction)))
     prior = harness.build_prior(config.prior, config.model, config.dim)
     return harness.make_heuristic(config, prior), prior
 
@@ -403,75 +406,108 @@ class TestBatchedDraws:
                 assert process_entries(n, batched).tolist() == expected, seed
             assert batched.generator.random() == g.random(), seed
 
+    @staticmethod
+    def reference_cut(fraction, u) -> bool:
+        """Reference cut: ``searchsorted`` of u in the cumulative
+        fractions of [random, adaptive], clipped to the last entry; True
+        when it picks the adaptive design."""
+        idx = int(np.searchsorted(np.cumsum([1.0 - fraction, fraction]), u, side="right"))
+        return min(idx, 1) == 1
+
     def test_mixed_rule_steps_match_scalar_reference(self):
-        config = harness.RunConfig.from_dict(dict(QPT_ADAPTIVE, heuristic=dict(
-            QPT_ADAPTIVE["heuristic"], adaptive_fraction=0.8)))
-        prior = harness.build_prior(config.prior, config.model, config.dim)
-        rule = harness.make_heuristic(config, prior)
         covs = TestAdaptiveRule().covariances()
         states = pauli_eigenstates()
-        rng, ref = RngStream(79), RngStream(79)
-        g = ref.generator
-        kinds = set()
-        for step in range(1, 21):
-            cov = covs[3 * step]
-            pick = rule(step, None, rng, cov=cov)
-            adaptive = g.random() >= 1.0 - 0.8  # scheduled_mix's cut
-            kinds.add(adaptive)
-            proposals = []
-            for _ in range(50 if adaptive else 1):
-                prep = DensityOperator(matrix=states[int(g.integers(0, 6))])
-                meas = Effect(matrix=states[int(g.integers(0, 6))])
-                proposals.append(process_design(prep, meas, 5, BASIS4))
-            scores = [float(p.effect.coords @ cov @ p.effect.coords) for p in proposals]
-            expected = proposals[int(np.argmax(scores))]
-            assert np.array_equal(pick.effect.coords, expected.effect.coords), step
-            assert pick.n_meas == 5
-        assert kinds == {False, True}
-        assert rng.generator.random() == g.random()
+        for fraction, expected_kinds in ((0.8, {False, True}), (0.0, {False}),
+                                         (1.0, {True})):
+            rule, _ = adaptive_rule(fraction)
+            rng, ref = RngStream(79), RngStream(79)
+            g = ref.generator
+            kinds = set()
+            for step in range(1, 21):
+                cov = covs[3 * step]
+                pick = rule(step, None, rng, cov=cov)
+                adaptive = self.reference_cut(fraction, g.random())
+                kinds.add(adaptive)
+                proposals = []
+                for _ in range(50 if adaptive else 1):
+                    prep = DensityOperator(matrix=states[int(g.integers(0, 6))])
+                    meas = Effect(matrix=states[int(g.integers(0, 6))])
+                    proposals.append(process_design(prep, meas, 5, BASIS4))
+                scores = [float(p.effect.coords @ cov @ p.effect.coords) for p in proposals]
+                expected = proposals[int(np.argmax(scores))]
+                assert np.array_equal(pick.effect.coords, expected.effect.coords), step
+                assert pick.n_meas == 5
+            assert kinds == expected_kinds, fraction
+            assert rng.generator.random() == g.random()
+
+    def test_cut_matches_reference_at_its_edges(self):
+        # u values at and around 1 - f, where the two cuts could part.
+        for fraction in (0.0, 0.2, 0.5, 0.8, 1.0, 1.0 / 3.0):
+            edge = 1.0 - fraction
+            for u in (0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0),
+                      np.nextafter(1.0, 0.0)):
+                if u < 1.0:
+                    assert (not u < 1.0 - fraction) == self.reference_cut(fraction, u)
 
 
 class TestScheduledMix:
-    def test_degenerate_fractions(self):
-        first = lambda: random_pauli_design(1, 1, RngStream(1))
-        second = lambda: random_pauli_design(1, 2, RngStream(2))
+    """The adaptive rule draws one uniform u per step and takes a random
+    design when u < 1 - adaptive_fraction, else the adaptive one."""
+
+    COV = np.eye(16)
+
+    @pytest.fixture
+    def random_calls(self, monkeypatch):
+        """A list that grows by one per random design a rule builds."""
+        calls = []
+        random_design = design_module.random_process_design
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return random_design(*args, **kwargs)
+        monkeypatch.setattr(design_module, "random_process_design", counted)
+        return calls
+
+    def test_degenerate_fractions(self, random_calls):
         stream = RngStream(53)
-        for i in range(50):
-            design = scheduled_mix([first, second], [1.0, 0.0], stream.child(i))
-            assert design.n_meas == 1
+        for fraction, n_random in ((0.0, 50), (1.0, 0)):
+            random_calls.clear()
+            rule, _ = adaptive_rule(fraction)
+            for i in range(50):
+                rule(i + 1, None, stream.child(i), cov=self.COV)
+            assert len(random_calls) == n_random, fraction
 
-    def test_split_frequencies(self):
-        calls = [0, 0]
-
-        def make(idx):
-            def go():
-                calls[idx] += 1
-                return random_pauli_design(1, 1, RngStream(idx))
-            return go
-
+    def test_split_frequencies(self, random_calls):
+        rule, _ = adaptive_rule(0.8)
         stream = RngStream(59)
         n = 10_000
         for i in range(n):
-            scheduled_mix([make(0), make(1)], [0.2, 0.8], stream.child(i))
-        assert abs(calls[0] / n - 0.2) < 0.02
-        assert abs(calls[1] / n - 0.8) < 0.02
+            rule(i + 1, None, stream.child(i), cov=self.COV)
+        assert abs(len(random_calls) / n - 0.2) < 0.02
 
     def test_deterministic(self):
+        rule, _ = adaptive_rule(0.5)
         picks = []
         for _ in range(2):
             stream = RngStream(61)
-            chosen = []
-            for i in range(30):
-                design = scheduled_mix(
-                    [lambda: random_pauli_design(1, 1, RngStream(3)),
-                     lambda: random_pauli_design(1, 2, RngStream(4))],
-                    [0.5, 0.5], stream.child(i))
-                chosen.append(design.n_meas)
-            picks.append(chosen)
-        assert picks[0] == picks[1]
+            picks.append([rule(i + 1, None, stream.child(i), cov=self.COV).effect
+                          for i in range(30)])
+        assert all(a is b for a, b in zip(*picks))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            scheduled_mix([], [], RngStream(1))
-        with pytest.raises(ValueError):
-            scheduled_mix([lambda: None], [0.7], RngStream(1))
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(p, id=p.stem) for p in SHIPPED_CONFIGS
+    if "heuristic" in json.loads(p.read_text(encoding="utf-8"))])
+def test_rule_is_callable_with_step_cloud_rng(path):
+    """``make_heuristic`` returns ``rule(step, cloud, rng, cov=None)``; the
+    benchmark's warm-up calls it as ``rule(1, cloud, rng)``."""
+    config = harness.RunConfig.from_json_file(path)
+    prior = harness.build_prior(config.prior, config.model, config.dim)
+    rule = harness.make_heuristic(config, prior)
+    rng = RngStream(config.seed)
+    design = rule(1, init_cloud(prior, 2, rng), rng)
+    assert design.n_meas == config.heuristic.n_meas
+    assert design.effect.coords.shape == (prior.n_coords,)

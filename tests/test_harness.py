@@ -129,17 +129,9 @@ class TestLoss:
             viacoords = quadratic_loss(basis.vectorize(r1), basis.vectorize(r2))
             assert abs(direct - viacoords) < 1e-12
 
-    def test_weighted(self):
-        q = np.diag([0.0, 1.0, 1.0, 1.0])
-        a = np.array([1.0, 0.5, 0.0, 0.0])
-        b = np.array([0.0, 0.0, 0.0, 0.0])
-        assert abs(quadratic_loss(a, b, q=q) - 0.25) < 1e-14
-
     def test_validation(self):
         with pytest.raises(ValueError):
             quadratic_loss(np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            quadratic_loss(np.zeros(3), np.zeros(3), q=np.zeros((2, 2)))
 
 
 class TestDecodeMatrix:
@@ -165,6 +157,9 @@ class TestDecodeMatrix:
             decode_matrix({"nope": 1})
         with pytest.raises(ConfigError):
             decode_matrix([1.0, 2.0])
+        for empty in ({"diag": []}, [], [[]], {"re": [[]]}):
+            with pytest.raises(ConfigError, match="matrix spec must not be empty"):
+                decode_matrix(empty)
 
 
 class TestRunConfig:
@@ -801,6 +796,15 @@ class TestCli:
             "'f1' must be finite, got nan", id="nan_trajectory_f1"),
         pytest.param("estimate", state_config(resample_a=math.inf),
                      "resample_a must be finite, got inf", id="infinite_resample_a"),
+        pytest.param("estimate", dict(
+            json.loads((CONFIGS / "estimate_wrong_prior.json").read_text(encoding="utf-8")),
+            prior={"fiducial": "bures", "rank": 1}),
+            "bures prior takes no rank", id="rank_on_bures"),
+        pytest.param("estimate", coin_config(prior={"fiducial": "coin_uniform", "rank": 1}),
+                     "coin_uniform prior takes no rank", id="rank_on_coin_uniform"),
+        pytest.param("estimate", state_config(truth={
+            "kind": "explicit", "matrix": {"diag": []}}),
+            "matrix spec must not be empty", id="empty_diag"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)
@@ -885,6 +889,23 @@ class TestCli:
 
     def test_sample_needs_prior(self):
         assert main(["sample"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--prior", "bures", "--dim", "3", "--rank", "1", "--n", "2"],
+                     "bures prior takes no rank", id="rank_on_bures"),
+        pytest.param(["--prior", "coin_uniform", "--rank", "1"],
+                     "coin_uniform prior takes no rank", id="rank_on_coin_uniform"),
+        pytest.param(["--prior", "ginibre", "--dim", "1"], "dim must be at least 2",
+                     id="dim_1"),
+        pytest.param(["--prior", "ginibre", "--seed", "-1"],
+                     "seed must be a nonnegative integer", id="negative_seed"),
+    ])
+    def test_sample_flag_error_exit(self, tmp_path, capsys, flags, message):
+        assert main(["sample", *flags, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not (tmp_path / "samples.csv").exists()
 
     def test_record_does_not_depend_on_out_dir(self, tmp_path):
         path = self.write_cfg(tmp_path, state_config(out_dir="ignored"))

@@ -45,9 +45,6 @@ class TestDesignAndDatum:
     def test_design_validation(self):
         with pytest.raises(ValueError):
             design_for((np.eye(2) + X) / 2, n_meas=0)
-        with pytest.raises(ValueError):
-            ExperimentDesign(effect=vectorize(Effect(matrix=np.eye(2)), BASIS2),
-                             n_meas=1, time=-1.0)
 
     def test_datum_validation(self):
         d = design_for((np.eye(2) + X) / 2, n_meas=5)
@@ -58,10 +55,10 @@ class TestDesignAndDatum:
             Datum(n_success=-1, design=d)
 
     def test_coin_design(self):
-        d = coin_design(n_meas=3, time=2.0)
+        d = coin_design(n_meas=3)
         assert d.effect.coords.shape == (1,)
         assert d.effect.coords[0] == 1.0
-        assert d.time == 2.0
+        assert d.n_meas == 3
 
 
 class TestBornProbability:

@@ -8,8 +8,6 @@ from scipy import stats
 
 from conftest import trace_distance
 from tomolab.priors import (
-    CoinPrior,
-    GadPrior,
     PriorConstructionError,
     bcsz_prior,
     bures_prior,
@@ -105,9 +103,9 @@ class TestInsightfulStatePrior:
 
     def test_metadata(self):
         prior = insightful_prior(ginibre_prior(3), np.diag([0.9, 0.05, 0.05]))
-        assert prior.kind == "insightful"
-        assert prior.gad is not None
-        assert abs(prior.gad.beta - 3.0 / 17.0) < 1e-12
+        assert abs(prior.beta - 3.0 / 17.0) < 1e-12
+        assert np.abs(prior.target - standard_basis(3).vectorize(np.diag([1.0, 0.0, 0.0]))
+                      ).max() < 1e-12
 
     def test_samples_are_valid_states(self):
         prior = insightful_prior(ginibre_prior(3), np.diag([0.9, 0.05, 0.05]))
@@ -131,8 +129,9 @@ class TestInsightfulStatePrior:
         rows = prior.sample(50, RngStream(131))
         stream = RngStream(131)
         fid = fiducial.sample(50, stream)
-        eps = (1.0 - stream.generator.random(50) ** (1.0 / prior.gad.beta))[:, None]
-        star = standard_basis(3).vectorize(prior.gad.rho_star)
+        _, beta, rho_star = gad_params(np.diag([0.9, 0.05, 0.05]))
+        eps = (1.0 - stream.generator.random(50) ** (1.0 / beta))[:, None]
+        star = standard_basis(3).vectorize(rho_star)
         assert np.array_equal(rows, (1.0 - eps) * fid + eps * star)
 
     def test_dimension_mismatch(self):
@@ -203,8 +202,9 @@ class TestCoinPriors:
         rows = prior.sample(50, RngStream(137))
         stream = RngStream(137)
         p_f = stream.generator.random((50, 1))
-        eps = (1.0 - stream.generator.random(50) ** (1.0 / prior.coin.beta))[:, None]
-        assert np.array_equal(rows, (1.0 - eps) * p_f + eps * prior.coin.p_star)
+        assert (prior.beta, prior.target) == coin_gad_params(0.25)[1:]
+        eps = (1.0 - stream.generator.random(50) ** (1.0 / prior.beta))[:, None]
+        assert np.array_equal(rows, (1.0 - eps) * p_f + eps * prior.target)
 
     def test_batch_mean_quarter(self):
         prior = coin_insightful_prior(0.25)

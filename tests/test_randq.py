@@ -30,8 +30,8 @@ class TestRngStream:
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = ginibre_matrix(3, 3, RngStream(7, stream_id=0))
-        b = ginibre_matrix(3, 3, RngStream(7, stream_id=1))
+        a = ginibre_matrix(3, 3, RngStream(7).child(0))
+        b = ginibre_matrix(3, 3, RngStream(7).child(1))
         assert not np.allclose(a, b)
 
     def test_child_streams_reproducible_and_disjoint(self):

@@ -43,8 +43,8 @@ def coin_cloud(ps, weights=None):
     return ParticleCloud(locations=ps, weights=w, space=COIN_SPACE)
 
 
-def coin_datum(n_meas, n_success, time=0.0):
-    return Datum(n_success=n_success, design=coin_design(n_meas, time=time))
+def coin_datum(n_meas, n_success):
+    return Datum(n_success=n_success, design=coin_design(n_meas))
 
 
 class TestInitCloud:
