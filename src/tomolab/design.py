@@ -6,8 +6,9 @@ a covariance-guided adaptive rule that picks the proposed table entry
 whose effect direction carries the most posterior uncertainty.
 
 Each family has a fixed, finite set of effects.  They are built and
-validated once, on first use, into an effect table; a random design is a
-random index into its table.
+validated once, on first use, into an effect table: a read-only
+``(m, D**2)`` array whose rows are the effects' basis coordinates.  A
+random design is a random row of its table.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .qobj import (
     DensityOperator,
     Effect,
     OperatorBasis,
-    VectorizedOperator,
     gell_mann_basis,
     pauli_basis,
-    vectorize,
 )
 from .randq import RngStream
 
@@ -49,16 +48,23 @@ class DesignHeuristic:
             raise ValueError("adaptive fraction must lie in [0, 1]")
 
 
+def _table(rows) -> np.ndarray:
+    """Coordinate rows stacked into a read-only effect table."""
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=None)
-def pauli_effects(n_qubits: int) -> tuple[VectorizedOperator, ...]:
+def pauli_effects(n_qubits: int) -> np.ndarray:
     """Effect table of (I + P)/2 for every n-qubit Pauli string P, in the
     order of ``pauli_basis(n_qubits)`` (entry 0, the identity string,
     gives the trivial effect I and is never drawn)."""
     basis = pauli_basis(n_qubits)
     eye = np.eye(2**n_qubits)
     scale = np.sqrt(2.0**n_qubits)
-    return tuple(vectorize(Effect(matrix=(eye + element * scale) / 2.0), basis)
-                 for element in basis.elements)
+    return _table([basis.vectorize(Effect(matrix=(eye + element * scale) / 2.0).matrix)
+                   for element in basis.elements])
 
 
 def random_pauli_design(n_qubits: int, n_meas: int, rng: RngStream) -> ExperimentDesign:
@@ -90,11 +96,11 @@ def qutrit_stabilizer_states() -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def stabilizer_qutrit_effects() -> tuple[VectorizedOperator, ...]:
+def stabilizer_qutrit_effects() -> np.ndarray:
     """Effect table of the 12 projectors onto the qutrit stabilizer states."""
     basis = gell_mann_basis(3)
-    return tuple(vectorize(Effect(matrix=np.outer(ket, ket.conj())), basis)
-                 for ket in qutrit_stabilizer_states())
+    return _table([basis.vectorize(Effect(matrix=np.outer(ket, ket.conj())).matrix)
+                   for ket in qutrit_stabilizer_states()])
 
 
 def random_stabilizer_qutrit_design(n_meas: int, rng: RngStream) -> ExperimentDesign:
@@ -116,14 +122,14 @@ def pauli_eigenstates() -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def process_effects(basis: OperatorBasis) -> tuple[VectorizedOperator, ...]:
+def process_effects(basis: OperatorBasis) -> np.ndarray:
     """Effect table of the 36 composite process effects in ``basis``:
     preparation i and measurement j of :func:`pauli_eigenstates` at
     index ``6 * i + j``."""
     states = pauli_eigenstates()
-    return tuple(process_design(DensityOperator(matrix=prep), Effect(matrix=meas),
-                                1, basis).effect
-                 for prep in states for meas in states)
+    return _table([process_design(DensityOperator(matrix=prep), Effect(matrix=meas),
+                                  1, basis).effect
+                   for prep in states for meas in states])
 
 
 def process_entries(n: int, rng: RngStream) -> np.ndarray:
@@ -141,10 +147,9 @@ def random_process_design(n_meas: int, rng: RngStream,
                             n_meas=n_meas)
 
 
-def adaptive_design(effects: tuple[VectorizedOperator, ...], entries,
-                    covariance: np.ndarray) -> int:
-    """The entry of ``entries`` whose effect coordinates x in the table
-    ``effects`` maximize x^T Sigma x.
+def adaptive_design(effects: np.ndarray, entries, covariance: np.ndarray) -> int:
+    """The entry of ``entries`` whose row x of the effect table ``effects``
+    maximizes x^T Sigma x.
 
     Each distinct entry is scored once, all in one product.  Ties resolve
     to the earliest entry drawn.
@@ -152,7 +157,7 @@ def adaptive_design(effects: tuple[VectorizedOperator, ...], entries,
     if len(entries) == 0:
         raise ValueError("need at least one proposal")
     distinct, drawn = np.unique(entries, return_inverse=True)
-    coords = np.array([effects[entry].coords for entry in distinct])
+    coords = effects[distinct]
     scores = np.einsum("ij,ij->i", coords @ covariance, coords)
     return int(entries[int(np.argmax(scores[drawn]))])
 

@@ -341,7 +341,7 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
         elif spec.fiducial == "rebit_ginibre":
             if dim != 2:
                 raise ConfigError("rebit priors are two dimensional")
-            base = rebit_ginibre_prior(rank=spec.rank if spec.rank else 2)
+            base = rebit_ginibre_prior(rank=spec.rank)
         elif spec.fiducial == "bcsz":
             if model != "channel":
                 raise ConfigError("bcsz prior needs the channel model")
@@ -573,6 +573,8 @@ def _make_trajectory(config: RunConfig, setup: _Setup,
             return np.array([min(max(p, 0.0), 1.0)])
         return single_tone
     if kind == "diffusing_state":
+        if config.model != "state":
+            raise ConfigError("diffusing_state trajectory needs the state model")
         std = number("step_std")
         start = resolve_truth(config.truth, setup.prior, setup.truth_prior,
                               config.model, config.dim, truth_rng)
@@ -670,22 +672,21 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
         prev_t = t
     summary = {"n_resamples": n_resamples}
     if not losses_only:
-        summ = summarize(cloud, total_log_norm=total_log_norm)
-        est = posterior_mean_coords(cloud)
+        est, cov, ess = summarize(cloud)
         summary.update({
             "mean": _coords_list(est),
-            "covariance": [_coords_list(r) for r in summ.covariance],
-            "ess": summ.ess,
-            "total_log_norm": summ.total_log_norm,
+            "covariance": [_coords_list(r) for r in cov],
+            "ess": ess,
+            "total_log_norm": total_log_norm,
             "loss": loss_norm(est[:w], truth[:w]),
             "truth": _coords_list(truth),
         })
         if tr is not None:
             summary["eta_mean"] = float(est[-1])
         elif config.model == "channel":
-            lam, comp = principal_components(summ, 1)[0]
+            lam, comp = principal_components(cov, 1)[0]
             summary["principal_eigenvalue"] = lam
-            summary["principal_component"] = _coords_list(comp.coords)
+            summary["principal_component"] = _coords_list(comp)
     return RunRecord(config=config.to_dict(), mode=config.mode, steps=rows,
                      summary=summary, failed=failed, failure_reason=reason,
                      wall_time=time.perf_counter() - start, final_cloud=cloud)

@@ -19,18 +19,17 @@ from .qobj import (
     DimensionMismatchError,
     Effect,
     OperatorBasis,
-    VectorizedOperator,
     process_effect,
-    vectorize,
 )
 from .randq import RngStream
 
 
 @dataclass(frozen=True)
 class ExperimentDesign:
-    """One configured experiment: an effect measured n_meas times."""
+    """One configured experiment: an effect, as its coordinate row,
+    measured n_meas times."""
 
-    effect: VectorizedOperator
+    effect: np.ndarray
     n_meas: int
 
     def __post_init__(self):
@@ -50,10 +49,13 @@ class Datum:
             raise ValueError("success count must lie in [0, n_meas]")
 
 
+_COIN_EFFECT = np.array([1.0])
+_COIN_EFFECT.flags.writeable = False
+
+
 def coin_design(n_meas: int) -> ExperimentDesign:
     """Design measuring the heads outcome of a coin."""
-    return ExperimentDesign(effect=VectorizedOperator(coords=np.array([1.0]), basis=None),
-                            n_meas=n_meas)
+    return ExperimentDesign(effect=_COIN_EFFECT, n_meas=n_meas)
 
 
 def born_probability(state_coords, effect_coords) -> np.ndarray:
@@ -92,7 +94,7 @@ def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
 def binomial_log_likelihood(state_coords, design: ExperimentDesign,
                             n_success: int) -> np.ndarray:
     """Log likelihood of observing ``n_success`` under ``design``."""
-    p = born_probability(state_coords, design.effect.coords)
+    p = born_probability(state_coords, design.effect)
     return binomial_log_pmf(design.n_meas, n_success, p)
 
 
@@ -108,7 +110,7 @@ def datum_log_likelihood(locations, datum: Datum) -> np.ndarray:
 
 def simulate_experiment(true_coords, design: ExperimentDesign, rng: RngStream) -> Datum:
     """Draw a binomial success count from the true hypothesis."""
-    p = float(born_probability(np.asarray(true_coords, dtype=float), design.effect.coords))
+    p = float(born_probability(np.asarray(true_coords, dtype=float), design.effect))
     n_success = int(rng.generator.binomial(design.n_meas, p))
     return Datum(n_success=n_success, design=design)
 
@@ -117,4 +119,4 @@ def process_design(prep: DensityOperator, meas: Effect, n_meas: int,
                    basis: OperatorBasis) -> ExperimentDesign:
     """Design measuring a channel: composite effect on the D**2 space."""
     composite = process_effect(prep, meas)
-    return ExperimentDesign(effect=vectorize(composite, basis), n_meas=n_meas)
+    return ExperimentDesign(effect=basis.vectorize(composite.matrix), n_meas=n_meas)

@@ -84,37 +84,35 @@ class PriorDistribution:
         return self.basis.vectorize(stack)
 
 
-def ginibre_prior(dim: int, rank: Optional[int] = None,
-                  basis: Optional[OperatorBasis] = None) -> PriorDistribution:
+def ginibre_prior(dim: int, rank: Optional[int] = None) -> PriorDistribution:
     rank = dim if rank is None else rank
     if not 1 <= rank <= dim:
         raise PriorConstructionError(f"Ginibre rank {rank} must lie in [1, {dim}]")
     return PriorDistribution(name=f"ginibre(d={dim},k={rank})",
-                             basis=standard_basis(dim) if basis is None else basis,
+                             basis=standard_basis(dim),
                              ensemble=partial(ginibre_states, dim=dim, rank=rank))
 
 
-def bures_prior(dim: int, basis: Optional[OperatorBasis] = None) -> PriorDistribution:
-    return PriorDistribution(name=f"bures(d={dim})",
-                             basis=standard_basis(dim) if basis is None else basis,
+def bures_prior(dim: int) -> PriorDistribution:
+    return PriorDistribution(name=f"bures(d={dim})", basis=standard_basis(dim),
                              ensemble=partial(bures_states, dim=dim))
 
 
-def rebit_ginibre_prior(rank: int = 2, basis: Optional[OperatorBasis] = None) -> PriorDistribution:
+def rebit_ginibre_prior(rank: Optional[int] = None) -> PriorDistribution:
+    rank = 2 if rank is None else rank
     if rank not in (1, 2):
         raise PriorConstructionError(f"rebit rank {rank} must be 1 or 2")
     return PriorDistribution(name=f"rebit-ginibre(k={rank})",
-                             basis=standard_basis(2) if basis is None else basis,
+                             basis=standard_basis(2),
                              ensemble=partial(ginibre_rebit_states, rank=rank))
 
 
-def bcsz_prior(dim: int, kraus_rank: Optional[int] = None,
-               basis: Optional[OperatorBasis] = None) -> PriorDistribution:
+def bcsz_prior(dim: int, kraus_rank: Optional[int] = None) -> PriorDistribution:
     kraus_rank = dim * dim if kraus_rank is None else kraus_rank
     if not 1 <= kraus_rank <= dim * dim:
         raise PriorConstructionError(f"Kraus rank {kraus_rank} must lie in [1, {dim * dim}]")
     return PriorDistribution(name=f"bcsz(d={dim},k={kraus_rank})",
-                             basis=standard_basis(dim * dim) if basis is None else basis,
+                             basis=standard_basis(dim * dim),
                              ensemble=partial(bcsz_channels, dim=dim, kraus_rank=kraus_rank),
                              channel_dim=dim)
 

@@ -242,34 +242,6 @@ def standard_basis(dim: int) -> OperatorBasis:
 
 
 @dataclass(frozen=True)
-class VectorizedOperator:
-    """Real coordinate vector of a Hermitian operator in a fixed basis."""
-
-    coords: np.ndarray
-    basis: Optional[OperatorBasis]
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1:
-            raise DimensionMismatchError("coordinates must be a flat real vector")
-        if self.basis is not None and coords.shape[0] != self.basis.size:
-            raise DimensionMismatchError(
-                f"coordinate length {coords.shape[0]} does not match basis size {self.basis.size}"
-            )
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def size(self) -> int:
-        return self.coords.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        if self.basis is None:
-            raise InvalidOperatorError("no basis attached to these coordinates")
-        return self.basis.devectorize(self.coords)
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Unit-trace positive semidefinite Hermitian matrix."""
 
@@ -345,13 +317,6 @@ class ChoiState:
     def dim(self) -> int:
         """Dimension of the space the Choi matrix itself lives on."""
         return self.matrix.shape[0]
-
-
-def vectorize(op, basis: OperatorBasis) -> VectorizedOperator:
-    """Coordinates of a Hermitian operator in ``basis``."""
-    if isinstance(op, (DensityOperator, Effect, ChoiState)):
-        op = op.matrix
-    return VectorizedOperator(coords=basis.vectorize(op), basis=basis)
 
 
 def hs_inner(a, b) -> complex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .likelihood import Datum, datum_log_likelihood
 from .priors import PriorDistribution
-from .qobj import DimensionMismatchError, OperatorBasis, VectorizedOperator, positive_definite
+from .qobj import DimensionMismatchError, OperatorBasis, positive_definite
 from .randq import RngStream
 from .tracking import coin_truncate, truncate_to_choi, truncate_to_state
 
@@ -91,11 +91,17 @@ class HypothesisSpace:
 
 @dataclass(frozen=True, eq=False)
 class ParticleCloud:
-    """Weighted particle approximation of a posterior."""
+    """Weighted particle approximation of a posterior.
+
+    ``log_weights``, when set, holds the normalized log weights of the
+    last Bayes update: finite for particles whose weight underflowed to
+    exactly 0, so a later update can still revive them.
+    """
 
     locations: np.ndarray  # (n, d) float
     weights: np.ndarray    # (n,) float, sums to one
     space: HypothesisSpace
+    log_weights: Optional[np.ndarray] = None  # (n,) float
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -115,16 +121,6 @@ class ParticleCloud:
 
 
 @dataclass(frozen=True)
-class PosteriorSummary:
-    """Cheap-to-serialize posterior digest."""
-
-    mean: VectorizedOperator
-    covariance: np.ndarray
-    ess: float
-    total_log_norm: float
-
-
-@dataclass(frozen=True)
 class CredibleEllipsoid:
     """Covariance ellipsoid membership test at scale ``z``.
 
@@ -138,8 +134,6 @@ class CredibleEllipsoid:
     z: float
 
     def contains(self, coords) -> bool:
-        if isinstance(coords, VectorizedOperator):
-            coords = coords.coords
         delta = np.asarray(coords, dtype=float) - self.center
         lam, vecs = np.linalg.eigh(self.covariance)
         lam = np.clip(lam, 0.0, None)
@@ -194,9 +188,10 @@ def bayes_update(cloud: ParticleCloud, datum: Datum,
     Forms log w + log L per particle, subtracts the maximum before
     exponentiating, and normalizes, so no shot count underflows the
     weights.  Returns the updated cloud and the log of the normalization
-    (the log predictive probability of the datum).  Raises
-    :class:`DegenerateUpdateError`, leaving the input untouched, only
-    when every particle has a true zero (log -inf) posterior weight.
+    (the log predictive probability of the datum).  Where a weight
+    underflowed to 0, its log is read from the cloud's ``log_weights``.
+    Raises :class:`DegenerateUpdateError`, leaving the input untouched,
+    only when every particle has a true zero (log -inf) posterior weight.
     """
     log_like = np.asarray(log_likelihood_fn(cloud.locations, datum), dtype=float)
     if log_like.shape != cloud.weights.shape:
@@ -204,13 +199,18 @@ def bayes_update(cloud: ParticleCloud, datum: Datum,
     if not np.all(log_like < np.inf):
         raise ValueError("log likelihood must be a number below +inf")
     with np.errstate(divide="ignore"):
-        log_post = np.log(cloud.weights) + log_like
+        log_prior = np.log(cloud.weights)
+    if cloud.log_weights is not None:
+        lost = cloud.weights == 0.0
+        log_prior[lost] = cloud.log_weights[lost]
+    log_post = log_prior + log_like
     top = float(log_post.max())
     if top == -np.inf:
         raise DegenerateUpdateError("all particle likelihoods vanished")
     raw = np.exp(log_post - top)
     norm = float(raw.sum())
-    return replace(cloud, weights=raw / norm), top + math.log(norm)
+    log_norm = top + math.log(norm)
+    return replace(cloud, weights=raw / norm, log_weights=log_post - log_norm), log_norm
 
 
 def effective_sample_size(cloud: ParticleCloud) -> float:
@@ -219,20 +219,8 @@ def effective_sample_size(cloud: ParticleCloud) -> float:
 
 
 def posterior_mean_coords(cloud: ParticleCloud) -> np.ndarray:
+    """Weighted mean of the cloud (Bayes estimator under quadratic loss)."""
     return cloud.weights @ cloud.locations
-
-
-def posterior_mean(cloud: ParticleCloud) -> VectorizedOperator:
-    """Weighted mean of the cloud (Bayes estimator under quadratic loss).
-
-    For tracked clouds the vector includes the trailing diffusion-rate
-    column and carries no basis.
-    """
-    coords = posterior_mean_coords(cloud)
-    basis = cloud.space.basis
-    if basis is not None and coords.shape[0] != basis.size:
-        basis = None
-    return VectorizedOperator(coords=coords, basis=basis)
 
 
 def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
@@ -251,11 +239,14 @@ def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
     return cov
 
 
-def summarize(cloud: ParticleCloud, total_log_norm: float = 0.0) -> PosteriorSummary:
-    return PosteriorSummary(mean=posterior_mean(cloud),
-                            covariance=posterior_covariance(cloud),
-                            ess=effective_sample_size(cloud),
-                            total_log_norm=total_log_norm)
+def summarize(cloud: ParticleCloud) -> tuple[np.ndarray, np.ndarray, float]:
+    """The posterior mean, covariance and effective sample size.
+
+    For tracked clouds the mean includes the trailing diffusion-rate
+    column.
+    """
+    return (posterior_mean_coords(cloud), posterior_covariance(cloud),
+            effective_sample_size(cloud))
 
 
 def resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A) -> ParticleCloud:
@@ -276,7 +267,7 @@ def resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A) -> Par
     if a == 1.0:
         # plain multinomial: parents are valid rows already
         return replace(cloud, locations=cloud.locations[parents],
-                       weights=np.full(n, 1.0 / n))
+                       weights=np.full(n, 1.0 / n), log_weights=None)
     moved = a * cloud.locations[parents] + (1.0 - a) * mean
     cov = posterior_covariance(cloud)
     lam, vecs = np.linalg.eigh(cov)
@@ -287,7 +278,8 @@ def resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A) -> Par
         z = g.standard_normal((n, int(keep.sum())))
         moved = moved + (z * scales) @ vecs[:, keep].T
     projected = cloud.space.project(moved)
-    return replace(cloud, locations=projected, weights=np.full(n, 1.0 / n))
+    return replace(cloud, locations=projected, weights=np.full(n, 1.0 / n),
+                   log_weights=None)
 
 
 def maybe_resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A,
@@ -306,20 +298,11 @@ def credible_ellipsoid(cloud: ParticleCloud, z: float) -> CredibleEllipsoid:
                              covariance=posterior_covariance(cloud), z=float(z))
 
 
-def principal_components(summary: PosteriorSummary, k: int) -> list[tuple[float, VectorizedOperator]]:
-    """Top-k eigenpairs of the posterior covariance, largest first.
-
-    Eigenvectors are unit-norm coordinate vectors, so each devectorizes
-    to a Hermitian operator when a basis is attached.
-    """
-    cov = summary.covariance
+def principal_components(cov: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
+    """Top-k eigenpairs of a posterior covariance, largest first; each
+    eigenvector is a unit-norm coordinate array."""
     if not 1 <= k <= cov.shape[0]:
         raise ValueError("k must lie in [1, n_coords]")
     lam, vecs = np.linalg.eigh(cov)
     order = np.argsort(lam)[::-1][:k]
-    basis = summary.mean.basis
-    out = []
-    for idx in order:
-        vec = VectorizedOperator(coords=vecs[:, idx].copy(), basis=basis)
-        out.append((float(lam[idx]), vec))
-    return out
+    return [(float(lam[idx]), vecs[:, idx]) for idx in order]

@@ -29,7 +29,6 @@ from tomolab.qobj import (
     gell_mann_basis,
     pauli_basis,
     standard_basis,
-    vectorize,
 )
 from tomolab.randq import RngStream
 from tomolab.smc import init_cloud
@@ -55,7 +54,7 @@ class TestRandomPauli:
             stream = RngStream(3)
             for i in range(50):
                 design = random_pauli_design(n_qubits, 5, stream.child(n_qubits, i))
-                e = design.effect.matrix()
+                e = pauli_basis(n_qubits).devectorize(design.effect)
                 eig = np.sort(np.linalg.eigvalsh(e))
                 dim = 2**n_qubits
                 assert np.allclose(eig[: dim // 2], 0.0, atol=1e-12)
@@ -64,7 +63,7 @@ class TestRandomPauli:
     def test_identity_string_excluded(self):
         stream = RngStream(5)
         for i in range(500):
-            e = random_pauli_design(1, 1, stream.child(i)).effect.matrix()
+            e = BASIS2.devectorize(random_pauli_design(1, 1, stream.child(i)).effect)
             assert abs(np.trace(e).real - 1.0) < 1e-12
 
     def test_axis_frequencies(self):
@@ -72,14 +71,14 @@ class TestRandomPauli:
         counts = np.zeros(3)
         n = 10_000
         for i in range(n):
-            coords = random_pauli_design(1, 1, stream.child(i)).effect.coords
+            coords = random_pauli_design(1, 1, stream.child(i)).effect
             counts[np.argmax(np.abs(coords[1:]))] += 1
         assert np.abs(counts / n - 1.0 / 3.0).max() < 0.02
 
     def test_deterministic(self):
         a = random_pauli_design(1, 3, RngStream(11))
         b = random_pauli_design(1, 3, RngStream(11))
-        assert np.array_equal(a.effect.coords, b.effect.coords)
+        assert np.array_equal(a.effect, b.effect)
 
     def test_metadata(self):
         d = random_pauli_design(1, 7, RngStream(13))
@@ -114,7 +113,7 @@ class TestQutritStabilizers:
         seen = set()
         for i in range(600):
             design = random_stabilizer_qutrit_design(20, stream.child(i))
-            e = design.effect.matrix()
+            e = gell_mann_basis(3).devectorize(design.effect)
             eig = np.sort(np.linalg.eigvalsh(e))
             assert abs(eig[-1] - 1.0) < 1e-10
             assert abs(np.trace(e).real - 1.0) < 1e-10
@@ -134,16 +133,16 @@ class TestProcessProposals:
         g = RngStream(19).generator
         prep, meas = int(g.integers(0, 6)), int(g.integers(0, 6))
         design = random_process_design(1, RngStream(19), BASIS4)
-        assert design.effect is process_effects(BASIS4)[6 * prep + meas]
+        assert np.array_equal(design.effect, process_effects(BASIS4)[6 * prep + meas])
         states = pauli_eigenstates()
-        assert np.allclose(design.effect.matrix(),
+        assert np.allclose(BASIS4.devectorize(design.effect),
                            np.kron(2.0 * states[prep].T, states[meas]), atol=1e-12)
 
     def test_random_design_geometry(self):
         design = random_process_design(25, RngStream(23), BASIS4)
-        assert design.effect.coords.shape == (16,)
+        assert design.effect.shape == (16,)
         assert design.n_meas == 25
-        composite = design.effect.matrix()
+        composite = BASIS4.devectorize(design.effect)
         assert np.linalg.eigvalsh(composite).min() > -1e-10
         assert np.linalg.eigvalsh(composite).max() <= 2.0 + 1e-10
 
@@ -162,8 +161,8 @@ class TestAdaptive:
         table = pauli_effects(1)
         entries = [int(stream.child(i).generator.integers(1, 4)) for i in range(40)]
         pick = adaptive_design(table, entries, cov)
-        overlaps = [abs(float(table[i].coords @ e)) for i in entries]
-        assert abs(float(table[pick].coords @ e)) == max(overlaps)
+        overlaps = [abs(float(table[i] @ e)) for i in entries]
+        assert abs(float(table[pick] @ e)) == max(overlaps)
 
     def test_argmax_dominates_mean(self):
         rng = np.random.default_rng(37)
@@ -173,9 +172,9 @@ class TestAdaptive:
             m = rng.standard_normal((16, 16))
             cov = m @ m.T
             entries = process_entries(10, stream.child(trial))
-            scores = [float(table[i].coords @ cov @ table[i].coords) for i in entries]
+            scores = [float(table[i] @ cov @ table[i]) for i in entries]
             pick = adaptive_design(table, entries, cov)
-            pick_score = float(table[pick].coords @ cov @ table[pick].coords)
+            pick_score = float(table[pick] @ cov @ table[pick])
             assert pick_score >= np.mean(scores) - 1e-12
             assert pick_score == max(scores)
 
@@ -205,8 +204,7 @@ class TestEffectTables:
             for j, meas in enumerate(states):
                 built = process_design(DensityOperator(matrix=prep), Effect(matrix=meas),
                                        1, BASIS4).effect
-                assert np.array_equal(table[6 * i + j].coords, built.coords)
-                assert table[6 * i + j].basis is BASIS4
+                assert np.array_equal(table[6 * i + j], built)
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_pauli_table_matches_per_string_build(self, n_qubits):
@@ -215,22 +213,26 @@ class TestEffectTables:
         assert len(table) == 4**n_qubits
         for idx, element in enumerate(basis.elements):
             pauli = element * np.sqrt(2.0**n_qubits)
-            built = vectorize(Effect(matrix=(np.eye(2**n_qubits) + pauli) / 2.0), basis)
-            assert np.array_equal(table[idx].coords, built.coords)
+            built = basis.vectorize(Effect(matrix=(np.eye(2**n_qubits) + pauli) / 2.0).matrix)
+            assert np.array_equal(table[idx], built)
 
     def test_stabilizer_table_matches_per_ket_build(self):
         table = stabilizer_qutrit_effects()
         assert len(table) == 12
         for ket, entry in zip(qutrit_stabilizer_states(), table):
-            built = vectorize(Effect(matrix=np.outer(ket, ket.conj())), gell_mann_basis(3))
-            assert np.array_equal(entry.coords, built.coords)
+            built = gell_mann_basis(3).vectorize(Effect(matrix=np.outer(ket, ket.conj())).matrix)
+            assert np.array_equal(entry, built)
 
     def test_tables_are_built_once_and_read_only(self):
-        assert process_effects(BASIS4) is process_effects(BASIS4)
-        assert pauli_effects(2) is pauli_effects(2)
-        assert stabilizer_qutrit_effects() is stabilizer_qutrit_effects()
-        with pytest.raises(ValueError):
-            process_effects(BASIS4)[0].coords[0] = 1.0
+        for build, args, shape in ((process_effects, (BASIS4,), (36, 16)),
+                                   (pauli_effects, (2,), (16, 16)),
+                                   (stabilizer_qutrit_effects, (), (12, 9))):
+            table = build(*args)
+            assert build(*args) is table
+            assert table.shape == shape and table.dtype == float
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
 
     def test_draws_index_their_table(self):
         # One integers call per index, as when each effect was built per draw.
@@ -238,12 +240,13 @@ class TestEffectTables:
             g = RngStream(seed).generator
             prep, meas = int(g.integers(0, 6)), int(g.integers(0, 6))
             drawn = random_process_design(3, RngStream(seed), BASIS4)
-            assert drawn.effect is process_effects(BASIS4)[6 * prep + meas]
+            assert np.array_equal(drawn.effect, process_effects(BASIS4)[6 * prep + meas])
             idx = int(RngStream(seed).generator.integers(1, 16))
-            assert random_pauli_design(2, 1, RngStream(seed)).effect is pauli_effects(2)[idx]
+            drawn = random_pauli_design(2, 1, RngStream(seed))
+            assert np.array_equal(drawn.effect, pauli_effects(2)[idx])
             idx = int(RngStream(seed).generator.integers(0, 12))
             drawn = random_stabilizer_qutrit_design(1, RngStream(seed))
-            assert drawn.effect is stabilizer_qutrit_effects()[idx]
+            assert np.array_equal(drawn.effect, stabilizer_qutrit_effects()[idx])
 
 
 QPT_ADAPTIVE = {
@@ -278,7 +281,7 @@ def reference_adaptive_pick(cov, rng, n_proposals=50, n_meas=5):
                                         Effect(matrix=states[j]), n_meas, BASIS4))
         entries.append(6 * i + j)
     distinct = sorted(set(entries))
-    coords = np.array([proposals[entries.index(e)].effect.coords for e in distinct])
+    coords = np.array([proposals[entries.index(e)].effect for e in distinct])
     scores = dict(zip(distinct, np.einsum("ij,ij->i", coords @ cov, coords)))
     return proposals, int(np.argmax([scores[e] for e in entries]))
 
@@ -340,7 +343,7 @@ class TestAdaptiveRule:
             rng, ref_rng = RngStream(seed), RngStream(seed)
             pick = rule(1, None, rng)
             proposals, best = reference_adaptive_pick(cov, ref_rng)
-            assert np.array_equal(pick.effect.coords, proposals[best].effect.coords), seed
+            assert np.array_equal(pick.effect, proposals[best].effect), seed
             if not cov.any():
                 assert best == 0
             # Both consumed the same draws.
@@ -375,10 +378,9 @@ class TestAdaptiveRule:
         # Preparations +X and -X with one measurement: their coordinates
         # differ only in sign, so a diagonal covariance scores them equal.
         plus, minus = 6 * 0 + 4, 6 * 1 + 4
-        assert np.array_equal(np.abs(effects[plus].coords), np.abs(effects[minus].coords))
+        assert np.array_equal(np.abs(effects[plus]), np.abs(effects[minus]))
         cov = np.diag(rng.random(16) + 0.5)
-        coords = np.array([e.coords for e in effects])
-        scores = np.einsum("ij,ij->i", coords @ cov, coords)
+        scores = np.einsum("ij,ij->i", effects @ cov, effects)
         assert scores[plus] == scores[minus]
         weak = int(np.argmin(scores))
         assert scores[weak] < scores[plus]
@@ -433,9 +435,9 @@ class TestBatchedDraws:
                     prep = DensityOperator(matrix=states[int(g.integers(0, 6))])
                     meas = Effect(matrix=states[int(g.integers(0, 6))])
                     proposals.append(process_design(prep, meas, 5, BASIS4))
-                scores = [float(p.effect.coords @ cov @ p.effect.coords) for p in proposals]
+                scores = [float(p.effect @ cov @ p.effect) for p in proposals]
                 expected = proposals[int(np.argmax(scores))]
-                assert np.array_equal(pick.effect.coords, expected.effect.coords), step
+                assert np.array_equal(pick.effect, expected.effect), step
                 assert pick.n_meas == 5
             assert kinds == expected_kinds, fraction
             assert rng.generator.random() == g.random()
@@ -492,7 +494,7 @@ class TestScheduledMix:
             stream = RngStream(61)
             picks.append([rule(i + 1, None, stream.child(i), cov=self.COV).effect
                           for i in range(30)])
-        assert all(a is b for a, b in zip(*picks))
+        assert all(np.array_equal(a, b) for a, b in zip(*picks))
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -510,4 +512,4 @@ def test_rule_is_callable_with_step_cloud_rng(path):
     rng = RngStream(config.seed)
     design = rule(1, init_cloud(prior, 2, rng), rng)
     assert design.n_meas == config.heuristic.n_meas
-    assert design.effect.coords.shape == (prior.n_coords,)
+    assert design.effect.shape == (prior.n_coords,)

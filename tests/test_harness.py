@@ -31,6 +31,7 @@ from tomolab.harness import (
 )
 from tomolab.qobj import gell_mann_basis, pauli_basis
 from tomolab.randq import RngStream
+from tomolab.smc import effective_sample_size, posterior_covariance, posterior_mean_coords
 
 from conftest import random_state_matrix
 
@@ -642,6 +643,41 @@ class TestTracking:
         assert hasattr(result, "curve")
 
 
+class TestSummaryMeaning:
+    """The record's summary describes the run's final cloud, and its total
+    log norm is the sum of the per-step log norms."""
+
+    def check(self, rec):
+        assert not rec.failed
+        cloud, summary = rec.final_cloud, rec.summary
+        assert summary["mean"] == posterior_mean_coords(cloud).tolist()
+        assert summary["covariance"] == posterior_covariance(cloud).tolist()
+        assert summary["ess"] == effective_sample_size(cloud)
+        total = 0.0
+        for row in rec.steps:
+            total += row["log_norm"]
+        assert summary["total_log_norm"] == total
+
+    def test_qpt_summary(self):
+        rec = run(RunConfig.from_dict(dict(TestQpt.CONFIG, n_particles=200,
+                                           n_experiments=8)))
+        self.check(rec)
+        cov = posterior_covariance(rec.final_cloud)
+        lam, vecs = np.linalg.eigh(cov)
+        top = vecs[:, -1]
+        comp = np.array(rec.summary["principal_component"])
+        assert rec.summary["principal_eigenvalue"] == lam[-1] > lam[-2]
+        assert abs(np.linalg.norm(comp) - 1.0) < 1e-12
+        assert min(np.abs(comp - top).max(), np.abs(comp + top).max()) < 1e-12
+
+    def test_track_summary(self):
+        cfg = track_config()
+        cfg["tracking"]["n_steps"] = 12
+        rec = run(RunConfig.from_dict(cfg))
+        self.check(rec)
+        assert rec.summary["eta_mean"] == posterior_mean_coords(rec.final_cloud)[-1]
+
+
 class TestTracer:
     def test_spans_attribute_a_coin_track(self):
         # bench/spans.py times each layer by wrapping names it looks up on
@@ -805,6 +841,16 @@ class TestCli:
         pytest.param("estimate", state_config(truth={
             "kind": "explicit", "matrix": {"diag": []}}),
             "matrix spec must not be empty", id="empty_diag"),
+        pytest.param("track", track_config(tracking=dict(
+            track_config()["tracking"], trajectory={"kind": "diffusing_state",
+                                                    "step_std": 0.01})),
+            "diffusing_state trajectory needs the state model",
+            id="diffusing_state_on_a_coin"),
+        pytest.param("track", dict(TestQpt.CONFIG, mode="track", truth={
+            "kind": "kraus", "kraus": [{"diag": [1.0, 1.0]}]}, tracking={
+            "n_steps": 50, "trajectory": {"kind": "diffusing_state", "step_std": 0.05}}),
+            "diffusing_state trajectory needs the state model",
+            id="diffusing_state_on_a_channel"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)

@@ -26,7 +26,6 @@ from tomolab.qobj import (
     choi_of_channel,
     pauli_basis,
     standard_basis,
-    vectorize,
 )
 from tomolab.randq import RngStream, ginibre_states
 
@@ -37,7 +36,7 @@ BASIS2 = pauli_basis(1)
 
 
 def design_for(effect_matrix, n_meas=1):
-    return ExperimentDesign(effect=vectorize(Effect(matrix=effect_matrix), BASIS2),
+    return ExperimentDesign(effect=BASIS2.vectorize(Effect(matrix=effect_matrix).matrix),
                             n_meas=n_meas)
 
 
@@ -56,8 +55,8 @@ class TestDesignAndDatum:
 
     def test_coin_design(self):
         d = coin_design(n_meas=3)
-        assert d.effect.coords.shape == (1,)
-        assert d.effect.coords[0] == 1.0
+        assert d.effect.shape == (1,)
+        assert d.effect[0] == 1.0
         assert d.n_meas == 3
 
 

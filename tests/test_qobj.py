@@ -27,7 +27,6 @@ from tomolab.qobj import (
     process_effect,
     restore_trace_preservation,
     standard_basis,
-    vectorize,
 )
 
 I2 = np.eye(2)
@@ -141,12 +140,6 @@ class TestVectorization:
         assert coords.shape == (5, 4)
         singles = np.stack([basis.vectorize(op) for op in ops])
         assert np.abs(coords - singles).max() < 1e-12
-
-    def test_wrapper_objects(self):
-        basis = pauli_basis(1)
-        vec = vectorize(DensityOperator(matrix=I2 / 2), basis)
-        assert vec.size == 4
-        assert np.abs(vec.matrix() - I2 / 2).max() < 1e-12
 
 
 def einsum_restore_trace_preservation(stack, d):

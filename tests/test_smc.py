@@ -9,7 +9,7 @@ from scipy import stats
 from tomolab.design import random_pauli_design
 from tomolab.likelihood import Datum, ExperimentDesign, coin_design, datum_log_likelihood
 from tomolab.priors import coin_insightful_prior, coin_uniform_prior, ginibre_prior, insightful_prior, rebit_ginibre_prior
-from tomolab.qobj import Effect, VectorizedOperator, pauli_basis, vectorize
+from tomolab.qobj import Effect, pauli_basis
 from tomolab.randq import RngStream
 from tomolab.smc import (
     CredibleEllipsoid,
@@ -22,7 +22,6 @@ from tomolab.smc import (
     init_cloud,
     maybe_resample,
     posterior_covariance,
-    posterior_mean,
     posterior_mean_coords,
     principal_components,
     resample,
@@ -140,6 +139,23 @@ class TestBayesUpdate:
         with pytest.raises(DegenerateUpdateError):
             bayes_update(cloud, coin_datum(1, 1))
 
+    def test_underflowed_weight_is_not_a_herald(self):
+        # 2000 successes leave the p = 0.5 particle a relative weight of
+        # 2**-2000, which underflows to 0; one failure then has likelihood
+        # 1/2 under it and 0 under p = 1.
+        cloud, first = bayes_update(coin_cloud([1.0, 0.5]), coin_datum(2000, 2000))
+        assert cloud.weights.tolist() == [1.0, 0.0]
+        cloud, second = bayes_update(cloud, coin_datum(1, 0))
+        assert cloud.weights.tolist() == [0.0, 1.0]
+        exact = 2002 * np.log(0.5)
+        assert abs(first + second - exact) <= 1e-12 * abs(exact)
+
+    def test_resampling_drops_the_log_weights(self):
+        cloud, _ = bayes_update(coin_cloud([0.2, 0.8]), coin_datum(3, 2))
+        assert cloud.log_weights is not None
+        assert resample(cloud, RngStream(3), a=1.0).log_weights is None
+        assert resample(cloud, RngStream(3)).log_weights is None
+
     def test_sequential_consistency(self):
         cloud = coin_cloud(np.linspace(0.05, 0.95, 19))
         d1 = coin_datum(3, 1)
@@ -200,14 +216,16 @@ class TestEssAndMoments:
 
     def test_posterior_mean_is_convex(self):
         cloud = init_cloud(ginibre_prior(2), 200, RngStream(11))
-        rho = posterior_mean(cloud).matrix()
+        rho = BASIS2.devectorize(posterior_mean_coords(cloud))
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
-    def test_tracked_mean_has_no_basis(self):
+    def test_tracked_mean_carries_the_rate_column(self):
         cloud = init_cloud(ginibre_prior(2), 8, RngStream(13),
-                           eta_sampler=lambda n, rng: np.zeros(n))
-        assert posterior_mean(cloud).basis is None
+                           eta_sampler=lambda n, rng: np.full(n, 0.25))
+        mean = posterior_mean_coords(cloud)
+        assert mean.shape == (5,)
+        assert mean[4] == 0.25
 
     def test_covariance_delta_posterior(self):
         cloud = coin_cloud([0.4, 0.4])
@@ -237,17 +255,18 @@ class TestEssAndMoments:
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() > -1e-10
 
-    def test_summarize_carries_log_norm(self):
-        cloud = coin_cloud([0.2, 0.8])
-        s = summarize(cloud, total_log_norm=-3.25)
-        assert s.total_log_norm == -3.25
-        assert abs(s.ess - 2.0) < 1e-12
+    def test_summarize_is_mean_covariance_and_ess(self):
+        cloud = coin_cloud([0.2, 0.8], weights=[0.25, 0.75])
+        mean, cov, ess = summarize(cloud)
+        assert np.array_equal(mean, posterior_mean_coords(cloud))
+        assert np.array_equal(cov, posterior_covariance(cloud))
+        assert ess == effective_sample_size(cloud)
 
 
 class TestResample:
     def _posterior_cloud(self, seed):
         cloud = init_cloud(rebit_ginibre_prior(), 400, RngStream(seed))
-        eff = vectorize(Effect(matrix=(np.eye(2) + X) / 2), BASIS2)
+        eff = BASIS2.vectorize(Effect(matrix=(np.eye(2) + X) / 2).matrix)
         datum = Datum(n_success=8, design=ExperimentDesign(effect=eff, n_meas=10))
         cloud, _ = bayes_update(cloud, datum)
         return cloud
@@ -351,36 +370,26 @@ class TestCredibleEllipsoid:
 class TestPrincipalComponents:
     def test_rank_one_covariance(self):
         e = np.array([0.0, 1.0, 0.0, 0.0])
-        summary = summarize_like(0.25 * np.outer(e, e))
-        (lam, vec), = principal_components(summary, 1)
+        (lam, vec), = principal_components(0.25 * np.outer(e, e), 1)
         assert abs(lam - 0.25) < 1e-12
-        assert np.abs(np.abs(vec.coords) - e).max() < 1e-12
+        assert np.abs(np.abs(vec) - e).max() < 1e-12
 
     def test_eigenvalue_sum_and_orthonormality(self):
         rng = np.random.default_rng(79)
         m = rng.standard_normal((4, 4))
         cov = m @ m.T
-        summary = summarize_like(cov)
-        pairs = principal_components(summary, 4)
+        pairs = principal_components(cov, 4)
         lams = [p[0] for p in pairs]
         assert lams == sorted(lams, reverse=True)
         assert abs(sum(lams) - np.trace(cov)) < 1e-10
-        vecs = np.stack([p[1].coords for p in pairs])
+        vecs = np.stack([p[1] for p in pairs])
         assert np.abs(vecs @ vecs.T - np.eye(4)).max() < 1e-10
 
     def test_k_validation(self):
-        summary = summarize_like(np.eye(4))
         with pytest.raises(ValueError):
-            principal_components(summary, 0)
+            principal_components(np.eye(4), 0)
         with pytest.raises(ValueError):
-            principal_components(summary, 5)
-
-
-def summarize_like(cov):
-    from tomolab.smc import PosteriorSummary
-    mean = VectorizedOperator(coords=np.array([1 / np.sqrt(2), 0, 0, 0]), basis=BASIS2)
-    return PosteriorSummary(mean=mean, covariance=np.asarray(cov, dtype=float),
-                            ess=1.0, total_log_norm=0.0)
+            principal_components(np.eye(4), 5)
 
 
 class TestHypothesisSpace:
