@@ -8,7 +8,7 @@ whose effect direction carries the most posterior uncertainty.
 Each family has a fixed, finite set of effects.  They are built and
 validated once, on first use, into an effect table: a read-only
 ``(m, D**2)`` array whose rows are the effects' basis coordinates.  A
-random design is a random row of its table.
+design is one such row, and a random design is a random row of its table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .likelihood import ExperimentDesign, process_design
 from .qobj import (
     PAULIS,
     DensityOperator,
@@ -26,6 +25,7 @@ from .qobj import (
     OperatorBasis,
     gell_mann_basis,
     pauli_basis,
+    process_effect,
 )
 from .randq import RngStream
 
@@ -67,11 +67,10 @@ def pauli_effects(n_qubits: int) -> np.ndarray:
                    for element in basis.elements])
 
 
-def random_pauli_design(n_qubits: int, n_meas: int, rng: RngStream) -> ExperimentDesign:
+def random_pauli_design(n_qubits: int, rng: RngStream) -> np.ndarray:
     """Uniformly random non-identity Pauli string P, measured as (I + P)/2."""
     effects = pauli_effects(n_qubits)
-    idx = int(rng.generator.integers(1, len(effects)))
-    return ExperimentDesign(effect=effects[idx], n_meas=n_meas)
+    return effects[int(rng.generator.integers(1, len(effects)))]
 
 
 @lru_cache(maxsize=1)
@@ -103,11 +102,10 @@ def stabilizer_qutrit_effects() -> np.ndarray:
                    for ket in qutrit_stabilizer_states()])
 
 
-def random_stabilizer_qutrit_design(n_meas: int, rng: RngStream) -> ExperimentDesign:
+def random_stabilizer_qutrit_design(rng: RngStream) -> np.ndarray:
     """Rank-one projector onto a uniformly random qutrit stabilizer state."""
     effects = stabilizer_qutrit_effects()
-    idx = int(rng.generator.integers(0, len(effects)))
-    return ExperimentDesign(effect=effects[idx], n_meas=n_meas)
+    return effects[int(rng.generator.integers(0, len(effects)))]
 
 
 @lru_cache(maxsize=1)
@@ -127,8 +125,8 @@ def process_effects(basis: OperatorBasis) -> np.ndarray:
     preparation i and measurement j of :func:`pauli_eigenstates` at
     index ``6 * i + j``."""
     states = pauli_eigenstates()
-    return _table([process_design(DensityOperator(matrix=prep), Effect(matrix=meas),
-                                  1, basis).effect
+    return _table([basis.vectorize(process_effect(DensityOperator(matrix=prep),
+                                                  Effect(matrix=meas)).matrix)
                    for prep in states for meas in states])
 
 
@@ -139,12 +137,10 @@ def process_entries(n: int, rng: RngStream) -> np.ndarray:
     return 6 * drawn[0::2] + drawn[1::2]
 
 
-def random_process_design(n_meas: int, rng: RngStream,
-                          basis: OperatorBasis) -> ExperimentDesign:
+def random_process_design(rng: RngStream, basis: OperatorBasis) -> np.ndarray:
     """Random composite design for qubit process tomography: a uniformly
     random preparation, then measurement, among the Pauli eigenstates."""
-    return ExperimentDesign(effect=process_effects(basis)[process_entries(1, rng)[0]],
-                            n_meas=n_meas)
+    return process_effects(basis)[process_entries(1, rng)[0]]
 
 
 def adaptive_design(effects: np.ndarray, entries, covariance: np.ndarray) -> int:

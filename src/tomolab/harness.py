@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from . import design as design_mod
-from .likelihood import ExperimentDesign, coin_design, simulate_experiment
+from .likelihood import COIN_EFFECT, binomial_log_likelihood, simulate_experiment
 from .priors import (
     PriorDistribution,
     bcsz_prior,
@@ -59,6 +59,10 @@ SCHEMA_VERSION = 1
 MODES = ("estimate", "qpt", "track", "risk", "sample")
 MODELS = ("state", "channel", "coin")
 FIDUCIALS = ("ginibre", "bures", "rebit_ginibre", "bcsz", "coin_uniform")
+# The keys besides "kind" that each trajectory kind reads.
+TRAJECTORY_KEYS = {"two_tone_coin": ("f1", "f2"),
+                   "single_tone_coin": ("f", "offset", "amplitude"),
+                   "diffusing_state": ("step_std",), "static": ()}
 
 
 class ConfigError(ValueError):
@@ -398,8 +402,10 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution,
 
 
 def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
-    """Turn the declared heuristic into ``f(step, cloud, rng, cov=None)``;
-    ``cov`` is the posterior covariance of ``cloud``, computed if ``None``."""
+    """Turn the declared heuristic into ``f(step, cloud, rng, cov=None)``,
+    which returns the step's effect row; ``cov`` is the posterior
+    covariance of ``cloud``, computed if ``None``.  Every step measures
+    its effect ``config.heuristic.n_meas`` times."""
     h = config.heuristic
     basis = prior.basis
     if h.kind == "coin":
@@ -407,29 +413,31 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
             raise ConfigError("coin heuristic needs the coin model")
 
         def coin_rule(step, cloud, rng, cov=None):
-            return coin_design(h.n_meas)
+            return COIN_EFFECT
         return coin_rule
+    if h.kind in ("random_pauli", "stabilizer_qutrit") and config.model != "state":
+        raise ConfigError(f"{h.kind} heuristic needs the state model")
     if h.kind == "random_pauli":
         n_qubits = int(math.log2(config.dim))
         if 2**n_qubits != config.dim:
             raise ConfigError("random_pauli needs a power-of-two dimension")
 
         def pauli_rule(step, cloud, rng, cov=None):
-            return design_mod.random_pauli_design(n_qubits, h.n_meas, rng)
+            return design_mod.random_pauli_design(n_qubits, rng)
         return pauli_rule
     if h.kind == "stabilizer_qutrit":
         if config.dim != 3:
             raise ConfigError("stabilizer_qutrit needs dim 3")
 
         def stab_rule(step, cloud, rng, cov=None):
-            return design_mod.random_stabilizer_qutrit_design(h.n_meas, rng)
+            return design_mod.random_stabilizer_qutrit_design(rng)
         return stab_rule
     if h.kind in ("process_random", "process_adaptive_mix"):
         if config.model != "channel" or config.dim != 2:
             raise ConfigError("process heuristics cover single-qubit channels")
 
         def random_rule(step, cloud, rng, cov=None):
-            return design_mod.random_process_design(h.n_meas, rng, basis)
+            return design_mod.random_process_design(rng, basis)
 
         if h.kind == "process_random":
             return random_rule
@@ -440,8 +448,7 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
             effects = design_mod.process_effects(basis)
             entries = design_mod.process_entries(h.n_proposals, rng)
             sigma = posterior_covariance(cloud) if cov is None else cov
-            entry = design_mod.adaptive_design(effects, entries, sigma)
-            return ExperimentDesign(effect=effects[entry], n_meas=h.n_meas)
+            return effects[design_mod.adaptive_design(effects, entries, sigma)]
         return adaptive_rule
     raise ConfigError(f"unknown heuristic kind {h.kind!r}")
 
@@ -551,6 +558,12 @@ def _make_trajectory(config: RunConfig, setup: _Setup,
     """The truth as a function of time; constant unless the run tracks."""
     spec = config.tracking.trajectory if config.mode == "track" else {"kind": "static"}
     kind = spec.get("kind")
+    keys = TRAJECTORY_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"unknown trajectory kind {kind!r}")
+    unknown = set(spec) - {"kind", *keys}
+    if unknown:
+        raise ConfigError(f"unknown {kind} trajectory keys: {sorted(unknown)}")
 
     def number(key: str, default=None) -> float:
         return _number(spec.get(key, default), f"{kind} trajectory {key!r}")
@@ -590,14 +603,12 @@ def _make_trajectory(config: RunConfig, setup: _Setup,
                 state["t"] = t
             return state["coords"]
         return diffusing
-    if kind == "static":
-        fixed = resolve_truth(config.truth, setup.prior, setup.truth_prior,
-                              config.model, config.dim, truth_rng)
+    fixed = resolve_truth(config.truth, setup.prior, setup.truth_prior,
+                          config.model, config.dim, truth_rng)
 
-        def static(t: float) -> np.ndarray:
-            return fixed
-        return static
-    raise ConfigError(f"unknown trajectory kind {kind!r}")
+    def static(t: float) -> np.ndarray:
+        return fixed
+    return static
 
 
 def _filter(config: RunConfig, root: RngStream, setup: _Setup,
@@ -620,6 +631,7 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     eta_sampler = None if tr is None else lognormal_eta_sampler(tr.eta_mean, tr.eta_log_std)
     cloud = init_cloud(setup.prior, config.n_particles, engine_rng, eta_sampler=eta_sampler)
     w = cloud.space.n_state_coords
+    n_meas = config.heuristic.n_meas
     total_log_norm = 0.0
     n_resamples = 0
 
@@ -652,12 +664,13 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     for step in range(1, n_steps + 1):
         t = step * dt
         truth = trajectory(t)
-        exp_design = heuristic(step, cloud, design_rng, cov=cov)
+        effect = heuristic(step, cloud, design_rng, cov=cov)
         if tr is not None:
             cloud = diffuse_cloud(cloud, t - prev_t, engine_rng)
-        datum = simulate_experiment(truth, exp_design, data_rng)
+        n_success = simulate_experiment(truth, effect, n_meas, data_rng)
+        log_like = binomial_log_likelihood(cloud.locations[:, :w], effect, n_meas, n_success)
         try:
-            cloud, log_norm = bayes_update(cloud, datum)
+            cloud, log_norm = bayes_update(cloud, log_like)
         except DegenerateUpdateError as err:
             failed = True
             reason = f"step {step}: {err}"
@@ -667,7 +680,7 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
         cloud = maybe_resample(cloud, engine_rng, a=config.resample_a,
                                threshold=config.resample_threshold)
         n_resamples += int(cloud is not before)
-        row, cov = row_of(step, t, truth, exp_design.n_meas, datum.n_success, log_norm)
+        row, cov = row_of(step, t, truth, n_meas, n_success, log_norm)
         rows.append(row)
         prev_t = t
     summary = {"n_resamples": n_resamples}

@@ -1,76 +1,36 @@
 """Measurement models: Born probabilities and binomial batch likelihoods.
 
-Experiments are two-outcome measurements repeated n_meas times; a datum
-records the success count.  States, Choi states, and coins all share the
-same code path: the outcome probability is a dot product between the
+Experiments are two-outcome measurements repeated n_meas times; the data
+of one is its success count.  States, Choi states, and coins all share
+the same code path: the outcome probability is a dot product between the
 hypothesis coordinates and the effect coordinates, where a coin is the
-one-coordinate hypothesis whose "effect" is the constant vector [1.0].
+one-coordinate hypothesis whose effect is :data:`COIN_EFFECT`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qobj import (
-    DensityOperator,
-    DimensionMismatchError,
-    Effect,
-    OperatorBasis,
-    process_effect,
-)
+from .qobj import DimensionMismatchError
 from .randq import RngStream
 
-
-@dataclass(frozen=True)
-class ExperimentDesign:
-    """One configured experiment: an effect, as its coordinate row,
-    measured n_meas times."""
-
-    effect: np.ndarray
-    n_meas: int
-
-    def __post_init__(self):
-        if self.n_meas < 1:
-            raise ValueError("n_meas must be positive")
-
-
-@dataclass(frozen=True)
-class Datum:
-    """Observed success count for one design."""
-
-    n_success: int
-    design: ExperimentDesign
-
-    def __post_init__(self):
-        if not 0 <= self.n_success <= self.design.n_meas:
-            raise ValueError("success count must lie in [0, n_meas]")
-
-
-_COIN_EFFECT = np.array([1.0])
-_COIN_EFFECT.flags.writeable = False
-
-
-def coin_design(n_meas: int) -> ExperimentDesign:
-    """Design measuring the heads outcome of a coin."""
-    return ExperimentDesign(effect=_COIN_EFFECT, n_meas=n_meas)
+COIN_EFFECT = np.array([1.0])
+COIN_EFFECT.flags.writeable = False
 
 
 def born_probability(state_coords, effect_coords) -> np.ndarray:
     """Outcome probability Tr[E rho] as a coordinate dot product.
 
-    Broadcasts over rows of ``state_coords``; rows wider than the effect
-    (hypotheses carrying extra hyperparameter columns) use only their
-    leading coordinates.  Values are clamped to [0, 1].
+    Broadcasts over rows of ``state_coords``, which must be exactly as
+    wide as the effect.  Values are clamped to [0, 1].
     """
     state = np.asarray(state_coords, dtype=float)
     effect = np.asarray(effect_coords, dtype=float)
-    if state.shape[-1] < effect.shape[0]:
-        raise DimensionMismatchError("hypothesis has fewer coordinates than the effect")
-    p = state[..., : effect.shape[0]] @ effect
-    return np.clip(p, 0.0, 1.0)
+    if state.shape[-1] != effect.shape[0]:
+        raise DimensionMismatchError("hypothesis and effect widths differ")
+    return np.clip(state @ effect, 0.0, 1.0)
 
 
 def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
@@ -91,32 +51,19 @@ def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
     return log_comb + log_hit + log_miss
 
 
-def binomial_log_likelihood(state_coords, design: ExperimentDesign,
-                            n_success: int) -> np.ndarray:
-    """Log likelihood of observing ``n_success`` under ``design``."""
-    p = born_probability(state_coords, design.effect)
-    return binomial_log_pmf(design.n_meas, n_success, p)
+def binomial_log_likelihood(coords, effect, n_meas: int, n_success: int) -> np.ndarray:
+    """Log likelihood of ``n_success`` successes in ``n_meas`` shots of
+    ``effect``, one value per row of ``coords``."""
+    return binomial_log_pmf(n_meas, n_success, born_probability(coords, effect))
 
 
-def binomial_likelihood(state_coords, design: ExperimentDesign, n_success: int) -> np.ndarray:
-    """Likelihood of observing ``n_success`` under ``design``."""
-    return np.exp(binomial_log_likelihood(state_coords, design, n_success))
+def binomial_likelihood(coords, effect, n_meas: int, n_success: int) -> np.ndarray:
+    """Likelihood of ``n_success`` successes in ``n_meas`` shots of ``effect``."""
+    return np.exp(binomial_log_likelihood(coords, effect, n_meas, n_success))
 
 
-def datum_log_likelihood(locations, datum: Datum) -> np.ndarray:
-    """Vectorized log likelihood of one datum for each hypothesis row."""
-    return binomial_log_likelihood(locations, datum.design, datum.n_success)
-
-
-def simulate_experiment(true_coords, design: ExperimentDesign, rng: RngStream) -> Datum:
-    """Draw a binomial success count from the true hypothesis."""
-    p = float(born_probability(np.asarray(true_coords, dtype=float), design.effect))
-    n_success = int(rng.generator.binomial(design.n_meas, p))
-    return Datum(n_success=n_success, design=design)
-
-
-def process_design(prep: DensityOperator, meas: Effect, n_meas: int,
-                   basis: OperatorBasis) -> ExperimentDesign:
-    """Design measuring a channel: composite effect on the D**2 space."""
-    composite = process_effect(prep, meas)
-    return ExperimentDesign(effect=basis.vectorize(composite.matrix), n_meas=n_meas)
+def simulate_experiment(true_coords, effect, n_meas: int, rng: RngStream) -> int:
+    """Binomial success count of ``n_meas`` shots of ``effect`` on the
+    true hypothesis."""
+    p = float(born_probability(true_coords, effect))
+    return int(rng.generator.binomial(n_meas, p))

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .likelihood import Datum, datum_log_likelihood
 from .priors import PriorDistribution
 from .qobj import DimensionMismatchError, OperatorBasis, positive_definite
 from .randq import RngStream
@@ -180,10 +179,9 @@ def init_cloud(prior: PriorDistribution, n_particles: int, rng: RngStream,
     return ParticleCloud(locations=rows, weights=weights, space=space)
 
 
-def bayes_update(cloud: ParticleCloud, datum: Datum,
-                 log_likelihood_fn: Callable = datum_log_likelihood
-                 ) -> tuple[ParticleCloud, float]:
-    """Reweight the cloud by the likelihood of one datum, in log space.
+def bayes_update(cloud: ParticleCloud, log_like) -> tuple[ParticleCloud, float]:
+    """Reweight the cloud by one datum's per-particle log-likelihoods
+    ``log_like``, in log space.
 
     Forms log w + log L per particle, subtracts the maximum before
     exponentiating, and normalizes, so no shot count underflows the
@@ -193,9 +191,9 @@ def bayes_update(cloud: ParticleCloud, datum: Datum,
     Raises :class:`DegenerateUpdateError`, leaving the input untouched,
     only when every particle has a true zero (log -inf) posterior weight.
     """
-    log_like = np.asarray(log_likelihood_fn(cloud.locations, datum), dtype=float)
+    log_like = np.asarray(log_like, dtype=float)
     if log_like.shape != cloud.weights.shape:
-        raise DimensionMismatchError("likelihood must return one value per particle")
+        raise DimensionMismatchError("need one log likelihood per particle")
     if not np.all(log_like < np.inf):
         raise ValueError("log likelihood must be a number below +inf")
     with np.errstate(divide="ignore"):

@@ -59,7 +59,7 @@ def coin_truncate(p) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
 
 
-def lognormal_eta_sampler(mean: float, log_std: float = 1.0):
+def lognormal_eta_sampler(mean: float, log_std: float):
     """Sampler for the diffusion-rate prior.
 
     Log-normal with the given arithmetic mean; mean = 0 returns the

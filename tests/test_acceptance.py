@@ -23,7 +23,7 @@ import run_qpt_adaptive
 import run_qutrit_risk
 import run_wrong_prior
 from tomolab.harness import run
-from tomolab.likelihood import Datum, coin_design
+from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood
 from tomolab.priors import (
     bures_prior,
     coin_gad_params,
@@ -172,8 +172,8 @@ def test_c05_grid_filter_matches_discrete_bayes():
         cloud = replace(cloud, locations=grid[:, None],
                         weights=np.full(200, 1.0 / 200.0))
         for k in counts:
-            cloud, _ = bayes_update(cloud, Datum(n_success=int(k),
-                                                 design=coin_design(5)))
+            cloud, _ = bayes_update(
+                cloud, binomial_log_likelihood(cloud.locations, COIN_EFFECT, 5, int(k)))
         log_post = stats.binom.logpmf(counts[:, None], 5, grid[None, :]).sum(axis=0)
         log_post -= log_post.max()
         w = np.exp(log_post)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +23,13 @@ from tomolab.design import (
     random_stabilizer_qutrit_design,
     stabilizer_qutrit_effects,
 )
-from tomolab.likelihood import process_design
 from tomolab.qobj import (
     ChoiState,
     DensityOperator,
     Effect,
     gell_mann_basis,
     pauli_basis,
+    process_effect,
     standard_basis,
 )
 from tomolab.randq import RngStream
@@ -35,6 +37,12 @@ from tomolab.smc import init_cloud
 
 BASIS2 = pauli_basis(1)
 BASIS4 = standard_basis(4)
+
+
+def process_row(prep, meas):
+    """Composite effect row of one preparation and measurement, built on
+    its own."""
+    return BASIS4.vectorize(process_effect(prep, meas).matrix)
 
 
 class TestHeuristicConfig:
@@ -53,8 +61,8 @@ class TestRandomPauli:
         for n_qubits in (1, 2):
             stream = RngStream(3)
             for i in range(50):
-                design = random_pauli_design(n_qubits, 5, stream.child(n_qubits, i))
-                e = pauli_basis(n_qubits).devectorize(design.effect)
+                effect = random_pauli_design(n_qubits, stream.child(n_qubits, i))
+                e = pauli_basis(n_qubits).devectorize(effect)
                 eig = np.sort(np.linalg.eigvalsh(e))
                 dim = 2**n_qubits
                 assert np.allclose(eig[: dim // 2], 0.0, atol=1e-12)
@@ -63,7 +71,7 @@ class TestRandomPauli:
     def test_identity_string_excluded(self):
         stream = RngStream(5)
         for i in range(500):
-            e = BASIS2.devectorize(random_pauli_design(1, 1, stream.child(i)).effect)
+            e = BASIS2.devectorize(random_pauli_design(1, stream.child(i)))
             assert abs(np.trace(e).real - 1.0) < 1e-12
 
     def test_axis_frequencies(self):
@@ -71,18 +79,21 @@ class TestRandomPauli:
         counts = np.zeros(3)
         n = 10_000
         for i in range(n):
-            coords = random_pauli_design(1, 1, stream.child(i)).effect
+            coords = random_pauli_design(1, stream.child(i))
             counts[np.argmax(np.abs(coords[1:]))] += 1
         assert np.abs(counts / n - 1.0 / 3.0).max() < 0.02
 
     def test_deterministic(self):
-        a = random_pauli_design(1, 3, RngStream(11))
-        b = random_pauli_design(1, 3, RngStream(11))
-        assert np.array_equal(a.effect, b.effect)
+        a = random_pauli_design(1, RngStream(11))
+        b = random_pauli_design(1, RngStream(11))
+        assert np.array_equal(a, b)
 
     def test_metadata(self):
-        d = random_pauli_design(1, 7, RngStream(13))
-        assert d.n_meas == 7
+        # A design is one read-only row of coordinates; the shot count is
+        # the run's heuristic n_meas.
+        effect = random_pauli_design(1, RngStream(13))
+        assert effect.shape == (4,) and effect.dtype == float
+        assert not effect.flags.writeable
 
 
 class TestQutritStabilizers:
@@ -112,8 +123,7 @@ class TestQutritStabilizers:
         stream = RngStream(17)
         seen = set()
         for i in range(600):
-            design = random_stabilizer_qutrit_design(20, stream.child(i))
-            e = gell_mann_basis(3).devectorize(design.effect)
+            e = gell_mann_basis(3).devectorize(random_stabilizer_qutrit_design(stream.child(i)))
             eig = np.sort(np.linalg.eigvalsh(e))
             assert abs(eig[-1] - 1.0) < 1e-10
             assert abs(np.trace(e).real - 1.0) < 1e-10
@@ -132,17 +142,16 @@ class TestProcessProposals:
         # Preparation first, then measurement; the design is their table entry.
         g = RngStream(19).generator
         prep, meas = int(g.integers(0, 6)), int(g.integers(0, 6))
-        design = random_process_design(1, RngStream(19), BASIS4)
-        assert np.array_equal(design.effect, process_effects(BASIS4)[6 * prep + meas])
+        effect = random_process_design(RngStream(19), BASIS4)
+        assert np.array_equal(effect, process_effects(BASIS4)[6 * prep + meas])
         states = pauli_eigenstates()
-        assert np.allclose(BASIS4.devectorize(design.effect),
+        assert np.allclose(BASIS4.devectorize(effect),
                            np.kron(2.0 * states[prep].T, states[meas]), atol=1e-12)
 
     def test_random_design_geometry(self):
-        design = random_process_design(25, RngStream(23), BASIS4)
-        assert design.effect.shape == (16,)
-        assert design.n_meas == 25
-        composite = BASIS4.devectorize(design.effect)
+        effect = random_process_design(RngStream(23), BASIS4)
+        assert effect.shape == (16,)
+        composite = BASIS4.devectorize(effect)
         assert np.linalg.eigvalsh(composite).min() > -1e-10
         assert np.linalg.eigvalsh(composite).max() <= 2.0 + 1e-10
 
@@ -202,8 +211,7 @@ class TestEffectTables:
         assert len(table) == 36
         for i, prep in enumerate(states):
             for j, meas in enumerate(states):
-                built = process_design(DensityOperator(matrix=prep), Effect(matrix=meas),
-                                       1, BASIS4).effect
+                built = process_row(DensityOperator(matrix=prep), Effect(matrix=meas))
                 assert np.array_equal(table[6 * i + j], built)
 
     @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -239,14 +247,14 @@ class TestEffectTables:
         for seed in range(200):
             g = RngStream(seed).generator
             prep, meas = int(g.integers(0, 6)), int(g.integers(0, 6))
-            drawn = random_process_design(3, RngStream(seed), BASIS4)
-            assert np.array_equal(drawn.effect, process_effects(BASIS4)[6 * prep + meas])
+            drawn = random_process_design(RngStream(seed), BASIS4)
+            assert np.array_equal(drawn, process_effects(BASIS4)[6 * prep + meas])
             idx = int(RngStream(seed).generator.integers(1, 16))
-            drawn = random_pauli_design(2, 1, RngStream(seed))
-            assert np.array_equal(drawn.effect, pauli_effects(2)[idx])
+            drawn = random_pauli_design(2, RngStream(seed))
+            assert np.array_equal(drawn, pauli_effects(2)[idx])
             idx = int(RngStream(seed).generator.integers(0, 12))
-            drawn = random_stabilizer_qutrit_design(1, RngStream(seed))
-            assert np.array_equal(drawn.effect, stabilizer_qutrit_effects()[idx])
+            drawn = random_stabilizer_qutrit_design(RngStream(seed))
+            assert np.array_equal(drawn, stabilizer_qutrit_effects()[idx])
 
 
 QPT_ADAPTIVE = {
@@ -266,7 +274,7 @@ def adaptive_rule(fraction=1.0):
     return harness.make_heuristic(config, prior), prior
 
 
-def reference_adaptive_pick(cov, rng, n_proposals=50, n_meas=5):
+def reference_adaptive_pick(cov, rng, n_proposals=50):
     """The adaptive step as a loop: one mixture draw, then every proposal
     built and validated on its own.  The distinct proposals, in table
     order, are scored with the rule's batched expression: a product over
@@ -277,11 +285,11 @@ def reference_adaptive_pick(cov, rng, n_proposals=50, n_meas=5):
     proposals, entries = [], []
     for _ in range(n_proposals):
         i, j = int(g.integers(0, 6)), int(g.integers(0, 6))
-        proposals.append(process_design(DensityOperator(matrix=states[i]),
-                                        Effect(matrix=states[j]), n_meas, BASIS4))
+        proposals.append(process_row(DensityOperator(matrix=states[i]),
+                                     Effect(matrix=states[j])))
         entries.append(6 * i + j)
     distinct = sorted(set(entries))
-    coords = np.array([proposals[entries.index(e)].effect for e in distinct])
+    coords = np.array([proposals[entries.index(e)] for e in distinct])
     scores = dict(zip(distinct, np.einsum("ij,ij->i", coords @ cov, coords)))
     return proposals, int(np.argmax([scores[e] for e in entries]))
 
@@ -343,7 +351,7 @@ class TestAdaptiveRule:
             rng, ref_rng = RngStream(seed), RngStream(seed)
             pick = rule(1, None, rng)
             proposals, best = reference_adaptive_pick(cov, ref_rng)
-            assert np.array_equal(pick.effect, proposals[best].effect), seed
+            assert np.array_equal(pick, proposals[best]), seed
             if not cov.any():
                 assert best == 0
             # Both consumed the same draws.
@@ -434,11 +442,10 @@ class TestBatchedDraws:
                 for _ in range(50 if adaptive else 1):
                     prep = DensityOperator(matrix=states[int(g.integers(0, 6))])
                     meas = Effect(matrix=states[int(g.integers(0, 6))])
-                    proposals.append(process_design(prep, meas, 5, BASIS4))
-                scores = [float(p.effect @ cov @ p.effect) for p in proposals]
+                    proposals.append(process_row(prep, meas))
+                scores = [float(p @ cov @ p) for p in proposals]
                 expected = proposals[int(np.argmax(scores))]
-                assert np.array_equal(pick.effect, expected.effect), step
-                assert pick.n_meas == 5
+                assert np.array_equal(pick, expected), step
             assert kinds == expected_kinds, fraction
             assert rng.generator.random() == g.random()
 
@@ -492,7 +499,7 @@ class TestScheduledMix:
         picks = []
         for _ in range(2):
             stream = RngStream(61)
-            picks.append([rule(i + 1, None, stream.child(i), cov=self.COV).effect
+            picks.append([rule(i + 1, None, stream.child(i), cov=self.COV)
                           for i in range(30)])
         assert all(np.array_equal(a, b) for a, b in zip(*picks))
 
@@ -510,6 +517,26 @@ def test_rule_is_callable_with_step_cloud_rng(path):
     prior = harness.build_prior(config.prior, config.model, config.dim)
     rule = harness.make_heuristic(config, prior)
     rng = RngStream(config.seed)
-    design = rule(1, init_cloud(prior, 2, rng), rng)
-    assert design.n_meas == config.heuristic.n_meas
-    assert design.effect.shape == (prior.n_coords,)
+    effect = rule(1, init_cloud(prior, 2, rng), rng)
+    assert effect.shape == (prior.n_coords,)
+    assert not effect.flags.writeable
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = load_bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS.WORKLOADS))
+def test_benchmark_warm_up_runs(name):
+    """The benchmark's set-up builds each workload's rule and calls it
+    through ``init_cloud``; a changed signature must fail here too."""
+    workload = BENCH_WORKLOADS.WORKLOADS[name]
+    BENCH_WORKLOADS.warm(BENCH_WORKLOADS.CONFIGS / workload.config)

@@ -738,6 +738,24 @@ class TestCli:
             "dimension does not match", id="mean_of_wrong_dim"),
         pytest.param("estimate", state_config(dim=1), "dim must be at least 2",
                      id="dim_1_random_pauli"),
+        pytest.param("estimate", dict(TestQpt.CONFIG, mode="estimate", heuristic={
+            "kind": "random_pauli", "n_meas": 10}),
+            "random_pauli heuristic needs the state model", id="random_pauli_on_a_channel"),
+        pytest.param("estimate", dict(TestQpt.CONFIG, mode="estimate", dim=3, truth={
+            "kind": "kraus", "kraus": [{"diag": [1.0, 1.0, 1.0]}]}, heuristic={
+            "kind": "stabilizer_qutrit", "n_meas": 10}),
+            "stabilizer_qutrit heuristic needs the state model",
+            id="stabilizer_qutrit_on_a_channel"),
+        pytest.param("estimate", coin_config(heuristic={"kind": "random_pauli", "n_meas": 10}),
+                     "random_pauli heuristic needs the state model", id="random_pauli_on_a_coin"),
+        pytest.param("track", track_config(tracking=dict(
+            track_config()["tracking"], trajectory={"kind": "single_tone_coin", "f": 0.01,
+                                                    "ofset": 0.2, "amplitud": 0.1})),
+            "unknown single_tone_coin trajectory keys: ['amplitud', 'ofset']",
+            id="misspelt_trajectory_keys"),
+        pytest.param("track", track_config(tracking=dict(
+            track_config()["tracking"], trajectory={"kind": "three_tone_coin"})),
+            "unknown trajectory kind 'three_tone_coin'", id="unknown_trajectory_kind"),
         pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
                                                          n_steps=0)),
                      "n_steps must be positive", id="zero_tracking_steps"),

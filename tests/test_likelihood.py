@@ -8,14 +8,11 @@ from scipy import stats
 
 from conftest import random_projector
 from tomolab.likelihood import (
-    Datum,
-    ExperimentDesign,
+    COIN_EFFECT,
     binomial_likelihood,
+    binomial_log_likelihood,
     binomial_log_pmf,
     born_probability,
-    coin_design,
-    datum_log_likelihood,
-    process_design,
     simulate_experiment,
 )
 from tomolab.qobj import (
@@ -25,6 +22,7 @@ from tomolab.qobj import (
     apply_choi,
     choi_of_channel,
     pauli_basis,
+    process_effect,
     standard_basis,
 )
 from tomolab.randq import RngStream, ginibre_states
@@ -35,29 +33,38 @@ H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 BASIS2 = pauli_basis(1)
 
 
-def design_for(effect_matrix, n_meas=1):
-    return ExperimentDesign(effect=BASIS2.vectorize(Effect(matrix=effect_matrix).matrix),
-                            n_meas=n_meas)
+def effect_row(effect_matrix):
+    return BASIS2.vectorize(Effect(matrix=effect_matrix).matrix)
+
+
+def process_row(prep, meas, basis):
+    return basis.vectorize(process_effect(prep, meas).matrix)
 
 
 class TestDesignAndDatum:
+    """A design is an effect row, measured n_meas times; a datum is the
+    success count."""
+
     def test_design_validation(self):
-        with pytest.raises(ValueError):
-            design_for((np.eye(2) + X) / 2, n_meas=0)
+        # An effect row must be exactly as wide as the hypothesis rows.
+        state = BASIS2.vectorize(np.eye(2) / 2)
+        with pytest.raises(DimensionMismatchError):
+            binomial_log_likelihood(state, COIN_EFFECT, 5, 2)
+        with pytest.raises(DimensionMismatchError):
+            simulate_experiment(state[:3], effect_row(np.eye(2) / 2), 5, RngStream(1))
 
     def test_datum_validation(self):
-        d = design_for((np.eye(2) + X) / 2, n_meas=5)
-        Datum(n_success=5, design=d)
+        assert np.isfinite(binomial_log_pmf(5, 5, 0.5))
         with pytest.raises(ValueError):
-            Datum(n_success=6, design=d)
+            binomial_log_pmf(5, 6, 0.5)
         with pytest.raises(ValueError):
-            Datum(n_success=-1, design=d)
+            binomial_log_pmf(5, -1, 0.5)
 
     def test_coin_design(self):
-        d = coin_design(n_meas=3)
-        assert d.effect.shape == (1,)
-        assert d.effect[0] == 1.0
-        assert d.n_meas == 3
+        assert COIN_EFFECT.shape == (1,)
+        assert COIN_EFFECT[0] == 1.0
+        assert not COIN_EFFECT.flags.writeable
+        assert float(born_probability([0.3], COIN_EFFECT)) == 0.3
 
 
 class TestBornProbability:
@@ -87,11 +94,14 @@ class TestBornProbability:
         singles = np.array([float(born_probability(r, effect)) for r in rows])
         assert np.abs(batch - singles).max() < 1e-15
 
-    def test_extra_hyperparameter_columns_ignored(self):
+    def test_extra_columns_rejected(self):
+        # Rows carrying a rate column are sliced to their state coordinates
+        # by the caller; a wider row is a mismatched design.
         state = BASIS2.vectorize((np.eye(2) + 0.9 * X) / 2)
         padded = np.concatenate([state, [0.123]])
         effect = BASIS2.vectorize((np.eye(2) + X) / 2)
-        assert abs(float(born_probability(padded, effect)) - 0.95) < 1e-12
+        with pytest.raises(DimensionMismatchError):
+            born_probability(padded, effect)
 
     def test_short_hypothesis_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -147,14 +157,16 @@ class TestBinomial:
     def test_out_of_range_count(self):
         with pytest.raises(ValueError):
             binomial_log_pmf(3, 4, 0.5)
+        with pytest.raises(ValueError):
+            binomial_log_likelihood([0.5], COIN_EFFECT, 3, 4)
 
     def test_likelihood_wrapper(self):
-        d = design_for((np.eye(2) + X) / 2, n_meas=10)
+        effect = effect_row((np.eye(2) + X) / 2)
         state = BASIS2.vectorize((np.eye(2) + 0.9 * X) / 2)
-        lik = float(binomial_likelihood(state, d, 9))
+        lik = float(binomial_likelihood(state, effect, 10, 9))
         assert abs(lik - 10.0 * 0.95**9 * 0.05) < 1e-12
-        datum = Datum(n_success=9, design=d)
-        assert abs(float(datum_log_likelihood(state, datum)) - np.log(lik)) < 1e-12
+        log_lik = float(binomial_log_likelihood(state, effect, 10, 9))
+        assert abs(log_lik - np.log(lik)) < 1e-12
 
     def test_log_pmf_finite_where_pmf_underflows(self):
         p = [0.3, 0.35, 0.4]
@@ -174,25 +186,25 @@ class TestBinomial:
 
 class TestSimulate:
     def test_deterministic(self):
-        d = design_for((np.eye(2) + X) / 2, n_meas=20)
+        effect = effect_row((np.eye(2) + X) / 2)
         state = BASIS2.vectorize((np.eye(2) + 0.9 * X) / 2)
-        a = simulate_experiment(state, d, RngStream(17))
-        b = simulate_experiment(state, d, RngStream(17))
-        assert a.n_success == b.n_success
+        a = simulate_experiment(state, effect, 20, RngStream(17))
+        b = simulate_experiment(state, effect, 20, RngStream(17))
+        assert type(a) is int and a == b
 
     def test_certain_outcomes(self):
         state = BASIS2.vectorize(np.diag([1.0, 0.0]))
-        up = design_for(np.diag([1.0, 0.0]), n_meas=9)
-        down = design_for(np.diag([0.0, 1.0]), n_meas=9)
+        up = effect_row(np.diag([1.0, 0.0]))
+        down = effect_row(np.diag([0.0, 1.0]))
         stream = RngStream(19)
-        assert simulate_experiment(state, up, stream).n_success == 9
-        assert simulate_experiment(state, down, stream).n_success == 0
+        assert simulate_experiment(state, up, 9, stream) == 9
+        assert simulate_experiment(state, down, 9, stream) == 0
 
     def test_binomial_mean(self):
         state = BASIS2.vectorize((np.eye(2) + 0.4 * X) / 2)  # p = 0.3 on the -x effect
-        d = design_for((np.eye(2) - X) / 2, n_meas=40)
+        effect = effect_row((np.eye(2) - X) / 2)
         stream = RngStream(23)
-        total = sum(simulate_experiment(state, d, stream.child(i)).n_success
+        total = sum(simulate_experiment(state, effect, 40, stream.child(i))
                     for i in range(10_000))
         assert abs(total / (40.0 * 10_000) - 0.3) < 0.01
 
@@ -205,8 +217,8 @@ class TestProcessLikelihood:
         coords = self.BASIS4.vectorize(choi.matrix)
         prep = DensityOperator(matrix=np.diag([1.0, 0.0]))
         meas = Effect(matrix=np.diag([1.0, 0.0]))
-        design = process_design(prep, meas, 5, self.BASIS4)
-        lik = float(binomial_likelihood(coords, design, 5))
+        effect = process_row(prep, meas, self.BASIS4)
+        lik = float(binomial_likelihood(coords, effect, 5, 5))
         assert abs(lik - 1.0) < 1e-10
 
     def test_depolarizing_channel(self):
@@ -215,9 +227,9 @@ class TestProcessLikelihood:
         rng = np.random.default_rng(29)
         prep = DensityOperator(matrix=np.diag([1.0, 0.0]))
         meas = Effect(matrix=random_projector(rng, 2))
+        effect = process_row(prep, meas, self.BASIS4)
         for k in range(4):
-            design = process_design(prep, meas, 3, self.BASIS4)
-            lik = float(binomial_likelihood(coords, design, k))
+            lik = float(binomial_likelihood(coords, effect, 3, k))
             assert abs(lik - float(stats.binom.pmf(k, 3, 0.5))) < 1e-10
 
     def test_hadamard_mixture_single_shot(self):
@@ -225,8 +237,8 @@ class TestProcessLikelihood:
         coords = self.BASIS4.vectorize(choi.matrix)
         prep = DensityOperator(matrix=np.diag([1.0, 0.0]))
         meas = Effect(matrix=(np.eye(2) + X) / 2)
-        design = process_design(prep, meas, 1, self.BASIS4)
-        lik = float(binomial_likelihood(coords, design, 1))
+        effect = process_row(prep, meas, self.BASIS4)
+        lik = float(binomial_likelihood(coords, effect, 1, 1))
         assert abs(lik - 0.65) < 1e-12
 
     def test_same_code_path_as_state_tomography(self):
@@ -236,8 +248,8 @@ class TestProcessLikelihood:
         coords = self.BASIS4.vectorize(choi.matrix)
         prep = DensityOperator(matrix=np.diag([1.0, 0.0]))
         meas = Effect(matrix=(np.eye(2) + X) / 2)
-        design = process_design(prep, meas, 7, self.BASIS4)
+        effect = process_row(prep, meas, self.BASIS4)
         output = BASIS2.vectorize(apply_choi(choi, prep))
         for k in range(8):
-            assert abs(float(binomial_likelihood(coords, design, k))
-                       - float(binomial_likelihood(output, design_for(meas.matrix, 7), k))) < 1e-12
+            assert abs(float(binomial_likelihood(coords, effect, 7, k))
+                       - float(binomial_likelihood(output, effect_row(meas.matrix), 7, k))) < 1e-12

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from tomolab.design import random_pauli_design
-from tomolab.likelihood import Datum, ExperimentDesign, coin_design, datum_log_likelihood
+from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood, simulate_experiment
 from tomolab.priors import coin_insightful_prior, coin_uniform_prior, ginibre_prior, insightful_prior, rebit_ginibre_prior
-from tomolab.qobj import Effect, pauli_basis
+from tomolab.qobj import DimensionMismatchError, Effect, pauli_basis
 from tomolab.randq import RngStream
 from tomolab.smc import (
     CredibleEllipsoid,
@@ -42,8 +42,9 @@ def coin_cloud(ps, weights=None):
     return ParticleCloud(locations=ps, weights=w, space=COIN_SPACE)
 
 
-def coin_datum(n_meas, n_success):
-    return Datum(n_success=n_success, design=coin_design(n_meas))
+def coin_log_like(cloud, n_meas, n_success):
+    """Per-particle log likelihood of one coin datum."""
+    return binomial_log_likelihood(cloud.locations, COIN_EFFECT, n_meas, n_success)
 
 
 class TestInitCloud:
@@ -87,14 +88,13 @@ class TestInitCloud:
 class TestBayesUpdate:
     def test_two_coin_particles(self):
         cloud = coin_cloud([0.2, 0.8])
-        updated, log_norm = bayes_update(cloud, coin_datum(1, 1))
+        updated, log_norm = bayes_update(cloud, coin_log_like(cloud, 1, 1))
         assert np.allclose(updated.weights, [0.2, 0.8])
         assert abs(log_norm - np.log(0.5)) < 1e-12
 
     def test_uninformative_datum(self):
         cloud = coin_cloud([0.2, 0.8], weights=[0.3, 0.7])
-        updated, log_norm = bayes_update(cloud, coin_datum(1, 1),
-                                         log_likelihood_fn=lambda locs, d: np.zeros(len(locs)))
+        updated, log_norm = bayes_update(cloud, np.zeros(2))
         assert np.allclose(updated.weights, cloud.weights)
         assert abs(log_norm) < 1e-12
 
@@ -102,7 +102,7 @@ class TestBayesUpdate:
         ps = [0.2, 0.5, 0.9]
         prior_w = [0.5, 0.3, 0.2]
         cloud = coin_cloud(ps, weights=prior_w)
-        updated, log_norm = bayes_update(cloud, coin_datum(5, 3))
+        updated, log_norm = bayes_update(cloud, coin_log_like(cloud, 5, 3))
 
         def pmf(p):
             return 10.0 * p**3 * (1 - p) ** 2
@@ -117,58 +117,61 @@ class TestBayesUpdate:
 
     def test_locations_untouched(self):
         cloud = coin_cloud([0.2, 0.8])
-        updated, _ = bayes_update(cloud, coin_datum(4, 2))
+        updated, _ = bayes_update(cloud, coin_log_like(cloud, 4, 2))
         assert updated.locations is cloud.locations
 
     def test_degenerate_update(self):
         cloud = coin_cloud([0.0, 0.0])
         with pytest.raises(DegenerateUpdateError):
-            bayes_update(cloud, coin_datum(2, 1))
+            bayes_update(cloud, coin_log_like(cloud, 2, 1))
         assert np.allclose(cloud.weights, 0.5)
 
     def test_log_likelihood_must_be_below_inf(self):
         cloud = coin_cloud([0.2, 0.8])
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                bayes_update(cloud, coin_datum(1, 1),
-                             log_likelihood_fn=lambda locs, d, v=bad: np.array([0.0, v]))
+                bayes_update(cloud, np.array([0.0, bad]))
+
+    def test_needs_one_log_likelihood_per_particle(self):
+        cloud = coin_cloud([0.2, 0.8])
+        for bad in (np.zeros(3), np.zeros((2, 1)), 0.0):
+            with pytest.raises(DimensionMismatchError):
+                bayes_update(cloud, bad)
 
     def test_zero_weight_particles_cannot_carry_the_update(self):
         # The only particle that explains the datum has no prior weight.
         cloud = coin_cloud([0.0, 1.0], weights=[1.0, 0.0])
         with pytest.raises(DegenerateUpdateError):
-            bayes_update(cloud, coin_datum(1, 1))
+            bayes_update(cloud, coin_log_like(cloud, 1, 1))
 
     def test_underflowed_weight_is_not_a_herald(self):
         # 2000 successes leave the p = 0.5 particle a relative weight of
         # 2**-2000, which underflows to 0; one failure then has likelihood
         # 1/2 under it and 0 under p = 1.
-        cloud, first = bayes_update(coin_cloud([1.0, 0.5]), coin_datum(2000, 2000))
+        cloud = coin_cloud([1.0, 0.5])
+        cloud, first = bayes_update(cloud, coin_log_like(cloud, 2000, 2000))
         assert cloud.weights.tolist() == [1.0, 0.0]
-        cloud, second = bayes_update(cloud, coin_datum(1, 0))
+        cloud, second = bayes_update(cloud, coin_log_like(cloud, 1, 0))
         assert cloud.weights.tolist() == [0.0, 1.0]
         exact = 2002 * np.log(0.5)
         assert abs(first + second - exact) <= 1e-12 * abs(exact)
 
     def test_resampling_drops_the_log_weights(self):
-        cloud, _ = bayes_update(coin_cloud([0.2, 0.8]), coin_datum(3, 2))
+        cloud = coin_cloud([0.2, 0.8])
+        cloud, _ = bayes_update(cloud, coin_log_like(cloud, 3, 2))
         assert cloud.log_weights is not None
         assert resample(cloud, RngStream(3), a=1.0).log_weights is None
         assert resample(cloud, RngStream(3)).log_weights is None
 
     def test_sequential_consistency(self):
         cloud = coin_cloud(np.linspace(0.05, 0.95, 19))
-        d1 = coin_datum(3, 1)
-        d2 = coin_datum(4, 4)
-        first, _ = bayes_update(cloud, d1)
-        ab, _ = bayes_update(first, d2)
-        second, _ = bayes_update(cloud, d2)
-        ba, _ = bayes_update(second, d1)
-
-        def joint(locs, datum):
-            return datum_log_likelihood(locs, d1) + datum_log_likelihood(locs, d2)
-
-        both, _ = bayes_update(cloud, d1, log_likelihood_fn=joint)
+        l1 = coin_log_like(cloud, 3, 1)
+        l2 = coin_log_like(cloud, 4, 4)
+        first, _ = bayes_update(cloud, l1)
+        ab, _ = bayes_update(first, l2)
+        second, _ = bayes_update(cloud, l2)
+        ba, _ = bayes_update(second, l1)
+        both, _ = bayes_update(cloud, l1 + l2)
         assert np.abs(ab.weights - ba.weights).max() < 1e-12
         assert np.abs(ab.weights - both.weights).max() < 1e-12
 
@@ -186,12 +189,10 @@ class TestBayesUpdate:
             cloud = coin_cloud(rng.random(12))
         for step in range(n_updates):
             k = int(rng.integers(0, n + 1))
-            if qubit:
-                datum = Datum(n_success=k, design=random_pauli_design(1, n, stream.child(step)))
-            else:
-                datum = coin_datum(n, k)
+            effect = random_pauli_design(1, stream.child(step)) if qubit else COIN_EFFECT
             try:
-                cloud, _ = bayes_update(cloud, datum)
+                cloud, _ = bayes_update(
+                    cloud, binomial_log_likelihood(cloud.locations, effect, n, k))
             except DegenerateUpdateError:
                 return
             assert abs(cloud.weights.sum() - 1.0) < 1e-10
@@ -267,8 +268,7 @@ class TestResample:
     def _posterior_cloud(self, seed):
         cloud = init_cloud(rebit_ginibre_prior(), 400, RngStream(seed))
         eff = BASIS2.vectorize(Effect(matrix=(np.eye(2) + X) / 2).matrix)
-        datum = Datum(n_success=8, design=ExperimentDesign(effect=eff, n_meas=10))
-        cloud, _ = bayes_update(cloud, datum)
+        cloud, _ = bayes_update(cloud, binomial_log_likelihood(cloud.locations, eff, 10, 8))
         return cloud
 
     def test_multinomial_mode(self):
@@ -438,15 +438,15 @@ class TestPosteriorContraction:
     def test_covariance_shrinks_with_data(self):
         truth = BASIS2.vectorize((np.eye(2) + 0.9 * X) / 2)
         prior = insightful_prior(rebit_ginibre_prior(), (np.eye(2) - 0.9 * X) / 2)
-        from tomolab.likelihood import simulate_experiment
         for seed in range(5):
             stream = RngStream(1000 + seed)
             cloud = init_cloud(prior, 2000, stream.child(0))
             initial = np.trace(posterior_covariance(cloud))
             for step in range(30):
-                design = random_pauli_design(1, 10, stream.child(1, step))
-                datum = simulate_experiment(truth, design, stream.child(2, step))
-                cloud, _ = bayes_update(cloud, datum)
+                effect = random_pauli_design(1, stream.child(1, step))
+                k = simulate_experiment(truth, effect, 10, stream.child(2, step))
+                cloud, _ = bayes_update(
+                    cloud, binomial_log_likelihood(cloud.locations, effect, 10, k))
                 cloud = maybe_resample(cloud, stream.child(3, step))
             final = np.trace(posterior_covariance(cloud))
             assert final < initial

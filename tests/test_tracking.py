@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
-from tomolab.likelihood import Datum, coin_design
+from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood
 from tomolab.qobj import (
     check_states,
     gell_mann_basis,
@@ -149,7 +149,7 @@ class TestDiffusionStep:
 
 class TestEtaSampler:
     def test_zero_mean_is_static(self):
-        draw = lognormal_eta_sampler(0.0)
+        draw = lognormal_eta_sampler(0.0, 1.0)
         assert np.array_equal(draw(5, RngStream(1)), np.zeros(5))
 
     def test_arithmetic_mean(self):
@@ -160,10 +160,10 @@ class TestEtaSampler:
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
-            lognormal_eta_sampler(-0.1)
+            lognormal_eta_sampler(-0.1, 1.0)
 
     def test_deterministic(self):
-        draw = lognormal_eta_sampler(0.01)
+        draw = lognormal_eta_sampler(0.01, 1.0)
         assert np.array_equal(draw(4, RngStream(3)), draw(4, RngStream(3)))
 
 
@@ -240,7 +240,8 @@ class TestCoEvolution:
             cloud = diffuse_cloud(cloud, 1.0, stream.child(0, step))
             p_true = 0.5 + 0.02 * step
             k = int(stream.child(1, step).generator.binomial(25, p_true))
-            cloud, _ = bayes_update(cloud, Datum(n_success=k, design=coin_design(25)))
+            log_like = binomial_log_likelihood(cloud.locations[:, :1], COIN_EFFECT, 25, k)
+            cloud, _ = bayes_update(cloud, log_like)
         static_weight = cloud.weights[:n_half].sum()
         mobile_weight = cloud.weights[n_half:].sum()
         assert mobile_weight > 2 * static_weight
