@@ -32,9 +32,7 @@ def track(seed: int, eta_mean: float, trajectory: dict, n_steps: int):
     rec = run(cfg)
     if rec.failed:
         raise RuntimeError(f"seed {seed}: {rec.failure_reason}")
-    est = np.array([row["est"][0] for row in rec.steps[1:]])
-    tru = np.array([row["truth"][0] for row in rec.steps[1:]])
-    return est, tru
+    return rec.columns["est"][1:, 0], rec.columns["truth"][1:, 0]
 
 
 def main():

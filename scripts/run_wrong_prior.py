@@ -53,8 +53,9 @@ def main():
             rows.append((seed, np.nan, np.nan, 0, 0))
             continue
         covered = credible_ellipsoid(rec.final_cloud, 3.0).contains(truth_coords)
-        rows.append((seed, rec.steps[0]["loss"], rec.summary["loss"],
-                     int(rec.summary["loss"] < rec.steps[0]["loss"]), int(covered)))
+        initial = float(rec.columns["loss"][0])
+        rows.append((seed, initial, rec.summary["loss"],
+                     int(rec.summary["loss"] < initial), int(covered)))
         if seed == 0:
             rec.write(out / "seed0")
 

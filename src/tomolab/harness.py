@@ -12,7 +12,6 @@ never break that.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -44,7 +43,7 @@ from .smc import (
     DegenerateUpdateError,
     ParticleCloud,
     bayes_update,
-    effective_sample_size,
+    effective_sample_size,  # unused here; bench/spans.py times it as a harness name
     init_cloud,
     maybe_resample,
     posterior_covariance,
@@ -63,6 +62,11 @@ FIDUCIALS = ("ginibre", "bures", "rebit_ginibre", "bcsz", "coin_uniform")
 TRAJECTORY_KEYS = {"two_tone_coin": ("f1", "f2"),
                    "single_tone_coin": ("f", "offset", "amplitude"),
                    "diffusing_state": ("step_std",), "static": ()}
+# The fields besides "kind" that each truth kind reads.
+TRUTH_FIELDS = {"explicit": ("matrix",), "kraus": ("kraus",), "from_prior": (),
+                "from_distribution": ("prior",), "coin": ("p",)}
+# The heuristic fields that only process_adaptive_mix reads.
+ADAPTIVE_FIELDS = ("n_proposals", "adaptive_fraction")
 
 
 class ConfigError(ValueError):
@@ -134,6 +138,16 @@ def _value(kind, value, what: str):
     return value
 
 
+def _reject_unread(spec, unread, what: str) -> None:
+    """A config error if a field of ``spec`` named in ``unread`` holds a
+    value other than its default; ``what`` names the reader.  An unread
+    field may be absent or hold its default, which ``to_dict`` writes."""
+    defaults = {f.name: f.default for f in fields(spec)}
+    stray = [name for name in unread if getattr(spec, name) != defaults[name]]
+    if stray:
+        raise ConfigError(f"{what} does not read {', '.join(stray)}")
+
+
 def _parse(cls, raw, what: str):
     """Dataclass ``cls`` built from the JSON object ``raw``, each value
     checked against its field's annotation; ``what`` names the block in
@@ -190,10 +204,13 @@ class TruthSpec:
     prior: Optional[PriorSpec] = None
 
     def __post_init__(self):
-        if self.kind not in ("explicit", "kraus", "from_prior", "from_distribution", "coin"):
+        if self.kind not in TRUTH_FIELDS:
             raise ConfigError(f"unknown truth kind {self.kind!r}")
         if self.kind == "from_distribution" and self.prior is None:
             raise ConfigError("from_distribution truth needs a prior spec")
+        _reject_unread(self, [f.name for f in fields(self)
+                              if f.name != "kind" and f.name not in TRUTH_FIELDS[self.kind]],
+                       f"{self.kind} truth")
 
 
 @dataclass(frozen=True)
@@ -261,6 +278,14 @@ class RunConfig:
         if self.mode != "sample" and (self.prior is None or self.truth is None
                                       or self.heuristic is None):
             raise ConfigError("prior, truth, and heuristic are required")
+        if self.heuristic is not None and self.heuristic.kind != "process_adaptive_mix":
+            _reject_unread(self.heuristic, ADAPTIVE_FIELDS, f"{self.heuristic.kind} heuristic")
+        if self.mode != "track":
+            _reject_unread(self, ("tracking",), f"{self.mode} mode")
+        if self.mode != "risk":
+            _reject_unread(self, ("n_trials",), f"{self.mode} mode")
+        if self.mode == "track":
+            _reject_unread(self, ("n_experiments",), "track mode")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -477,6 +502,12 @@ def _set_up(config: RunConfig) -> _Setup:
 class RunRecord:
     """Everything one run produced.
 
+    ``columns`` holds one array per step-table column, one row per
+    recorded step, in ``steps.csv`` order: ``step``, ``time``, ``n_meas``,
+    ``n_success``, ``ess``, ``log_norm``, ``cov_trace``, ``loss``, the 2-D
+    ``est`` and, for track runs, the 2-D ``truth`` and ``eta_mean``.  A
+    risk trial's record holds only ``loss``.
+
     ``to_json`` is canonical and excludes wall time and the output
     directory, so identical (config, seed) pairs serialize to identical
     bytes.
@@ -484,31 +515,49 @@ class RunRecord:
 
     config: dict
     mode: str
-    steps: list
+    columns: dict
     summary: dict
     failed: bool = False
     failure_reason: Optional[str] = None
     wall_time: float = 0.0
     final_cloud: Optional[ParticleCloud] = None
 
+    def _frame(self) -> tuple[str, str]:
+        """The JSON text before the first step row and after the last.
+
+        Together with the rows joined by ``_ROW_SEP`` they make
+        ``json.dumps(payload, sort_keys=True, indent=2)`` of the whole
+        record, whose keys sort as config, failed, failure_reason, mode,
+        steps, summary.
+        """
+        head = json.dumps({"config": self.config, "failed": self.failed,
+                           "failure_reason": self.failure_reason, "mode": self.mode},
+                          sort_keys=True, indent=2)
+        summary = json.dumps(self.summary, sort_keys=True, indent=2).replace("\n", "\n  ")
+        return (head[:-2] + ',\n  "steps": [\n    ',
+                f'\n  ],\n  "summary": {summary}\n}}')
+
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "mode": self.mode,
-            "steps": self.steps,
-            "summary": self.summary,
-            "failed": self.failed,
-            "failure_reason": self.failure_reason,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        head, tail = self._frame()
+        return head + _ROW_SEP.join(row for row, _ in _step_rows(self.columns)) + tail
 
     def write(self, out_dir) -> Path:
+        """Write ``record.json`` and ``steps.csv`` in one pass over the
+        columns, then ``meta.json`` and the optional covariance and cloud."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "record.json").write_text(self.to_json(), encoding="utf-8")
+        head, tail = self._frame()
+        with open(out / "record.json", "w", encoding="utf-8") as record, \
+                open(out / "steps.csv", "w", newline="", encoding="utf-8") as table:
+            record.write(head)
+            table.write(",".join(_csv_names(self.columns)) + "\r\n")
+            sep = ""
+            for row, line in _step_rows(self.columns):
+                record.write(sep + row)
+                table.write(line)
+                sep = _ROW_SEP
+            record.write(tail)
         _write_meta(out, self.wall_time)
-        if self.steps:
-            _write_csv(out / "steps.csv", self.steps)
         cov = self.summary.get("covariance")
         if cov is not None:
             np.savetxt(out / "covariance.csv", np.asarray(cov), delimiter=",")
@@ -527,30 +576,58 @@ def _write_meta(out: Path, wall_time: float, **facts) -> None:
                   fh, indent=2)
 
 
-def _write_csv(path: Path, rows: list) -> None:
-    flat_rows = []
-    for row in rows:
-        flat = {}
-        for key, value in row.items():
-            if isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    flat[f"{key}_{i}"] = item
-            else:
-                flat[key] = value
-        flat_rows.append(flat)
-    fieldnames = []
-    for flat in flat_rows:
-        for key in flat:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(flat_rows)
+# Step rows as json.dumps(indent=2) places them, two levels deep.
+_ROW_SEP = ",\n    "
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ROW_BLOCK = 256  # rows formatted at a time
 
 
-def _coords_list(arr) -> list:
-    return [float(v) for v in np.asarray(arr).ravel()]
+def _csv_names(columns: dict) -> list:
+    """The ``steps.csv`` header: a 2-D column ``name`` becomes ``name_0``,
+    ``name_1``, ..."""
+    names = []
+    for name, col in columns.items():
+        names.extend([name] if col.ndim == 1 else
+                     [f"{name}_{i}" for i in range(col.shape[1])])
+    return names
+
+
+def _step_rows(columns: dict):
+    """Yield each row's ``record.json`` object and ``steps.csv`` line.
+
+    Every value is formatted once, with ``repr`` (as both ``json`` and
+    ``csv`` format a float); a non-finite float is ``nan``/``inf``/``-inf``
+    in the CSV and ``NaN``/``Infinity``/``-Infinity`` in the JSON, as
+    ``json.dumps`` writes it.  Rows are formatted ``_ROW_BLOCK`` at a
+    time, so the formatted text of the whole table is never held at once.
+    """
+    flat = []  # 1-D columns in CSV order
+    cells = {}  # column name -> its index in flat, or the range of its 2-D cells
+    for name, col in columns.items():
+        if col.ndim == 1:
+            cells[name] = len(flat)
+            flat.append(col)
+        else:
+            cells[name] = range(len(flat), len(flat) + col.shape[1])
+            flat.extend(col.T)
+    members = []
+    for name in sorted(cells):
+        at = cells[name]
+        value = (f"{{{at}}}" if isinstance(at, int) else
+                 "[\n        " + ",\n        ".join(f"{{{i}}}" for i in at) + "\n      ]")
+        members.append(f'      "{name}": {value}')
+    template = "{{\n" + ",\n".join(members) + "\n    }}"
+    n_rows = len(flat[0])
+    for lo in range(0, n_rows, _ROW_BLOCK):
+        texts, json_texts = [], []
+        for col in flat:
+            block = col[lo:lo + _ROW_BLOCK]
+            text = list(map(repr, block.tolist()))
+            texts.append(text)
+            json_texts.append(text if block.dtype.kind != "f" or np.isfinite(block).all()
+                              else [_JSON_NON_FINITE.get(t, t) for t in text])
+        for values, json_values in zip(zip(*texts), zip(*json_texts)):
+            yield template.format(*json_values), ",".join(values) + "\r\n"
 
 
 def _make_trajectory(config: RunConfig, setup: _Setup,
@@ -632,34 +709,36 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     cloud = init_cloud(setup.prior, config.n_particles, engine_rng, eta_sampler=eta_sampler)
     w = cloud.space.n_state_coords
     n_meas = config.heuristic.n_meas
+    n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
+    truth = trajectory(0.0)
+    columns = _step_columns(n_steps + 1, n_meas, dt, cloud.space.n_coords,
+                            truth.size if tr is not None else None, losses_only)
+    loss = columns["loss"]
     total_log_norm = 0.0
     n_resamples = 0
 
-    def row_of(step, t, truth, n_meas, n_success, log_norm):
-        est = posterior_mean_coords(cloud)
-        loss = loss_norm(est[:w], truth[:w])
+    def fill(i, truth, n_success, log_norm):
+        """Row ``i`` of the columns; returns the covariance it computed."""
         if losses_only:
             # The next adaptive design then builds its own covariance.
-            return {"loss": loss}, None
-        cov = posterior_covariance(cloud)
-        row = {
-            "step": step, "time": t, "n_meas": n_meas, "n_success": n_success,
-            "ess": effective_sample_size(cloud), "log_norm": log_norm,
-            "cov_trace": float(np.trace(cov)),
-            "loss": loss,
-            "est": _coords_list(est),
-        }
+            est = posterior_mean_coords(cloud)
+            loss[i] = loss_norm(est[:w], truth[:w])
+            return None
+        est, cov, ess = summarize(cloud)
+        loss[i] = loss_norm(est[:w], truth[:w])
+        columns["n_success"][i] = n_success
+        columns["ess"][i] = ess
+        columns["log_norm"][i] = log_norm
+        columns["cov_trace"][i] = cov.trace()
+        columns["est"][i] = est
         if tr is not None:
-            row["truth"] = _coords_list(truth)
-            row["eta_mean"] = float(est[-1])
-        return row, cov
+            columns["truth"][i] = truth
+            columns["eta_mean"][i] = est[-1]
+        return cov
 
-    truth = trajectory(0.0)
-    row, cov = row_of(0, 0.0, truth, 0, 0, 0.0)
-    rows = [row]
+    cov = fill(0, truth, 0, 0.0)
     failed = False
     reason = None
-    n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
     prev_t = 0.0
     for step in range(1, n_steps + 1):
         t = step * dt
@@ -674,35 +753,56 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
         except DegenerateUpdateError as err:
             failed = True
             reason = f"step {step}: {err}"
+            columns = {name: col[:step] for name, col in columns.items()}
             break
         total_log_norm += log_norm
         before = cloud
         cloud = maybe_resample(cloud, engine_rng, a=config.resample_a,
                                threshold=config.resample_threshold)
         n_resamples += int(cloud is not before)
-        row, cov = row_of(step, t, truth, n_meas, n_success, log_norm)
-        rows.append(row)
+        cov = fill(step, truth, n_success, log_norm)
         prev_t = t
     summary = {"n_resamples": n_resamples}
     if not losses_only:
         est, cov, ess = summarize(cloud)
         summary.update({
-            "mean": _coords_list(est),
-            "covariance": [_coords_list(r) for r in cov],
+            "mean": est.tolist(),
+            "covariance": cov.tolist(),
             "ess": ess,
             "total_log_norm": total_log_norm,
             "loss": loss_norm(est[:w], truth[:w]),
-            "truth": _coords_list(truth),
+            "truth": truth.tolist(),
         })
         if tr is not None:
             summary["eta_mean"] = float(est[-1])
         elif config.model == "channel":
             lam, comp = principal_components(cov, 1)[0]
             summary["principal_eigenvalue"] = lam
-            summary["principal_component"] = _coords_list(comp)
-    return RunRecord(config=config.to_dict(), mode=config.mode, steps=rows,
+            summary["principal_component"] = comp.tolist()
+    return RunRecord(config=config.to_dict(), mode=config.mode, columns=columns,
                      summary=summary, failed=failed, failure_reason=reason,
                      wall_time=time.perf_counter() - start, final_cloud=cloud)
+
+
+def _step_columns(n_rows: int, n_meas: int, dt: float, n_coords: int,
+                  truth_width: Optional[int], losses_only: bool) -> dict:
+    """Preallocated step-table columns (see :class:`RunRecord`); row ``i``
+    is step ``i`` at time ``i * dt``.  ``truth_width`` is None unless the
+    run tracks."""
+    if losses_only:
+        return {"loss": np.empty(n_rows)}
+    step = np.arange(n_rows)
+    n_meas_col = np.full(n_rows, n_meas)
+    n_meas_col[0] = 0
+    columns = {"step": step, "time": step * dt, "n_meas": n_meas_col,
+               "n_success": np.zeros(n_rows, dtype=int)}
+    for name in ("ess", "log_norm", "cov_trace", "loss"):
+        columns[name] = np.empty(n_rows)
+    columns["est"] = np.empty((n_rows, n_coords))
+    if truth_width is not None:
+        columns["truth"] = np.empty((n_rows, truth_width))
+        columns["eta_mean"] = np.empty(n_rows)
+    return columns
 
 
 @dataclass
@@ -742,7 +842,7 @@ def _risk_trial(config: RunConfig, setup: _Setup, i: int) -> tuple:
     resample count.  Only these cross back from a worker process, so no
     trial's cloud outlives it."""
     record = _filter(config, RngStream(config.seed).child(i), setup, losses_only=True)
-    losses = None if record.failed else [row["loss"] for row in record.steps]
+    losses = None if record.failed else record.columns["loss"]
     return losses, record.summary["n_resamples"]
 
 
@@ -791,8 +891,8 @@ def _run_risk(config: RunConfig) -> RiskResult:
                         n_resamples=sum(n for _, n in results))
     if good:
         losses = np.array(good)
-        result.curve = [float(v) for v in losses.mean(axis=0)]
-        result.per_trial = [[float(v) for v in row] for row in losses]
+        result.curve = losses.mean(axis=0).tolist()
+        result.per_trial = losses.tolist()
     result.wall_time = time.perf_counter() - start
     return result
 

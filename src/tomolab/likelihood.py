@@ -26,11 +26,16 @@ def born_probability(state_coords, effect_coords) -> np.ndarray:
     Broadcasts over rows of ``state_coords``, which must be exactly as
     wide as the effect.  Values are clamped to [0, 1].
     """
+    return _overlap(state_coords, effect_coords).clip(0.0, 1.0)
+
+
+def _overlap(state_coords, effect_coords) -> np.ndarray:
+    """The unclamped coordinate dot product of :func:`born_probability`."""
     state = np.asarray(state_coords, dtype=float)
     effect = np.asarray(effect_coords, dtype=float)
     if state.shape[-1] != effect.shape[0]:
         raise DimensionMismatchError("hypothesis and effect widths differ")
-    return np.clip(state @ effect, 0.0, 1.0)
+    return state @ effect
 
 
 def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
@@ -43,7 +48,7 @@ def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
     """
     if not 0 <= n_success <= n:
         raise ValueError("success count must lie in [0, n_meas]")
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    p = np.asarray(p, dtype=float).clip(0.0, 1.0)
     log_comb = math.lgamma(n + 1) - math.lgamma(n_success + 1) - math.lgamma(n - n_success + 1)
     with np.errstate(divide="ignore"):
         log_hit = 0.0 if n_success == 0 else n_success * np.log(p)
@@ -53,8 +58,9 @@ def binomial_log_pmf(n: int, n_success: int, p) -> np.ndarray:
 
 def binomial_log_likelihood(coords, effect, n_meas: int, n_success: int) -> np.ndarray:
     """Log likelihood of ``n_success`` successes in ``n_meas`` shots of
-    ``effect``, one value per row of ``coords``."""
-    return binomial_log_pmf(n_meas, n_success, born_probability(coords, effect))
+    ``effect``, one value per row of ``coords``.  The probabilities are
+    clamped to [0, 1] once, by :func:`binomial_log_pmf`."""
+    return binomial_log_pmf(n_meas, n_success, _overlap(coords, effect))
 
 
 def binomial_likelihood(coords, effect, n_meas: int, n_success: int) -> np.ndarray:

@@ -12,7 +12,7 @@ and projects everything back to the valid set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -194,7 +194,7 @@ def bayes_update(cloud: ParticleCloud, log_like) -> tuple[ParticleCloud, float]:
     log_like = np.asarray(log_like, dtype=float)
     if log_like.shape != cloud.weights.shape:
         raise DimensionMismatchError("need one log likelihood per particle")
-    if not np.all(log_like < np.inf):
+    if not (log_like < np.inf).all():
         raise ValueError("log likelihood must be a number below +inf")
     with np.errstate(divide="ignore"):
         log_prior = np.log(cloud.weights)
@@ -208,12 +208,14 @@ def bayes_update(cloud: ParticleCloud, log_like) -> tuple[ParticleCloud, float]:
     raw = np.exp(log_post - top)
     norm = float(raw.sum())
     log_norm = top + math.log(norm)
-    return replace(cloud, weights=raw / norm, log_weights=log_post - log_norm), log_norm
+    return (ParticleCloud(cloud.locations, raw / norm, cloud.space, log_post - log_norm),
+            log_norm)
 
 
 def effective_sample_size(cloud: ParticleCloud) -> float:
     """1 / sum(w**2): n for uniform weights, 1 for a delta."""
-    return float(1.0 / np.sum(cloud.weights**2))
+    w = cloud.weights
+    return float(1.0 / (w * w).sum())
 
 
 def posterior_mean_coords(cloud: ParticleCloud) -> np.ndarray:
@@ -227,7 +229,11 @@ def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
     The trace coordinate is constant on state and Choi spaces, so its row
     and column are zeroed exactly.
     """
-    mean = posterior_mean_coords(cloud)
+    return _covariance(cloud, posterior_mean_coords(cloud))
+
+
+def _covariance(cloud: ParticleCloud, mean: np.ndarray) -> np.ndarray:
+    """:func:`posterior_covariance` about the cloud's own ``mean``."""
     centered = cloud.locations - mean
     cov = (centered * cloud.weights[:, None]).T @ centered
     cov = 0.5 * (cov + cov.T)
@@ -243,8 +249,8 @@ def summarize(cloud: ParticleCloud) -> tuple[np.ndarray, np.ndarray, float]:
     For tracked clouds the mean includes the trailing diffusion-rate
     column.
     """
-    return (posterior_mean_coords(cloud), posterior_covariance(cloud),
-            effective_sample_size(cloud))
+    mean = posterior_mean_coords(cloud)
+    return mean, _covariance(cloud, mean), effective_sample_size(cloud)
 
 
 def resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A) -> ParticleCloud:
@@ -264,20 +270,16 @@ def resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A) -> Par
     parents = g.choice(n, size=n, p=cloud.weights)
     if a == 1.0:
         # plain multinomial: parents are valid rows already
-        return replace(cloud, locations=cloud.locations[parents],
-                       weights=np.full(n, 1.0 / n), log_weights=None)
+        return ParticleCloud(cloud.locations[parents], np.full(n, 1.0 / n), cloud.space)
     moved = a * cloud.locations[parents] + (1.0 - a) * mean
-    cov = posterior_covariance(cloud)
-    lam, vecs = np.linalg.eigh(cov)
-    lam = np.clip(lam, 0.0, None)
+    lam, vecs = np.linalg.eigh(_covariance(cloud, mean))
+    lam = lam.clip(0.0, None)
     keep = lam > lam.max() * RANK_CUTOFF if lam.size and lam.max() > 0.0 else np.zeros_like(lam, dtype=bool)
     if keep.any():
         scales = np.sqrt((1.0 - a * a) * lam[keep])
         z = g.standard_normal((n, int(keep.sum())))
         moved = moved + (z * scales) @ vecs[:, keep].T
-    projected = cloud.space.project(moved)
-    return replace(cloud, locations=projected, weights=np.full(n, 1.0 / n),
-                   log_weights=None)
+    return ParticleCloud(cloud.space.project(moved), np.full(n, 1.0 / n), cloud.space)
 
 
 def maybe_resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A,

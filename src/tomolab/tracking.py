@@ -14,7 +14,6 @@ weight.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +35,7 @@ def truncate_to_state(matrix) -> np.ndarray:
     single = arr.ndim == 2
     mats = arr[None] if single else arr
     lam, vecs = np.linalg.eigh(mats)
-    lam = np.clip(lam, 0.0, None)
+    lam = lam.clip(0.0, None)
     totals = lam.sum(axis=-1)
     if np.any(totals <= 1e-12):
         raise DegenerateStateError("no positive weight survives truncation")
@@ -56,7 +55,7 @@ def truncate_to_choi(matrix, channel_dim: int) -> np.ndarray:
 
 def coin_truncate(p) -> np.ndarray:
     """Clamp coin probabilities to [0, 1]."""
-    return np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    return np.asarray(p, dtype=float).clip(0.0, 1.0)
 
 
 def lognormal_eta_sampler(mean: float, log_std: float):
@@ -99,10 +98,12 @@ def diffuse_cloud(cloud, dt: float, rng: RngStream):
         lo, hi = 0, 1
     else:
         lo, hi = 1, space.basis.size
-    noise = rng.generator.standard_normal((n, hi - lo)) * sigma[:, None]
+    noise = rng.generator.standard_normal((n, hi - lo))
+    noise *= sigma[:, None]
     moved = locations.copy()
     moved[:, lo:hi] += noise
-    return replace(cloud, locations=space.project(moved))
+    # The cloud's own class: this module cannot import smc, which imports it.
+    return type(cloud)(space.project(moved), cloud.weights, space, cloud.log_weights)
 
 
 def tracking_bandwidth(tol: float, z: float, dt: float) -> tuple[int, float]:

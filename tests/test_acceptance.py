@@ -202,7 +202,7 @@ def test_c06_recovery_from_a_wrong_prior():
         rec = run(run_wrong_prior.config_for(seed, resample_a=0.85))
         if rec.failed:
             continue
-        improved += rec.summary["loss"] < rec.steps[0]["loss"]
+        improved += rec.summary["loss"] < rec.columns["loss"][0]
         covered += credible_ellipsoid(rec.final_cloud, 3.0).contains(truth_coords)
     elapsed = time.perf_counter() - start
     ok = improved >= 95 and covered >= 90 and elapsed < 120.0

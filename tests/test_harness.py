@@ -106,6 +106,7 @@ IMPOSSIBLE_DATA = {"prior": {"fiducial": "coin_uniform", "gad_mean": 2e-6},
                    "truth": {"kind": "coin", "p": 1.0},
                    "heuristic": {"kind": "coin", "n_meas": 1}}
 FAIL_CONFIG = coin_config(seed=0, n_particles=2, n_experiments=1, **IMPOSSIBLE_DATA)
+WRONG_PRIOR = json.loads((CONFIGS / "estimate_wrong_prior.json").read_text(encoding="utf-8"))
 
 
 class InjectedError(RuntimeError):
@@ -274,19 +275,23 @@ class TestEstimation:
         rec = run(RunConfig.from_dict(state_config()))
         assert rec.mode == "estimate"
         assert not rec.failed
-        assert len(rec.steps) == 11
-        assert rec.steps[0]["step"] == 0
-        assert rec.steps[0]["n_meas"] == 0
-        assert all(row["loss"] >= 0.0 for row in rec.steps)
+        cols = rec.columns
+        assert list(cols) == ["step", "time", "n_meas", "n_success", "ess", "log_norm",
+                              "cov_trace", "loss", "est"]
+        assert all(len(col) == 11 for col in cols.values())
+        assert cols["step"].tolist() == list(range(11))
+        assert cols["n_meas"].tolist() == [0] + [20] * 10
+        assert cols["est"].shape == (11, 4)
+        assert (cols["loss"] >= 0.0).all()
         assert len(rec.summary["mean"]) == 4
         assert len(rec.summary["covariance"]) == 4
-        assert rec.summary["loss"] == rec.steps[-1]["loss"]
+        assert rec.summary["loss"] == cols["loss"][-1]
 
     def test_learning_happens(self):
         rec = run(RunConfig.from_dict(state_config(
             n_experiments=40, n_particles=1000)))
-        assert rec.summary["loss"] < rec.steps[0]["loss"]
-        assert rec.steps[-1]["cov_trace"] < rec.steps[0]["cov_trace"]
+        assert rec.summary["loss"] < rec.columns["loss"][0]
+        assert rec.columns["cov_trace"][-1] < rec.columns["cov_trace"][0]
 
     def test_deterministic_json(self):
         a = run(RunConfig.from_dict(state_config()))
@@ -302,7 +307,7 @@ class TestEstimation:
         rec = run(RunConfig.from_dict(FAIL_CONFIG))
         assert rec.failed
         assert "step 1" in rec.failure_reason
-        assert len(rec.steps) == 1
+        assert all(len(col) == 1 for col in rec.columns.values())
 
     def test_truth_from_prior(self):
         cfg = state_config(truth={"kind": "from_prior"})
@@ -333,8 +338,8 @@ class TestEstimation:
                           heuristic={"kind": "coin", "n_meas": 100_000})
         rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
-        assert rec.steps[1]["log_norm"] < -1000.0
-        assert 1.0 <= rec.steps[1]["ess"] <= 2.0
+        assert rec.columns["log_norm"][1] < -1000.0
+        assert 1.0 <= rec.columns["ess"][1] <= 2.0
 
     def test_written_bytes_deterministic(self, tmp_path):
         cfg = RunConfig.from_dict(state_config())
@@ -358,11 +363,11 @@ class TestQpt:
     def test_run(self):
         rec = run(RunConfig.from_dict(self.CONFIG))
         assert not rec.failed
-        assert len(rec.steps) == 13
+        assert len(rec.columns["loss"]) == 13
         assert len(rec.summary["mean"]) == 16
         assert rec.summary["principal_eigenvalue"] >= 0.0
         assert len(rec.summary["principal_component"]) == 16
-        assert rec.summary["loss"] < rec.steps[0]["loss"]
+        assert rec.summary["loss"] < rec.columns["loss"][0]
 
     def test_adaptive_mix_runs(self):
         cfg = dict(self.CONFIG)
@@ -374,20 +379,23 @@ class TestQpt:
 
     @pytest.mark.parametrize("fraction", [1.0, 0.8])
     def test_one_covariance_per_row(self, monkeypatch, fraction):
-        # The adaptive rule scores against the covariance the row built.
-        calls = []
-        original = harness.posterior_covariance
-
-        def counted(cloud):
-            calls.append(None)
-            return original(cloud)
-        monkeypatch.setattr(harness, "posterior_covariance", counted)
+        # Each row builds one summary, and the adaptive rule scores against
+        # the covariance in it; the run's summary is the one more.
+        calls = {"summarize": 0, "posterior_covariance": 0,
+                 "posterior_mean_coords": 0, "effective_sample_size": 0}
+        for name in calls:
+            def counted(cloud, _name=name, _original=getattr(harness, name)):
+                calls[_name] += 1
+                return _original(cloud)
+            monkeypatch.setattr(harness, name, counted)
         cfg = dict(self.CONFIG, n_experiments=20, heuristic={
             "kind": "process_adaptive_mix", "n_meas": 10, "n_proposals": 10,
             "adaptive_fraction": fraction})
         rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
-        assert len(calls) == len(rec.steps) == 21
+        assert len(rec.columns["loss"]) == 21
+        assert calls == {"summarize": 22, "posterior_covariance": 0,
+                         "posterior_mean_coords": 0, "effective_sample_size": 0}
 
 
 class TestRisk:
@@ -415,9 +423,7 @@ class TestRisk:
         rec_a = _filter(cfg_a, RngStream(cfg_a.seed).child(2), _set_up(cfg_a))
         rec_b = _filter(cfg_b, RngStream(cfg_b.seed).child(2), _set_up(cfg_b))
         assert rec_a.summary["truth"] == rec_b.summary["truth"]
-        outcomes_a = [row["n_success"] for row in rec_a.steps]
-        outcomes_b = [row["n_success"] for row in rec_b.steps]
-        assert outcomes_a == outcomes_b
+        assert np.array_equal(rec_a.columns["n_success"], rec_b.columns["n_success"])
         assert rec_a.summary["mean"] != rec_b.summary["mean"]
 
     def test_trials_differ(self):
@@ -526,7 +532,8 @@ class TestRisk:
             full = _filter(config, RngStream(config.seed).child(i), _set_up(config))
             lean = _filter(config, RngStream(config.seed).child(i), _set_up(config),
                            losses_only=True)
-            assert lean.steps == [{"loss": row["loss"]} for row in full.steps]
+            assert list(lean.columns) == ["loss"]
+            assert np.array_equal(lean.columns["loss"], full.columns["loss"])
             assert lean.failed is full.failed is False
             assert np.array_equal(lean.final_cloud.locations, full.final_cloud.locations)
 
@@ -572,12 +579,13 @@ class TestTracking:
     def test_two_tone_truth_column(self):
         rec = run(RunConfig.from_dict(track_config()))
         assert not rec.failed
-        for row in rec.steps:
-            t = row["time"]
+        cols = rec.columns
+        for t, truth in zip(cols["time"], cols["truth"][:, 0]):
             expected = 0.25 * (2.0 + math.cos(2.0 * math.pi * 0.0125 * t)
                                + math.cos(2.0 * math.pi * t / 294.0))
-            assert abs(row["truth"][0] - expected) < 1e-12
-            assert row["eta_mean"] > 0.0
+            assert abs(truth - expected) < 1e-12
+        assert (cols["eta_mean"] > 0.0).all()
+        assert np.array_equal(cols["eta_mean"], cols["est"][:, -1])
 
     def test_single_tone_clipped(self):
         cfg = track_config()
@@ -586,7 +594,7 @@ class TestTracking:
                                           "offset": 0.9, "amplitude": 0.3},
                            "eta_mean": 0.01}
         rec = run(RunConfig.from_dict(cfg))
-        values = [row["truth"][0] for row in rec.steps]
+        values = rec.columns["truth"][:, 0]
         assert max(values) <= 1.0
         assert values[0] == 1.0
 
@@ -595,7 +603,7 @@ class TestTracking:
         cfg["tracking"] = {"dt": 1.0, "n_steps": 25,
                            "trajectory": {"kind": "static"}, "eta_mean": 0.0}
         rec = run(RunConfig.from_dict(cfg))
-        assert abs(rec.steps[0]["loss"] - 0.2) < 0.05
+        assert abs(rec.columns["loss"][0] - 0.2) < 0.05
         assert rec.summary["loss"] < 0.1
         assert rec.summary["eta_mean"] == 0.0
 
@@ -613,7 +621,7 @@ class TestTracking:
         }
         rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
-        truths = np.array([row["truth"] for row in rec.steps])
+        truths = rec.columns["truth"]
         assert abs(truths[0, 0] - INV_SQRT2) < 1e-12
         assert not np.allclose(truths[0], truths[-1])
         assert np.abs(truths[:, 0] - INV_SQRT2).max() < 1e-12
@@ -629,7 +637,7 @@ class TestTracking:
         cfg["tracking"]["n_steps"] = 150
         rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed, rec.failure_reason
-        assert len(rec.steps) == 151
+        assert len(rec.columns["loss"]) == 151
 
     def test_deterministic(self):
         a = run(RunConfig.from_dict(track_config()))
@@ -654,8 +662,8 @@ class TestSummaryMeaning:
         assert summary["covariance"] == posterior_covariance(cloud).tolist()
         assert summary["ess"] == effective_sample_size(cloud)
         total = 0.0
-        for row in rec.steps:
-            total += row["log_norm"]
+        for log_norm in rec.columns["log_norm"].tolist():
+            total += log_norm
         assert summary["total_log_norm"] == total
 
     def test_qpt_summary(self):
@@ -697,6 +705,11 @@ class TestTracer:
         assert totals["smc.updates"] == 10
         assert totals["tracking.diffuse_s"] > 0.0
         assert not hasattr(harness.bayes_update, "__wrapped__")
+
+
+# A channel track config: a track run reads n_steps, not n_experiments.
+TRACKED_QPT = dict({k: v for k, v in TestQpt.CONFIG.items() if k != "n_experiments"},
+                   mode="track")
 
 
 class TestCli:
@@ -864,11 +877,36 @@ class TestCli:
                                                     "step_std": 0.01})),
             "diffusing_state trajectory needs the state model",
             id="diffusing_state_on_a_coin"),
-        pytest.param("track", dict(TestQpt.CONFIG, mode="track", truth={
+        pytest.param("track", dict(TRACKED_QPT, truth={
             "kind": "kraus", "kraus": [{"diag": [1.0, 1.0]}]}, tracking={
             "n_steps": 50, "trajectory": {"kind": "diffusing_state", "step_std": 0.05}}),
             "diffusing_state trajectory needs the state model",
             id="diffusing_state_on_a_channel"),
+        pytest.param("estimate", coin_config(truth={
+            "kind": "coin", "p": 0.3, "matrix": {"diag": [0.9, 0.1]}}),
+            "coin truth does not read matrix", id="matrix_on_a_coin_truth"),
+        pytest.param("estimate", state_config(truth={
+            "kind": "explicit", "matrix": {"diag": [0.8, 0.2]}, "p": 0.3}),
+            "explicit truth does not read p", id="p_on_an_explicit_truth"),
+        pytest.param("risk", risk_config(truth={
+            "kind": "from_distribution", "prior": {"fiducial": "bures"},
+            "kraus": [{"diag": [1.0, 1.0]}]}),
+            "from_distribution truth does not read kraus", id="kraus_on_a_drawn_truth"),
+        pytest.param("estimate", coin_config(heuristic={
+            "kind": "coin", "n_meas": 10, "n_proposals": 7, "adaptive_fraction": 0.1}),
+            "coin heuristic does not read n_proposals, adaptive_fraction",
+            id="adaptive_fields_on_a_coin_heuristic"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, heuristic={
+            "kind": "process_random", "n_meas": 10, "adaptive_fraction": 0.5}),
+            "process_random heuristic does not read adaptive_fraction",
+            id="adaptive_fraction_on_random_designs"),
+        pytest.param("estimate", dict(WRONG_PRIOR, tracking=track_config()["tracking"]),
+                     "estimate mode does not read tracking", id="tracking_outside_track"),
+        pytest.param("estimate", dict(WRONG_PRIOR, n_trials=7),
+                     "estimate mode does not read n_trials", id="n_trials_outside_risk"),
+        pytest.param("track", track_config(n_experiments=12),
+                     "track mode does not read n_experiments",
+                     id="n_experiments_in_track_mode"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)
