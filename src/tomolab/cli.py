@@ -55,8 +55,7 @@ def _sample(args) -> int:
     else:
         if args.prior is None:
             raise ConfigError("sample needs --prior or --config")
-        model = {"bcsz": "channel", "coin_uniform": "coin"}.get(args.prior, "state")
-        config = RunConfig(mode="sample", seed=0, model=model, dim=args.dim,
+        config = RunConfig(mode="sample", seed=0, model=FIDUCIALS[args.prior], dim=args.dim,
                            prior=PriorSpec(fiducial=args.prior, rank=args.rank))
     if args.seed is not None:
         config = replace(config, seed=args.seed)

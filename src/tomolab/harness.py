@@ -55,16 +55,29 @@ from .tracking import diffuse_cloud, lognormal_eta_sampler, truncate_to_state
 
 SCHEMA_VERSION = 1
 
-MODES = ("estimate", "qpt", "track", "risk", "sample")
+# The top-level fields that each mode does not read.
+MODES = {"estimate": ("tracking", "n_trials"), "qpt": ("tracking", "n_trials"),
+         "track": ("n_experiments", "n_trials"), "risk": ("tracking", "dump_cloud"),
+         "sample": ("tracking", "n_trials")}
 MODELS = ("state", "channel", "coin")
-FIDUCIALS = ("ginibre", "bures", "rebit_ginibre", "bcsz", "coin_uniform")
-# The keys besides "kind" that each trajectory kind reads.
-TRAJECTORY_KEYS = {"two_tone_coin": ("f1", "f2"),
-                   "single_tone_coin": ("f", "offset", "amplitude"),
-                   "diffusing_state": ("step_std",), "static": ()}
-# The fields besides "kind" that each truth kind reads.
-TRUTH_FIELDS = {"explicit": ("matrix",), "kraus": ("kraus",), "from_prior": (),
-                "from_distribution": ("prior",), "coin": ("p",)}
+# Which model each config kind serves; RunConfig checks every pairing.
+FIDUCIALS = {"ginibre": "state", "bures": "state", "rebit_ginibre": "state",
+             "bcsz": "channel", "coin_uniform": "coin"}
+HEURISTICS = {"random_pauli": "state", "stabilizer_qutrit": "state",
+              "process_random": "channel", "process_adaptive_mix": "channel",
+              "coin": "coin"}
+# Each truth kind's models and the fields besides "kind" that it reads.
+TRUTH_FIELDS = {"explicit": (("state", "channel"), ("matrix",)),
+                "kraus": (("channel",), ("kraus",)),
+                "from_prior": (MODELS, ()),
+                "from_distribution": (("state", "channel"), ("prior",)),
+                "coin": (("coin",), ("p",))}
+# Each trajectory kind's models and the keys besides "kind" that it reads,
+# with their defaults (None: the key is required).
+TRAJECTORY_KEYS = {"two_tone_coin": (("coin",), {"f1": None, "f2": None}),
+                   "single_tone_coin": (("coin",), {"f": None, "offset": 0.5, "amplitude": 0.5}),
+                   "diffusing_state": (("state",), {"step_std": None}),
+                   "static": (MODELS, {})}
 # The heuristic fields that only process_adaptive_mix reads.
 ADAPTIVE_FIELDS = ("n_proposals", "adaptive_fraction")
 
@@ -208,8 +221,13 @@ class TruthSpec:
             raise ConfigError(f"unknown truth kind {self.kind!r}")
         if self.kind == "from_distribution" and self.prior is None:
             raise ConfigError("from_distribution truth needs a prior spec")
+        if self.kind == "coin" and (self.p is None or not 0.0 <= self.p <= 1.0):
+            raise ConfigError("coin truth needs p in [0, 1]")
+        if self.kind == "kraus" and (not isinstance(self.kraus, list) or not self.kraus):
+            raise ConfigError("kraus truth needs a non-empty list of matrix specs")
+        read = TRUTH_FIELDS[self.kind][1]
         _reject_unread(self, [f.name for f in fields(self)
-                              if f.name != "kind" and f.name not in TRUTH_FIELDS[self.kind]],
+                              if f.name != "kind" and f.name not in read],
                        f"{self.kind} truth")
 
 
@@ -230,6 +248,18 @@ class TrackingSpec:
             raise ConfigError("dt must be positive")
         if self.eta_mean < 0.0 or self.eta_log_std < 0.0:
             raise ConfigError("eta_mean and eta_log_std must be nonnegative")
+        kind = self.trajectory.get("kind")
+        if not isinstance(kind, str) or kind not in TRAJECTORY_KEYS:
+            raise ConfigError(f"unknown trajectory kind {kind!r}")
+        keys = TRAJECTORY_KEYS[kind][1]
+        unknown = set(self.trajectory) - {"kind", *keys}
+        if unknown:
+            raise ConfigError(f"unknown {kind} trajectory keys: {sorted(unknown)}")
+        for key, default in keys.items():
+            value = self.trajectory.get(key, default)
+            if value is None:
+                raise ConfigError(f"{kind} trajectory {key!r} is required")
+            _number(value, f"{kind} trajectory {key!r}")
 
 
 @dataclass(frozen=True)
@@ -278,14 +308,27 @@ class RunConfig:
         if self.mode != "sample" and (self.prior is None or self.truth is None
                                       or self.heuristic is None):
             raise ConfigError("prior, truth, and heuristic are required")
-        if self.heuristic is not None and self.heuristic.kind != "process_adaptive_mix":
-            _reject_unread(self.heuristic, ADAPTIVE_FIELDS, f"{self.heuristic.kind} heuristic")
-        if self.mode != "track":
-            _reject_unread(self, ("tracking",), f"{self.mode} mode")
-        if self.mode != "risk":
-            _reject_unread(self, ("n_trials",), f"{self.mode} mode")
+        h, truth = self.heuristic, self.truth
+        if h is not None and h.kind not in HEURISTICS:
+            raise ConfigError(f"unknown heuristic kind {h.kind!r}")
+        if h is not None and h.kind != "process_adaptive_mix":
+            _reject_unread(h, ADAPTIVE_FIELDS, f"{h.kind} heuristic")
+        _reject_unread(self, MODES[self.mode], f"{self.mode} mode")
+        if self.model == "coin":
+            _reject_unread(self, ("dim",), "coin model")
+        # Every declared kind must serve the model (see the tables).
+        served = [(f"{spec.fiducial} prior", (FIDUCIALS[spec.fiducial],))
+                  for spec in (self.prior, truth and truth.prior) if spec is not None]
+        if truth is not None:
+            served.append((f"{truth.kind} truth", TRUTH_FIELDS[truth.kind][0]))
+        if h is not None:
+            served.append((f"{h.kind} heuristic", (HEURISTICS[h.kind],)))
         if self.mode == "track":
-            _reject_unread(self, ("n_experiments",), "track mode")
+            kind = self.tracking.trajectory["kind"]
+            served.append((f"{kind} trajectory", TRAJECTORY_KEYS[kind][0]))
+        for what, models in served:
+            if self.model not in models:
+                raise ConfigError(f"{what} needs the {' or '.join(models)} model")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -356,13 +399,9 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
     """
     try:
         if model == "coin":
-            if spec.fiducial != "coin_uniform":
-                raise ConfigError("coin runs use the coin_uniform fiducial")
             if spec.gad_mean is None:
                 return coin_uniform_prior()
             return coin_insightful_prior(_number(spec.gad_mean, "prior gad_mean"))
-        if spec.fiducial == "coin_uniform":
-            raise ConfigError("coin_uniform prior needs the coin model")
         if spec.fiducial == "ginibre":
             base = ginibre_prior(dim, rank=spec.rank)
         elif spec.fiducial == "bures":
@@ -371,14 +410,8 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
             if dim != 2:
                 raise ConfigError("rebit priors are two dimensional")
             base = rebit_ginibre_prior(rank=spec.rank)
-        elif spec.fiducial == "bcsz":
-            if model != "channel":
-                raise ConfigError("bcsz prior needs the channel model")
-            base = bcsz_prior(dim, kraus_rank=spec.rank)
         else:
-            raise ConfigError(f"unknown fiducial prior {spec.fiducial!r}")
-        if (model == "channel") != (spec.fiducial == "bcsz"):
-            raise ConfigError("channel runs need the bcsz fiducial and vice versa")
+            base = bcsz_prior(dim, kraus_rank=spec.rank)
         if spec.gad_mean is None:
             return base
         return insightful_prior(base, decode_matrix(spec.gad_mean))
@@ -393,37 +426,24 @@ def resolve_truth(spec: TruthSpec, prior: PriorDistribution,
                   dim: int, rng: RngStream) -> np.ndarray:
     """Coordinates of the true state, channel, or coin; ``truth_prior`` is
     the built ``spec.prior`` of a ``from_distribution`` truth."""
-    if model == "coin":
-        if spec.kind == "coin":
-            if spec.p is None or not 0.0 <= spec.p <= 1.0:
-                raise ConfigError("coin truth needs p in [0, 1]")
-            return np.array([spec.p], dtype=float)
-        if spec.kind == "from_prior":
-            return prior.sample(1, rng)[0]
-        raise ConfigError(f"truth kind {spec.kind!r} is not defined for coins")
-    basis = prior.basis
+    if spec.kind == "coin":
+        return np.array([spec.p], dtype=float)
+    if spec.kind == "from_prior":
+        return prior.sample(1, rng)[0]
+    if spec.kind == "from_distribution":
+        return truth_prior.sample(1, rng)[0]
     try:
-        if spec.kind == "explicit":
+        if spec.kind == "kraus":
+            mat = choi_of_channel([decode_matrix(k) for k in spec.kraus]).matrix
+        else:
             mat = decode_matrix(spec.matrix)
             if model == "channel":
                 ChoiState(matrix=mat, dim_in=dim, dim_out=dim)
             else:
                 DensityOperator(matrix=mat)
-            return basis.vectorize(mat)
-        if spec.kind == "kraus":
-            if model != "channel":
-                raise ConfigError("kraus truth needs the channel model")
-            if not isinstance(spec.kraus, list) or not spec.kraus:
-                raise ConfigError("kraus truth needs a non-empty list of matrix specs")
-            kraus = [decode_matrix(k) for k in spec.kraus]
-            return basis.vectorize(choi_of_channel(kraus).matrix)
+        return prior.basis.vectorize(mat)
     except ValueError as err:
         raise ConfigError(f"{spec.kind} truth: {err}") from err
-    if spec.kind == "from_prior":
-        return prior.sample(1, rng)[0]
-    if spec.kind == "from_distribution":
-        return truth_prior.sample(1, rng)[0]
-    raise ConfigError(f"truth kind {spec.kind!r} is not usable here")
 
 
 def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
@@ -434,14 +454,9 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
     h = config.heuristic
     basis = prior.basis
     if h.kind == "coin":
-        if config.model != "coin":
-            raise ConfigError("coin heuristic needs the coin model")
-
         def coin_rule(step, cloud, rng, cov=None):
             return COIN_EFFECT
         return coin_rule
-    if h.kind in ("random_pauli", "stabilizer_qutrit") and config.model != "state":
-        raise ConfigError(f"{h.kind} heuristic needs the state model")
     if h.kind == "random_pauli":
         n_qubits = int(math.log2(config.dim))
         if 2**n_qubits != config.dim:
@@ -457,25 +472,24 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
         def stab_rule(step, cloud, rng, cov=None):
             return design_mod.random_stabilizer_qutrit_design(rng)
         return stab_rule
-    if h.kind in ("process_random", "process_adaptive_mix"):
-        if config.model != "channel" or config.dim != 2:
-            raise ConfigError("process heuristics cover single-qubit channels")
+    if config.dim != 2:
+        raise ConfigError("process heuristics cover single-qubit channels")
 
-        def random_rule(step, cloud, rng, cov=None):
-            return design_mod.random_process_design(rng, basis)
+    def random_rule(step, cloud, rng, cov=None):
+        return design_mod.random_process_design(rng, basis)
 
-        if h.kind == "process_random":
-            return random_rule
+    if h.kind == "process_random":
+        return random_rule
+    w = basis.size  # a tracked cloud's covariance also covers the diffusion rate
 
-        def adaptive_rule(step, cloud, rng, cov=None):
-            if rng.generator.random() < 1.0 - h.adaptive_fraction:
-                return random_rule(step, cloud, rng)
-            effects = design_mod.process_effects(basis)
-            entries = design_mod.process_entries(h.n_proposals, rng)
-            sigma = posterior_covariance(cloud) if cov is None else cov
-            return effects[design_mod.adaptive_design(effects, entries, sigma)]
-        return adaptive_rule
-    raise ConfigError(f"unknown heuristic kind {h.kind!r}")
+    def adaptive_rule(step, cloud, rng, cov=None):
+        if rng.generator.random() < 1.0 - h.adaptive_fraction:
+            return random_rule(step, cloud, rng)
+        effects = design_mod.process_effects(basis)
+        entries = design_mod.process_entries(h.n_proposals, rng)
+        sigma = posterior_covariance(cloud) if cov is None else cov
+        return effects[design_mod.adaptive_design(effects, entries, sigma[:w, :w])]
+    return adaptive_rule
 
 
 @dataclass(frozen=True)
@@ -634,19 +648,11 @@ def _make_trajectory(config: RunConfig, setup: _Setup,
                      truth_rng: RngStream) -> Callable[[float], np.ndarray]:
     """The truth as a function of time; constant unless the run tracks."""
     spec = config.tracking.trajectory if config.mode == "track" else {"kind": "static"}
-    kind = spec.get("kind")
-    keys = TRAJECTORY_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
-        raise ConfigError(f"unknown trajectory kind {kind!r}")
-    unknown = set(spec) - {"kind", *keys}
-    if unknown:
-        raise ConfigError(f"unknown {kind} trajectory keys: {sorted(unknown)}")
-
-    def number(key: str, default=None) -> float:
-        return _number(spec.get(key, default), f"{kind} trajectory {key!r}")
-
+    kind = spec["kind"]
+    value = {key: float(spec.get(key, default))
+             for key, default in TRAJECTORY_KEYS[kind][1].items()}
     if kind == "two_tone_coin":
-        f1, f2 = number("f1"), number("f2")
+        f1, f2 = value["f1"], value["f2"]
 
         def two_tone(t: float) -> np.ndarray:
             p = 0.25 * (2.0 + math.cos(2.0 * math.pi * f1 * t)
@@ -654,18 +660,14 @@ def _make_trajectory(config: RunConfig, setup: _Setup,
             return np.array([p])
         return two_tone
     if kind == "single_tone_coin":
-        f = number("f")
-        offset = number("offset", 0.5)
-        amplitude = number("amplitude", 0.5)
+        f, offset, amplitude = value["f"], value["offset"], value["amplitude"]
 
         def single_tone(t: float) -> np.ndarray:
             p = offset + amplitude * math.cos(2.0 * math.pi * f * t)
             return np.array([min(max(p, 0.0), 1.0)])
         return single_tone
     if kind == "diffusing_state":
-        if config.model != "state":
-            raise ConfigError("diffusing_state trajectory needs the state model")
-        std = number("step_std")
+        std = value["step_std"]
         start = resolve_truth(config.truth, setup.prior, setup.truth_prior,
                               config.model, config.dim, truth_rng)
         basis = setup.prior.basis

@@ -64,12 +64,8 @@ class PriorDistribution:
     beta: Optional[float] = None
     target: Optional[Union[np.ndarray, float]] = None
 
-    @property
-    def n_coords(self) -> int:
-        return 1 if self.basis is None else self.basis.size
-
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        """n draws as an (n, n_coords) array.
+        """n draws as an (n, coordinates) array.
 
         A damped prior takes all n fiducial draws from the stream first,
         then the n mixing weights.

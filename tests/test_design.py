@@ -517,8 +517,9 @@ def test_rule_is_callable_with_step_cloud_rng(path):
     prior = harness.build_prior(config.prior, config.model, config.dim)
     rule = harness.make_heuristic(config, prior)
     rng = RngStream(config.seed)
-    effect = rule(1, init_cloud(prior, 2, rng), rng)
-    assert effect.shape == (prior.n_coords,)
+    cloud = init_cloud(prior, 2, rng)
+    effect = rule(1, cloud, rng)
+    assert effect.shape == (cloud.space.n_state_coords,)
     assert not effect.flags.writeable
 
 

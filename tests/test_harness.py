@@ -240,17 +240,19 @@ class TestRunConfig:
                                                         "n_meas": 5, "extra": 1}))
 
 
-class TestBuildPrior:
     def test_model_fiducial_pairing(self):
-        with pytest.raises(ConfigError):
-            build_prior(PriorSpec(fiducial="coin_uniform"), "state", 2)
-        with pytest.raises(ConfigError):
-            build_prior(PriorSpec(fiducial="ginibre"), "coin", 2)
-        with pytest.raises(ConfigError):
-            build_prior(PriorSpec(fiducial="bcsz"), "state", 2)
-        with pytest.raises(ConfigError):
-            build_prior(PriorSpec(fiducial="ginibre"), "channel", 2)
-        with pytest.raises(ConfigError):
+        for model, fiducial, served in (("state", "coin_uniform", "coin"),
+                                        ("coin", "ginibre", "state"),
+                                        ("state", "bcsz", "channel"),
+                                        ("channel", "ginibre", "state")):
+            with pytest.raises(ConfigError, match=f"{fiducial} prior needs the {served} model"):
+                RunConfig.from_dict({"mode": "sample", "seed": 0, "model": model,
+                                     "prior": {"fiducial": fiducial}})
+
+
+class TestBuildPrior:
+    def test_rebit_is_two_dimensional(self):
+        with pytest.raises(ConfigError, match="rebit priors are two dimensional"):
             build_prior(PriorSpec(fiducial="rebit_ginibre"), "state", 3)
 
     def test_damped_mean_changes_prior(self):
@@ -268,6 +270,66 @@ class TestBuildPrior:
         damped = build_prior(PriorSpec(fiducial="coin_uniform", gad_mean=0.25),
                              "coin", 2)
         assert damped.name != plain.name
+
+
+# Each model's prior and heuristic, and a spec of every kind, at sizes that
+# keep a one-step run cheap; the pairing test swaps one kind in at a time.
+PAIRING_BASE = {
+    "state": {"prior": {"fiducial": "ginibre"},
+              "heuristic": {"kind": "random_pauli", "n_meas": 2}},
+    "channel": {"prior": {"fiducial": "bcsz"},
+                "heuristic": {"kind": "process_random", "n_meas": 2}},
+    "coin": {"prior": {"fiducial": "coin_uniform"},
+             "heuristic": {"kind": "coin", "n_meas": 2}},
+}
+TRUTH_SPECS = {"explicit": {"matrix": {"diag": [0.8, 0.2]}},
+               "kraus": {"kraus": [{"diag": [1.0, 1.0]}]}, "from_prior": {},
+               "from_distribution": {}, "coin": {"p": 0.3}}
+TRAJECTORIES = {"two_tone_coin": {"f1": 0.01, "f2": 0.02}, "single_tone_coin": {"f": 0.01},
+                "diffusing_state": {"step_std": 0.01}, "static": {}}
+# Table -> kind -> the models that the harness tables say it serves.
+SERVED = {"prior": {kind: (model,) for kind, model in harness.FIDUCIALS.items()},
+          "heuristic": {kind: (model,) for kind, model in harness.HEURISTICS.items()},
+          "truth": {kind: models for kind, (models, _) in harness.TRUTH_FIELDS.items()},
+          "trajectory": {kind: models
+                         for kind, (models, _) in harness.TRAJECTORY_KEYS.items()}}
+
+
+def pairing_config(table: str, kind: str, model: str) -> dict:
+    cfg = {"mode": "estimate", "seed": 1, "model": model, "n_particles": 4,
+           "n_experiments": 1, "truth": {"kind": "from_prior"}, **PAIRING_BASE[model]}
+    if table == "prior":
+        cfg["prior"] = {"fiducial": kind}
+    elif table == "heuristic":
+        cfg["heuristic"] = {"kind": kind, "n_meas": 2}
+        if kind == "stabilizer_qutrit" and model != "coin":
+            cfg["dim"] = 3
+    elif table == "truth":
+        cfg["truth"] = {"kind": kind, **TRUTH_SPECS[kind]}
+        if kind == "explicit" and model == "channel":  # the completely depolarizing channel
+            cfg["truth"]["matrix"] = {"diag": [0.25] * 4}
+        if kind == "from_distribution":
+            cfg["truth"]["prior"] = cfg["prior"]
+    else:
+        del cfg["n_experiments"]
+        cfg.update(mode="track", tracking={"n_steps": 1,
+                                           "trajectory": {"kind": kind, **TRAJECTORIES[kind]}})
+    return cfg
+
+
+@pytest.mark.parametrize("table, kind, model", [
+    pytest.param(table, kind, model, id=f"{kind}_{table}-{model}")
+    for table, kinds in SERVED.items() for kind in kinds for model in harness.MODELS])
+def test_tables_decide_model_pairing(table, kind, model):
+    """A config parses exactly when the tables pair its kind with its
+    model, and every pair they allow runs a step."""
+    cfg = pairing_config(table, kind, model)
+    if model not in SERVED[table][kind]:
+        with pytest.raises(ConfigError, match=f"{kind} {table} needs the"):
+            RunConfig.from_dict(cfg)
+        return
+    rec = run(RunConfig.from_dict(cfg))
+    assert not rec.failed and len(rec.columns["loss"]) == 2
 
 
 class TestEstimation:
@@ -710,6 +772,8 @@ class TestTracer:
 # A channel track config: a track run reads n_steps, not n_experiments.
 TRACKED_QPT = dict({k: v for k, v in TestQpt.CONFIG.items() if k != "n_experiments"},
                    mode="track")
+TRACKED_STATE = dict({k: v for k, v in state_config().items() if k != "n_experiments"},
+                     mode="track")
 
 
 class TestCli:
@@ -907,6 +971,24 @@ class TestCli:
         pytest.param("track", track_config(n_experiments=12),
                      "track mode does not read n_experiments",
                      id="n_experiments_in_track_mode"),
+        pytest.param("track", dict(TRACKED_STATE, tracking=track_config()["tracking"]),
+                     "two_tone_coin trajectory needs the coin model",
+                     id="two_tone_coin_on_a_state"),
+        pytest.param("track", dict(TRACKED_QPT, tracking={
+            "n_steps": 3, "trajectory": {"kind": "single_tone_coin", "f": 0.01}}),
+            "single_tone_coin trajectory needs the coin model",
+            id="single_tone_coin_on_a_channel"),
+        pytest.param("estimate", coin_config(dim=7), "coin model does not read dim",
+                     id="dim_on_a_coin"),
+        pytest.param("risk", risk_config(dump_cloud=True),
+                     "risk mode does not read dump_cloud", id="dump_cloud_in_risk_mode"),
+        pytest.param("estimate", state_config(heuristic={"kind": "mystery", "n_meas": 5}),
+                     "unknown heuristic kind 'mystery'", id="unknown_heuristic_kind"),
+        pytest.param("estimate", coin_config(truth={"kind": "coin", "p": 1.5}),
+                     "coin truth needs p in [0, 1]", id="coin_p_above_1"),
+        pytest.param("estimate", coin_config(truth={
+            "kind": "explicit", "matrix": {"diag": [0.8, 0.2]}}),
+            "explicit truth needs the state or channel model", id="explicit_truth_on_a_coin"),
     ])
     def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
         path = self.write_cfg(tmp_path, cfg)
@@ -914,6 +996,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert message in err
+
+    @pytest.mark.parametrize("kind", ["process_adaptive_mix", "process_random"])
+    def test_tracked_channel_runs(self, tmp_path, kind):
+        # A tracked cloud's covariance also covers the diffusion rate;
+        # adaptive designs score against the channel block alone.
+        cfg = json.loads((CONFIGS / "qpt_hadamard_mix.json").read_text(encoding="utf-8"))
+        del cfg["n_experiments"]
+        cfg.update(mode="track", n_particles=100, heuristic={"kind": kind, "n_meas": 25},
+                   tracking={"n_steps": 3, "trajectory": {"kind": "static"}})
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["track", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
     def test_mode_mismatch_exit(self, tmp_path):
         path = self.write_cfg(tmp_path, coin_config())
@@ -1001,6 +1094,8 @@ class TestCli:
                      id="dim_1"),
         pytest.param(["--prior", "ginibre", "--seed", "-1"],
                      "seed must be a nonnegative integer", id="negative_seed"),
+        pytest.param(["--prior", "coin_uniform", "--dim", "3"],
+                     "coin model does not read dim", id="dim_on_coin_uniform"),
     ])
     def test_sample_flag_error_exit(self, tmp_path, capsys, flags, message):
         assert main(["sample", *flags, "--out", str(tmp_path)]) == 2
