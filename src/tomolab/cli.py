@@ -47,6 +47,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(path: str) -> str:
+    """Make the output directory before anything runs; failing is a config error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err}") from err
+    return path
+
+
 def _sample(args) -> int:
     if args.config is not None:
         config = RunConfig.from_json_file(args.config)
@@ -62,11 +71,11 @@ def _sample(args) -> int:
     prior = build_prior(config.prior, config.model, config.dim)
     if args.n < 1:
         raise ConfigError("--n must be positive")
+    out = _out_dir(args.out or config.out_dir or ".")
     rows = prior.sample(args.n, RngStream(config.seed))
-    out = Path(args.out or config.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    labels = ("p",) if prior.basis is None else prior.basis.labels
-    path = out / "samples.csv"
+    space = prior.space
+    labels = ("p",) if space.kind == "coin" else space.basis.labels
+    path = Path(out) / "samples.csv"
     np.savetxt(path, rows, delimiter=",", header=",".join(labels), comments="")
     print(f"wrote {args.n} draws from {prior.name} to {path}")
     return 0
@@ -88,8 +97,8 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         if overrides:
             config = replace(config, **overrides)
+        out_dir = _out_dir(config.out_dir or "tomolab_out")
         result = run(config)
-        out_dir = config.out_dir or "tomolab_out"
         result.write(out_dir)
         if isinstance(result, RunRecord):
             failed = result.failed

@@ -26,6 +26,7 @@ import numpy as np
 from . import design as design_mod
 from .likelihood import COIN_EFFECT, binomial_log_likelihood, simulate_experiment
 from .priors import (
+    MODELS,
     PriorDistribution,
     bcsz_prior,
     bures_prior,
@@ -35,7 +36,7 @@ from .priors import (
     insightful_prior,
     rebit_ginibre_prior,
 )
-from .qobj import ChoiState, DensityOperator, choi_of_channel
+from .qobj import ChoiState, DensityOperator, choi_of_channel, truncate_to_state
 from .randq import RngStream
 from .smc import (
     ESS_THRESHOLD,
@@ -51,7 +52,7 @@ from .smc import (
     principal_components,
     summarize,
 )
-from .tracking import diffuse_cloud, lognormal_eta_sampler, truncate_to_state
+from .tracking import diffuse_cloud, lognormal_eta_sampler
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +60,6 @@ SCHEMA_VERSION = 1
 MODES = {"estimate": ("tracking", "n_trials"), "qpt": ("tracking", "n_trials"),
          "track": ("n_experiments", "n_trials"), "risk": ("tracking", "dump_cloud"),
          "sample": ("tracking", "n_trials")}
-MODELS = ("state", "channel", "coin")
 # Which model each config kind serves; RunConfig checks every pairing.
 FIDUCIALS = {"ginibre": "state", "bures": "state", "rebit_ginibre": "state",
              "bcsz": "channel", "coin_uniform": "coin"}
@@ -421,27 +421,27 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
         raise ConfigError(f"bad {spec.fiducial} prior: {err}") from err
 
 
-def resolve_truth(spec: TruthSpec, prior: PriorDistribution,
-                  truth_prior: Optional[PriorDistribution], model: str,
-                  dim: int, rng: RngStream) -> np.ndarray:
-    """Coordinates of the true state, channel, or coin; ``truth_prior`` is
-    the built ``spec.prior`` of a ``from_distribution`` truth."""
+def resolve_truth(spec: TruthSpec, setup: "_Setup", rng: RngStream) -> np.ndarray:
+    """Coordinates of the true state, channel, or coin in the space of the
+    run's prior; a ``from_distribution`` truth draws from the setup's
+    truth prior."""
     if spec.kind == "coin":
         return np.array([spec.p], dtype=float)
     if spec.kind == "from_prior":
-        return prior.sample(1, rng)[0]
+        return setup.prior.sample(1, rng)[0]
     if spec.kind == "from_distribution":
-        return truth_prior.sample(1, rng)[0]
+        return setup.truth_prior.sample(1, rng)[0]
+    space = setup.prior.space
     try:
         if spec.kind == "kraus":
             mat = choi_of_channel([decode_matrix(k) for k in spec.kraus]).matrix
         else:
             mat = decode_matrix(spec.matrix)
-            if model == "channel":
-                ChoiState(matrix=mat, dim_in=dim, dim_out=dim)
+            if space.kind == "channel":
+                ChoiState(matrix=mat, dim_in=space.channel_dim, dim_out=space.channel_dim)
             else:
                 DensityOperator(matrix=mat)
-        return prior.basis.vectorize(mat)
+        return space.basis.vectorize(mat)
     except ValueError as err:
         raise ConfigError(f"{spec.kind} truth: {err}") from err
 
@@ -452,7 +452,7 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
     covariance of ``cloud``, computed if ``None``.  Every step measures
     its effect ``config.heuristic.n_meas`` times."""
     h = config.heuristic
-    basis = prior.basis
+    basis = prior.space.basis
     if h.kind == "coin":
         def coin_rule(step, cloud, rng, cov=None):
             return COIN_EFFECT
@@ -522,9 +522,9 @@ class RunRecord:
     ``est`` and, for track runs, the 2-D ``truth`` and ``eta_mean``.  A
     risk trial's record holds only ``loss``.
 
-    ``to_json`` is canonical and excludes wall time and the output
-    directory, so identical (config, seed) pairs serialize to identical
-    bytes.
+    ``write`` makes ``record.json`` canonical: it excludes wall time and
+    the output directory, so identical (config, seed) pairs serialize to
+    identical bytes.
     """
 
     config: dict
@@ -550,10 +550,6 @@ class RunRecord:
         summary = json.dumps(self.summary, sort_keys=True, indent=2).replace("\n", "\n  ")
         return (head[:-2] + ',\n  "steps": [\n    ',
                 f'\n  ],\n  "summary": {summary}\n}}')
-
-    def to_json(self) -> str:
-        head, tail = self._frame()
-        return head + _ROW_SEP.join(row for row, _ in _step_rows(self.columns)) + tail
 
     def write(self, out_dir) -> Path:
         """Write ``record.json`` and ``steps.csv`` in one pass over the
@@ -668,22 +664,20 @@ def _make_trajectory(config: RunConfig, setup: _Setup,
         return single_tone
     if kind == "diffusing_state":
         std = value["step_std"]
-        start = resolve_truth(config.truth, setup.prior, setup.truth_prior,
-                              config.model, config.dim, truth_rng)
-        basis = setup.prior.basis
+        start = resolve_truth(config.truth, setup, truth_rng)
+        basis = setup.prior.space.basis
         state = {"coords": start, "t": 0.0}
 
         def diffusing(t: float) -> np.ndarray:
             if t > state["t"]:
                 coords = state["coords"].copy()
                 coords[1:] += truth_rng.generator.standard_normal(coords.size - 1) * std
-                mat = truncate_to_state(basis.devectorize(coords))
+                mat = truncate_to_state(basis.devectorize(coords)[None])[0]
                 state["coords"] = basis.vectorize(mat)
                 state["t"] = t
             return state["coords"]
         return diffusing
-    fixed = resolve_truth(config.truth, setup.prior, setup.truth_prior,
-                          config.model, config.dim, truth_rng)
+    fixed = resolve_truth(config.truth, setup, truth_rng)
 
     def static(t: float) -> np.ndarray:
         return fixed

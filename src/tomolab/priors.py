@@ -1,6 +1,8 @@
 """Prior distributions over states, channels, and coins.
 
-A prior is a named sampler emitting real coordinate vectors.  Fiducial
+A prior is a named sampler emitting real coordinate vectors.  Each prior
+carries its :class:`HypothesisSpace`: the model its rows describe, their
+operator basis, and the projection back to valid rows.  Fiducial
 priors wrap the random ensembles directly.  Insightful priors damp a
 fiducial sample toward a target mean: with a Beta-distributed mixing
 weight eps the sample is
@@ -16,6 +18,7 @@ and to classical coins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Union
@@ -23,19 +26,25 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .qobj import (
+    HERMITICITY_TOL,
+    TRACE_TOL,
     ChoiState,
     DensityOperator,
     InvalidOperatorError,
     OperatorBasis,
     check_states,
     partial_trace,
+    positive_definite,
     standard_basis,
+    truncate_to_choi,
+    truncate_to_state,
 )
 from .randq import RngStream, bcsz_channels, bures_states, ginibre_rebit_states, ginibre_states
 
 LAMBDA_FLOOR = 1e-6
 _PASSTHROUGH_TOL = 1e-12
 GAD_TP_TOL = 1e-6
+MODELS = ("state", "channel", "coin")
 
 
 class PriorConstructionError(ValueError):
@@ -43,23 +52,85 @@ class PriorConstructionError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
+class HypothesisSpace:
+    """Geometry of one hypothesis row: which coordinates make up the
+    state and how to project a perturbed row back to validity.
+
+    ``kind`` is the model, named as a run config names it.  State and
+    channel rows are coordinates in ``basis``; a channel's rows are Choi
+    states, so its basis lives on the D**2 space of a channel on C^D.
+    ``n_hyper`` trailing columns (a tracked cloud's diffusion rate)
+    follow the state coordinates.
+    """
+
+    kind: str  # one of MODELS
+    basis: Optional[OperatorBasis] = None
+    n_hyper: int = 0
+
+    def __post_init__(self):
+        if self.kind not in MODELS:
+            raise ValueError(f"unknown hypothesis kind {self.kind!r}")
+        if (self.basis is None) != (self.kind == "coin"):
+            raise ValueError("state and channel spaces need an operator basis; coins have none")
+        if self.kind == "channel" and self.channel_dim**2 != self.basis.dim:
+            raise ValueError("a channel basis must live on a D**2 space")
+
+    @property
+    def channel_dim(self) -> Optional[int]:
+        """D for a channel on C^D, None for states and coins."""
+        return math.isqrt(self.basis.dim) if self.kind == "channel" else None
+
+    @property
+    def n_state_coords(self) -> int:
+        return 1 if self.kind == "coin" else self.basis.size
+
+    @property
+    def n_coords(self) -> int:
+        return self.n_state_coords + self.n_hyper
+
+    def project(self, locations: np.ndarray) -> np.ndarray:
+        """Project rows onto the valid set (hyper columns clamped at 0).
+
+        State rows that are already positive definite only have their
+        trace renormalized: coordinate 0 is tr(rho)/sqrt(D) and the other
+        basis elements are traceless, so such a row is divided by
+        ``row[0] * sqrt(D)``.  The other state rows are truncated by
+        eigenvalue.  Choi rows are always truncated and then repaired to
+        trace preservation; coins are clamped to [0, 1].
+        """
+        out = np.array(locations, dtype=float)
+        w = self.n_state_coords
+        if self.kind == "coin":
+            out[:, 0] = out[:, 0].clip(0.0, 1.0)
+        else:
+            mats = self.basis.devectorize(out[:, :w])
+            if self.kind == "channel":
+                out[:, :w] = self.basis.vectorize(truncate_to_choi(mats, self.channel_dim))
+            else:
+                valid = positive_definite(mats)
+                out[valid, :w] /= out[valid, :1] * math.sqrt(self.basis.dim)
+                out[~valid, :w] = self.basis.vectorize(truncate_to_state(mats[~valid]))
+        if self.n_hyper:
+            out[:, w:] = np.maximum(out[:, w:], 0.0)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class PriorDistribution:
-    """Named sampler over hypothesis coordinate vectors.
+    """Named sampler over the coordinate rows of its hypothesis ``space``.
 
     ``sample(n, rng)`` is the one way to draw.  A fiducial state or
     channel prior draws a stack of matrices from ``ensemble(n=, rng=)``
     (a :mod:`randq` sampler), validates it once and vectorizes it; a
-    fiducial coin prior (``basis`` None) draws its heads probability
-    uniformly.  A damped prior mixes the draws of its ``fiducial`` prior
-    toward ``target``, the coordinates of the extremal target, with
-    Beta(1, ``beta``) weights.  ``channel_dim`` is set when samples are
-    Choi states on a D**2 space.
+    fiducial coin prior draws its heads probability uniformly.  A damped
+    prior mixes the draws of its ``fiducial`` prior toward ``target``,
+    the coordinates of the extremal target, with Beta(1, ``beta``)
+    weights.
     """
 
     name: str
-    basis: Optional[OperatorBasis]
+    space: HypothesisSpace
     ensemble: Optional[Callable[..., np.ndarray]] = None
-    channel_dim: Optional[int] = None
     fiducial: Optional["PriorDistribution"] = None
     beta: Optional[float] = None
     target: Optional[Union[np.ndarray, float]] = None
@@ -74,10 +145,11 @@ class PriorDistribution:
             fid = self.fiducial.sample(n, rng)
             eps = sample_epsilon(self.beta, n, rng)[:, None]
             return (1.0 - eps) * fid + eps * self.target
-        if self.basis is None:
+        space = self.space
+        if space.kind == "coin":
             return rng.generator.random((n, 1))
-        stack = check_states(self.ensemble(n=n, rng=rng), channel_dim=self.channel_dim)
-        return self.basis.vectorize(stack)
+        stack = check_states(self.ensemble(n=n, rng=rng), channel_dim=space.channel_dim)
+        return space.basis.vectorize(stack)
 
 
 def ginibre_prior(dim: int, rank: Optional[int] = None) -> PriorDistribution:
@@ -85,12 +157,13 @@ def ginibre_prior(dim: int, rank: Optional[int] = None) -> PriorDistribution:
     if not 1 <= rank <= dim:
         raise PriorConstructionError(f"Ginibre rank {rank} must lie in [1, {dim}]")
     return PriorDistribution(name=f"ginibre(d={dim},k={rank})",
-                             basis=standard_basis(dim),
+                             space=HypothesisSpace("state", standard_basis(dim)),
                              ensemble=partial(ginibre_states, dim=dim, rank=rank))
 
 
 def bures_prior(dim: int) -> PriorDistribution:
-    return PriorDistribution(name=f"bures(d={dim})", basis=standard_basis(dim),
+    return PriorDistribution(name=f"bures(d={dim})",
+                             space=HypothesisSpace("state", standard_basis(dim)),
                              ensemble=partial(bures_states, dim=dim))
 
 
@@ -99,7 +172,7 @@ def rebit_ginibre_prior(rank: Optional[int] = None) -> PriorDistribution:
     if rank not in (1, 2):
         raise PriorConstructionError(f"rebit rank {rank} must be 1 or 2")
     return PriorDistribution(name=f"rebit-ginibre(k={rank})",
-                             basis=standard_basis(2),
+                             space=HypothesisSpace("state", standard_basis(2)),
                              ensemble=partial(ginibre_rebit_states, rank=rank))
 
 
@@ -108,13 +181,12 @@ def bcsz_prior(dim: int, kraus_rank: Optional[int] = None) -> PriorDistribution:
     if not 1 <= kraus_rank <= dim * dim:
         raise PriorConstructionError(f"Kraus rank {kraus_rank} must lie in [1, {dim * dim}]")
     return PriorDistribution(name=f"bcsz(d={dim},k={kraus_rank})",
-                             basis=standard_basis(dim * dim),
-                             ensemble=partial(bcsz_channels, dim=dim, kraus_rank=kraus_rank),
-                             channel_dim=dim)
+                             space=HypothesisSpace("channel", standard_basis(dim * dim)),
+                             ensemble=partial(bcsz_channels, dim=dim, kraus_rank=kraus_rank))
 
 
 def coin_uniform_prior() -> PriorDistribution:
-    return PriorDistribution(name="coin-uniform", basis=None)
+    return PriorDistribution(name="coin-uniform", space=HypothesisSpace("coin"))
 
 
 def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
@@ -125,14 +197,20 @@ def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
         alpha = 1,  beta = d lam / (1 - d lam),
         rho_star = ((alpha + beta)/alpha) (rho_mu - beta/(alpha + beta) I/d).
 
-    Means too close to the boundary (lam <= 1e-6) are rejected; mix the
-    requested mean with I/d before calling if that happens.  rho_mu = I/d
-    returns beta = inf, signalling passthrough of the fiducial prior.
+    rho_mu must be Hermitian with unit trace.  Means too close to the
+    boundary (lam <= 1e-6) are rejected; mix the requested mean with I/d
+    before calling if that happens.  rho_mu = I/d returns beta = inf,
+    signalling passthrough of the fiducial prior.
     """
     if isinstance(rho_mu, (DensityOperator, ChoiState)):
         rho_mu = rho_mu.matrix
     mu = np.asarray(rho_mu, dtype=complex)
     d = mu.shape[0]
+    # eigvalsh reads one triangle, and the passthrough test one eigenvalue.
+    if not np.abs(mu - mu.conj().T).max() <= HERMITICITY_TOL:
+        raise PriorConstructionError("prior mean is not Hermitian")
+    if not abs(np.trace(mu).real - 1.0) <= TRACE_TOL:
+        raise PriorConstructionError("prior mean must have unit trace")
     lam_min = float(np.linalg.eigvalsh(mu).min())
     if lam_min >= 1.0 / d - _PASSTHROUGH_TOL:
         return 1.0, np.inf, np.eye(d, dtype=complex) / d
@@ -161,19 +239,19 @@ def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
     For channel priors rho_mu must itself be a valid Choi state; the
     extremal target is checked to be trace preserving.
     """
-    if fiducial.basis is None:
+    space = fiducial.space
+    if space.kind == "coin":
         raise PriorConstructionError("coin priors use coin_insightful_prior")
-    basis = fiducial.basis
     if isinstance(rho_mu, (DensityOperator, ChoiState)):
         rho_mu = rho_mu.matrix
     mu = np.asarray(rho_mu, dtype=complex)
-    if mu.shape != (basis.dim, basis.dim):
+    if mu.shape != (space.basis.dim, space.basis.dim):
         raise PriorConstructionError("prior mean dimension does not match the fiducial prior")
     _, beta, rho_star = gad_params(mu)
     if np.isinf(beta):
         return fiducial
-    if fiducial.channel_dim is not None:
-        d = fiducial.channel_dim
+    if space.kind == "channel":
+        d = space.channel_dim
         marginal = partial_trace(rho_star, (d, d), keep="first")
         if np.abs(marginal - np.eye(d) / d).max() > GAD_TP_TOL:
             raise PriorConstructionError("extremal channel target is not trace preserving")
@@ -181,9 +259,9 @@ def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
         DensityOperator(matrix=rho_star)
     except InvalidOperatorError as err:
         raise PriorConstructionError(f"extremal target is not a valid state: {err}") from err
-    return PriorDistribution(name=f"insightful({fiducial.name})", basis=basis,
-                             channel_dim=fiducial.channel_dim, fiducial=fiducial,
-                             beta=beta, target=basis.vectorize(rho_star))
+    return PriorDistribution(name=f"insightful({fiducial.name})", space=space,
+                             fiducial=fiducial, beta=beta,
+                             target=space.basis.vectorize(rho_star))
 
 
 def coin_gad_params(p_mu: float) -> tuple[float, float, float]:
@@ -217,5 +295,5 @@ def coin_insightful_prior(p_mu: float) -> PriorDistribution:
     _, beta, p_star = coin_gad_params(p_mu)
     if np.isinf(beta):
         return coin_uniform_prior()
-    return PriorDistribution(name=f"coin-insightful(p={p_mu})", basis=None,
+    return PriorDistribution(name=f"coin-insightful(p={p_mu})", space=HypothesisSpace("coin"),
                              fiducial=coin_uniform_prior(), beta=beta, target=p_star)

@@ -368,6 +368,30 @@ def restore_trace_preservation(stack, channel_dim: int) -> np.ndarray:
     return out
 
 
+class DegenerateStateError(ValueError):
+    """Eigenvalue truncation has nothing left to normalize."""
+
+
+def truncate_to_state(stack) -> np.ndarray:
+    """Nearest-valid-state projection of an (n, D, D) stack of Hermitian
+    matrices by eigenvalue truncation: clips negative eigenvalues to zero
+    and renormalizes the trace."""
+    lam, vecs = np.linalg.eigh(np.asarray(stack, dtype=complex))
+    lam = lam.clip(0.0, None)
+    totals = lam.sum(axis=-1)
+    if np.any(totals <= 1e-12):
+        raise DegenerateStateError("no positive weight survives truncation")
+    lam = lam / totals[..., None]
+    return np.einsum("...k,...ik,...jk->...ij", lam, vecs, vecs.conj())
+
+
+def truncate_to_choi(stack, channel_dim: int) -> np.ndarray:
+    """Project an (n, D**2, D**2) stack onto valid Choi states: truncation
+    plus a trace-preservation repair that rescales the input marginal
+    back to I/D."""
+    return restore_trace_preservation(truncate_to_state(stack), channel_dim)
+
+
 def choi_of_channel(kraus_ops: Sequence[np.ndarray]) -> ChoiState:
     """Unit-trace Choi matrix of the channel with the given Kraus operators."""
     kraus = [np.asarray(k, dtype=complex) for k in kraus_ops]

@@ -1,26 +1,26 @@
 """Sequential Monte Carlo over hypothesis coordinate vectors.
 
-A particle cloud is a weighted set of coordinate rows together with a
-description of the space the rows live in (state, Choi state, or coin,
-optionally extended by a trailing diffusion-rate column).  Bayes updates
-add log-likelihoods to log weights; when the effective sample size drops,
-the cloud is rejuvenated with a Liu-West kernel that shrinks particles
-toward the mean, adds Gaussian noise matched to the cloud covariance,
-and projects everything back to the valid set.
+A particle cloud is a weighted set of coordinate rows together with the
+:class:`~tomolab.priors.HypothesisSpace` the rows live in (state,
+channel, or coin, optionally extended by a trailing diffusion-rate
+column).  Bayes updates add log-likelihoods to log weights; when the
+effective sample size drops, the cloud is rejuvenated with a Liu-West
+kernel that shrinks particles toward the mean, adds Gaussian noise
+matched to the cloud covariance, and projects everything back to the
+valid set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .priors import PriorDistribution
-from .qobj import DimensionMismatchError, OperatorBasis, positive_definite
+from .priors import HypothesisSpace, PriorDistribution
+from .qobj import DimensionMismatchError
 from .randq import RngStream
-from .tracking import coin_truncate, truncate_to_choi, truncate_to_state
 
 RANK_CUTOFF = 1e-12
 SUPPORT_RESIDUAL_TOL = 1e-8
@@ -30,62 +30,6 @@ ESS_THRESHOLD = 0.5
 
 class DegenerateUpdateError(RuntimeError):
     """Every particle assigned zero likelihood; the posterior is lost."""
-
-
-@dataclass(frozen=True, eq=False)
-class HypothesisSpace:
-    """Geometry of one hypothesis row: which coordinates make up the
-    state and how to project a perturbed row back to validity."""
-
-    kind: str  # "state" | "choi" | "coin"
-    basis: Optional[OperatorBasis] = None
-    channel_dim: Optional[int] = None
-    n_hyper: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("state", "choi", "coin"):
-            raise ValueError(f"unknown hypothesis kind {self.kind!r}")
-        if self.kind == "coin":
-            if self.basis is not None:
-                raise ValueError("coins carry no operator basis")
-        elif self.basis is None:
-            raise ValueError("state and choi spaces need an operator basis")
-        if self.kind == "choi" and self.channel_dim is None:
-            raise ValueError("choi spaces need the channel dimension")
-
-    @property
-    def n_state_coords(self) -> int:
-        return 1 if self.kind == "coin" else self.basis.size
-
-    @property
-    def n_coords(self) -> int:
-        return self.n_state_coords + self.n_hyper
-
-    def project(self, locations: np.ndarray) -> np.ndarray:
-        """Project rows onto the valid set (hyper columns clamped at 0).
-
-        State rows that are already positive definite only have their
-        trace renormalized: coordinate 0 is tr(rho)/sqrt(D) and the other
-        basis elements are traceless, so such a row is divided by
-        ``row[0] * sqrt(D)``.  The other state rows are truncated by
-        eigenvalue.  Choi rows are always truncated and then repaired to
-        trace preservation; coins are clamped to [0, 1].
-        """
-        out = np.array(locations, dtype=float)
-        w = self.n_state_coords
-        if self.kind == "coin":
-            out[:, 0] = coin_truncate(out[:, 0])
-        else:
-            mats = self.basis.devectorize(out[:, :w])
-            if self.kind == "choi":
-                out[:, :w] = self.basis.vectorize(truncate_to_choi(mats, self.channel_dim))
-            else:
-                valid = positive_definite(mats)
-                out[valid, :w] /= out[valid, :1] * math.sqrt(self.basis.dim)
-                out[~valid, :w] = self.basis.vectorize(truncate_to_state(mats[~valid]))
-        if self.n_hyper:
-            out[:, w:] = np.maximum(out[:, w:], 0.0)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,33 +92,23 @@ class CredibleEllipsoid:
         return mahal <= self.z**2
 
 
-def space_for_prior(prior: PriorDistribution, n_hyper: int = 0) -> HypothesisSpace:
-    if prior.basis is None:
-        return HypothesisSpace(kind="coin", n_hyper=n_hyper)
-    if prior.channel_dim is not None:
-        return HypothesisSpace(kind="choi", basis=prior.basis,
-                               channel_dim=prior.channel_dim, n_hyper=n_hyper)
-    return HypothesisSpace(kind="state", basis=prior.basis, n_hyper=n_hyper)
-
-
 def init_cloud(prior: PriorDistribution, n_particles: int, rng: RngStream,
                eta_sampler=None) -> ParticleCloud:
-    """Equal-weight cloud of prior draws.
+    """Equal-weight cloud of prior draws in ``prior.space``.
 
-    ``eta_sampler(n, rng)``, when given, appends a diffusion-rate column
-    and marks the space accordingly.
+    ``eta_sampler(n, rng)``, when given, appends a diffusion-rate column,
+    and the cloud's space is then a copy with ``n_hyper = 1``.
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
     rows = prior.sample(n_particles, rng)
-    n_hyper = 0
+    space = prior.space
     if eta_sampler is not None:
         eta = np.asarray(eta_sampler(n_particles, rng), dtype=float)
         if eta.shape != (n_particles,) or eta.min() < 0.0:
             raise ValueError("eta sampler must return nonnegative rates, one per particle")
         rows = np.column_stack([rows, eta])
-        n_hyper = 1
-    space = space_for_prior(prior, n_hyper=n_hyper)
+        space = replace(space, n_hyper=1)
     weights = np.full(n_particles, 1.0 / n_particles)
     return ParticleCloud(locations=rows, weights=weights, space=space)
 
@@ -226,7 +160,7 @@ def posterior_mean_coords(cloud: ParticleCloud) -> np.ndarray:
 def posterior_covariance(cloud: ParticleCloud) -> np.ndarray:
     """Weighted covariance of the particle coordinates.
 
-    The trace coordinate is constant on state and Choi spaces, so its row
+    The trace coordinate is constant on state and channel spaces, so its row
     and column are zeroed exactly.
     """
     return _covariance(cloud, posterior_mean_coords(cloud))

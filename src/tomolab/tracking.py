@@ -1,5 +1,5 @@
-"""Time-dependent tomography: projection to valid states, particle
-diffusion, and the bandwidth limit of the tracker.
+"""Time-dependent tomography: particle diffusion and the bandwidth limit
+of the tracker.
 
 Tracked particle clouds carry one extra trailing column: a nonnegative
 per-particle diffusion rate eta.  Between Bayes updates every traceless
@@ -17,45 +17,8 @@ import math
 
 import numpy as np
 
-from .qobj import restore_trace_preservation
 from .randq import RngStream
-
-
-class DegenerateStateError(ValueError):
-    """Eigenvalue truncation has nothing left to normalize."""
-
-
-def truncate_to_state(matrix) -> np.ndarray:
-    """Nearest-valid-state projection by eigenvalue truncation.
-
-    Clips negative eigenvalues to zero and renormalizes the trace.
-    Accepts a single Hermitian matrix or a stack.
-    """
-    arr = np.asarray(matrix, dtype=complex)
-    single = arr.ndim == 2
-    mats = arr[None] if single else arr
-    lam, vecs = np.linalg.eigh(mats)
-    lam = lam.clip(0.0, None)
-    totals = lam.sum(axis=-1)
-    if np.any(totals <= 1e-12):
-        raise DegenerateStateError("no positive weight survives truncation")
-    lam = lam / totals[..., None]
-    out = np.einsum("...k,...ik,...jk->...ij", lam, vecs, vecs.conj())
-    return out[0] if single else out
-
-
-def truncate_to_choi(matrix, channel_dim: int) -> np.ndarray:
-    """Project onto valid Choi states: truncation plus a trace-preservation
-    repair that rescales the input marginal back to I/D."""
-    mats = truncate_to_state(matrix)
-    single = mats.ndim == 2
-    out = restore_trace_preservation(mats[None] if single else mats, channel_dim)
-    return out[0] if single else out
-
-
-def coin_truncate(p) -> np.ndarray:
-    """Clamp coin probabilities to [0, 1]."""
-    return np.asarray(p, dtype=float).clip(0.0, 1.0)
+from .smc import ParticleCloud
 
 
 def lognormal_eta_sampler(mean: float, log_std: float):
@@ -78,7 +41,7 @@ def lognormal_eta_sampler(mean: float, log_std: float):
     return draw
 
 
-def diffuse_cloud(cloud, dt: float, rng: RngStream):
+def diffuse_cloud(cloud: ParticleCloud, dt: float, rng: RngStream) -> ParticleCloud:
     """Gaussian-perturb every particle's traceless coordinates over an
     interval ``dt > 0`` and project.
 
@@ -94,16 +57,12 @@ def diffuse_cloud(cloud, dt: float, rng: RngStream):
     n = locations.shape[0]
     eta = locations[:, -1]
     sigma = np.sqrt(dt) * eta
-    if space.kind == "coin":
-        lo, hi = 0, 1
-    else:
-        lo, hi = 1, space.basis.size
+    lo, hi = (0, 1) if space.kind == "coin" else (1, space.basis.size)
     noise = rng.generator.standard_normal((n, hi - lo))
     noise *= sigma[:, None]
     moved = locations.copy()
     moved[:, lo:hi] += noise
-    # The cloud's own class: this module cannot import smc, which imports it.
-    return type(cloud)(space.project(moved), cloud.weights, space, cloud.log_weights)
+    return ParticleCloud(space.project(moved), cloud.weights, space, cloud.log_weights)
 
 
 def tracking_bandwidth(tol: float, z: float, dt: float) -> tuple[int, float]:

@@ -45,3 +45,8 @@ def sample_mean(draw, n: int) -> np.ndarray:
 
 def fresh_stream(seed: int = 2026) -> RngStream:
     return RngStream(seed)
+
+
+def written_record(record, out_dir) -> str:
+    """The ``record.json`` text that ``record.write`` puts in ``out_dir``."""
+    return (record.write(out_dir) / "record.json").read_text(encoding="utf-8")

@@ -79,7 +79,7 @@ def test_c01_fiducial_and_damped_prior_means():
     for idx, (name, prior, target) in enumerate(ensembles):
         start = time.perf_counter()
         rows = prior.sample(n, RngStream(1000 + idx))
-        mean = prior.basis.devectorize(rows.mean(axis=0))
+        mean = prior.space.basis.devectorize(rows.mean(axis=0))
         dist = trace_distance(mean, target)
         elapsed = time.perf_counter() - start
         cases.append((name, dist, elapsed))

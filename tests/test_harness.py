@@ -31,9 +31,15 @@ from tomolab.harness import (
 )
 from tomolab.qobj import gell_mann_basis, pauli_basis
 from tomolab.randq import RngStream
-from tomolab.smc import effective_sample_size, posterior_covariance, posterior_mean_coords
+from tomolab.smc import (
+    effective_sample_size,
+    init_cloud,
+    posterior_covariance,
+    posterior_mean_coords,
+)
+from tomolab.tracking import lognormal_eta_sampler
 
-from conftest import random_state_matrix
+from conftest import random_state_matrix, written_record
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 REPO = Path(__file__).resolve().parents[1]
@@ -271,6 +277,24 @@ class TestBuildPrior:
                              "coin", 2)
         assert damped.name != plain.name
 
+    def test_space_matches_the_fiducial_table(self):
+        """Every prior, plain or damped, lives in the space of the model
+        that FIDUCIALS names for its fiducial, and a tracked cloud keeps
+        that space's basis with one diffusion-rate column."""
+        means = {"state": {"diag": [0.9, 0.1]}, "channel": {"diag": [0.4, 0.1, 0.1, 0.4]},
+                 "coin": 0.25}
+        for fiducial, model in harness.FIDUCIALS.items():
+            for gad_mean in (None, means[model]):
+                prior = build_prior(PriorSpec(fiducial=fiducial, gad_mean=gad_mean), model, 2)
+                assert (gad_mean is None) == (prior.fiducial is None), prior.name
+                space = prior.space
+                assert space.kind == model, prior.name
+                assert (space.basis is None) == (model == "coin"), prior.name
+                cloud = init_cloud(prior, 4, RngStream(1), eta_sampler=lognormal_eta_sampler(
+                    0.01, 1.0))
+                assert cloud.space.kind == model and cloud.space.basis is space.basis
+                assert (space.n_hyper, cloud.space.n_hyper) == (0, 1)
+
 
 # Each model's prior and heuristic, and a spec of every kind, at sizes that
 # keep a one-step run cheap; the pairing test swaps one kind in at a time.
@@ -355,15 +379,15 @@ class TestEstimation:
         assert rec.summary["loss"] < rec.columns["loss"][0]
         assert rec.columns["cov_trace"][-1] < rec.columns["cov_trace"][0]
 
-    def test_deterministic_json(self):
+    def test_deterministic_json(self, tmp_path):
         a = run(RunConfig.from_dict(state_config()))
         b = run(RunConfig.from_dict(state_config()))
-        assert a.to_json() == b.to_json()
+        assert written_record(a, tmp_path / "a") == written_record(b, tmp_path / "b")
 
-    def test_seed_matters(self):
+    def test_seed_matters(self, tmp_path):
         a = run(RunConfig.from_dict(state_config(seed=5)))
         b = run(RunConfig.from_dict(state_config(seed=6)))
-        assert a.to_json() != b.to_json()
+        assert written_record(a, tmp_path / "a") != written_record(b, tmp_path / "b")
 
     def test_heralded_failure_flagged(self):
         rec = run(RunConfig.from_dict(FAIL_CONFIG))
@@ -701,10 +725,10 @@ class TestTracking:
         assert not rec.failed, rec.failure_reason
         assert len(rec.columns["loss"]) == 151
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         a = run(RunConfig.from_dict(track_config()))
         b = run(RunConfig.from_dict(track_config()))
-        assert a.to_json() == b.to_json()
+        assert written_record(a, tmp_path / "a") == written_record(b, tmp_path / "b")
 
     def test_dispatcher(self):
         rec = run(RunConfig.from_dict(track_config()))
@@ -813,6 +837,16 @@ class TestCli:
         pytest.param("estimate", qutrit_config(
             prior={"fiducial": "ginibre", "gad_mean": {"diag": [0.9, 0.1]}}),
             "dimension does not match", id="mean_of_wrong_dim"),
+        # Means that the smallest eigenvalue alone would pass as I/d.
+        pytest.param("estimate", state_config(
+            prior={"fiducial": "ginibre", "gad_mean": {"diag": [0.6, 0.6]}}),
+            "bad ginibre prior: prior mean must have unit trace", id="mean_trace_above_1"),
+        pytest.param("estimate", state_config(
+            prior={"fiducial": "ginibre", "gad_mean": {"re": [[0.5, 0.2], [0.0, 0.5]]}}),
+            "bad ginibre prior: prior mean is not Hermitian", id="non_hermitian_mean"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, prior={
+            "fiducial": "bcsz", "gad_mean": {"diag": [0.3, 0.3, 0.3, 0.3]}}),
+            "bad bcsz prior: prior mean must have unit trace", id="channel_mean_trace_above_1"),
         pytest.param("estimate", state_config(dim=1), "dim must be at least 2",
                      id="dim_1_random_pauli"),
         pytest.param("estimate", dict(TestQpt.CONFIG, mode="estimate", heuristic={
@@ -1007,6 +1041,22 @@ class TestCli:
                    tracking={"n_steps": 3, "trajectory": {"kind": "static"}})
         path = self.write_cfg(tmp_path, cfg)
         assert main(["track", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sample", "--prior", "ginibre", "--n", "2"], id="sample"),
+        pytest.param(["estimate", "--config", None], id="estimate"),
+    ])
+    def test_out_naming_a_file_exit(self, tmp_path, capsys, monkeypatch, argv):
+        # Nothing runs: the output directory is made before the run.
+        monkeypatch.setattr(harness, "_filter", None)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        argv = [self.write_cfg(tmp_path, coin_config()) if a is None else a for a in argv]
+        assert main([*argv, "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert err.count("\n") == 1, err
+        assert taken.read_text(encoding="utf-8") == "not a directory"
 
     def test_mode_mismatch_exit(self, tmp_path):
         path = self.write_cfg(tmp_path, coin_config())

@@ -1,10 +1,10 @@
 """The run record's one-pass writer.
 
-``RunRecord.write`` and ``to_json`` stream the step rows from the record's
-columns.  They must give the bytes of ``json.dumps(payload,
-sort_keys=True, indent=2)`` and of ``csv.DictWriter`` on the flattened
-rows, and the outputs of short real runs must pass the benchmark's own
-output checks (``bench/checks.py``).
+``RunRecord.write`` streams the step rows from the record's columns.  It
+must give the bytes of ``json.dumps(payload, sort_keys=True, indent=2)``
+and of ``csv.DictWriter`` on the flattened rows, and the outputs of short
+real runs must pass the benchmark's own output checks
+(``bench/checks.py``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import written_record
 from tomolab import harness
 from tomolab.harness import RunConfig, RunRecord, run
 
@@ -109,18 +110,16 @@ def test_writer_matches_json_dumps_and_dict_writer(tmp_path, n_rows):
     record = odd_record(columns)
     expected = reference_json(record)
     assert "NaN" in expected and "-Infinity" in expected and "-0.0" in expected
-    assert record.to_json() == expected
-    record.write(tmp_path)
-    assert (tmp_path / "record.json").read_text(encoding="utf-8") == expected
+    assert written_record(record, tmp_path) == expected
     table = (tmp_path / "steps.csv").read_bytes()
     assert table == reference_csv(columns)
     assert b"nan" in table and b"-inf" in table
 
 
-def test_losses_only_columns():
+def test_losses_only_columns(tmp_path):
     columns = {"loss": np.array([0.5, -0.0, 5e-324])}
     record = RunRecord(config={}, mode="risk", columns=columns, summary={})
-    assert record.to_json() == reference_json(record)
+    assert written_record(record, tmp_path) == reference_json(record)
 
 
 def shipped(name: str, **over) -> dict:

@@ -8,13 +8,19 @@ from scipy import stats
 
 from tomolab.design import random_pauli_design
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood, simulate_experiment
-from tomolab.priors import coin_insightful_prior, coin_uniform_prior, ginibre_prior, insightful_prior, rebit_ginibre_prior
+from tomolab.priors import (
+    HypothesisSpace,
+    coin_insightful_prior,
+    coin_uniform_prior,
+    ginibre_prior,
+    insightful_prior,
+    rebit_ginibre_prior,
+)
 from tomolab.qobj import DimensionMismatchError, Effect, pauli_basis
 from tomolab.randq import RngStream
 from tomolab.smc import (
     CredibleEllipsoid,
     DegenerateUpdateError,
-    HypothesisSpace,
     ParticleCloud,
     bayes_update,
     credible_ellipsoid,
@@ -25,7 +31,6 @@ from tomolab.smc import (
     posterior_mean_coords,
     principal_components,
     resample,
-    space_for_prior,
     summarize,
 )
 
@@ -401,24 +406,19 @@ class TestHypothesisSpace:
         with pytest.raises(ValueError):
             HypothesisSpace(kind="coin", basis=BASIS2)
         with pytest.raises(ValueError):
-            HypothesisSpace(kind="choi", basis=BASIS2)
-
-    def test_space_for_prior(self):
-        assert space_for_prior(coin_uniform_prior()).kind == "coin"
-        assert space_for_prior(ginibre_prior(2)).kind == "state"
-        from tomolab.priors import bcsz_prior
-        space = space_for_prior(bcsz_prior(2))
-        assert space.kind == "choi"
-        assert space.channel_dim == 2
+            HypothesisSpace(kind="choi", basis=BASIS4)
+        with pytest.raises(ValueError):  # a channel basis needs a D**2 space
+            HypothesisSpace(kind="channel", basis=BASIS2)
+        assert HypothesisSpace(kind="channel", basis=BASIS4).channel_dim == 2
+        assert HypothesisSpace(kind="state", basis=BASIS4).channel_dim is None
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["state", "choi", "coin"]),
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["state", "channel", "coin"]),
            n_hyper=st.integers(0, 1))
     def test_projection_idempotent_on_random_rows(self, seed, kind, n_hyper):
         space = {
             "state": HypothesisSpace(kind="state", basis=BASIS2, n_hyper=n_hyper),
-            "choi": HypothesisSpace(kind="choi", basis=BASIS4, channel_dim=2,
-                                    n_hyper=n_hyper),
+            "channel": HypothesisSpace(kind="channel", basis=BASIS4, n_hyper=n_hyper),
             "coin": HypothesisSpace(kind="coin", n_hyper=n_hyper),
         }[kind]
         rng = np.random.default_rng(seed)

@@ -7,25 +7,21 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood
+from tomolab.priors import HypothesisSpace
 from tomolab.qobj import (
+    DegenerateStateError,
     check_states,
     gell_mann_basis,
     partial_trace,
     pauli_basis,
     positive_definite,
     standard_basis,
-)
-from tomolab.randq import RngStream, bcsz_channels
-from tomolab.smc import HypothesisSpace, ParticleCloud, bayes_update
-from tomolab.tracking import (
-    DegenerateStateError,
-    coin_truncate,
-    diffuse_cloud,
-    lognormal_eta_sampler,
-    tracking_bandwidth,
     truncate_to_choi,
     truncate_to_state,
 )
+from tomolab.randq import RngStream, bcsz_channels
+from tomolab.smc import ParticleCloud, bayes_update
+from tomolab.tracking import diffuse_cloud, lognormal_eta_sampler, tracking_bandwidth
 
 BASIS2 = pauli_basis(1)
 
@@ -61,18 +57,26 @@ class TestPositiveDefiniteScreen:
         check_states(basis.devectorize(out))
 
 
+def truncate_one(matrix, channel_dim=None):
+    """Truncate a single matrix as a stack of one."""
+    stack = np.asarray(matrix, dtype=complex)[None]
+    if channel_dim is None:
+        return truncate_to_state(stack)[0]
+    return truncate_to_choi(stack, channel_dim)[0]
+
+
 class TestTruncateToState:
     def test_clip_and_renormalize(self):
-        out = truncate_to_state(np.diag([1.2, -0.2]))
+        out = truncate_one(np.diag([1.2, -0.2]))
         assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-12
 
     def test_three_level_example(self):
-        out = truncate_to_state(np.diag([0.5, -0.1, 0.2]))
+        out = truncate_one(np.diag([0.5, -0.1, 0.2]))
         assert np.abs(out - np.diag([5.0 / 7.0, 0.0, 2.0 / 7.0])).max() < 1e-12
 
     def test_valid_state_fixed(self):
         rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
-        assert np.abs(truncate_to_state(rho) - rho).max() < 1e-12
+        assert np.abs(truncate_one(rho) - rho).max() < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]))
@@ -80,10 +84,10 @@ class TestTruncateToState:
         rng = np.random.default_rng(seed)
         m = random_hermitian(rng, dim) + np.eye(dim) * 0.3
         try:
-            once = truncate_to_state(m)
+            once = truncate_one(m)
         except DegenerateStateError:
             return
-        twice = truncate_to_state(once)
+        twice = truncate_one(once)
         assert np.abs(twice - once).max() < 1e-12
         assert abs(np.trace(once).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(once).min() > -1e-14
@@ -92,25 +96,25 @@ class TestTruncateToState:
         rng = np.random.default_rng(7)
         mats = np.stack([random_hermitian(rng, 2) + 0.5 * np.eye(2) for _ in range(6)])
         batch = truncate_to_state(mats)
-        singles = np.stack([truncate_to_state(m) for m in mats])
+        singles = np.stack([truncate_one(m) for m in mats])
         assert np.abs(batch - singles).max() < 1e-14
 
     def test_nothing_left(self):
         with pytest.raises(DegenerateStateError):
-            truncate_to_state(np.diag([-1.0, -0.5]))
+            truncate_one(np.diag([-1.0, -0.5]))
 
 
 class TestTruncateToChoi:
     def test_valid_choi_fixed(self):
         choi = bcsz_channels(1, 2, 4, RngStream(3))[0]
-        assert np.abs(truncate_to_choi(choi, 2) - choi).max() < 1e-10
+        assert np.abs(truncate_one(choi, 2) - choi).max() < 1e-10
 
     def test_repairs_perturbed_choi(self):
         rng = np.random.default_rng(11)
         choi = bcsz_channels(1, 2, 4, RngStream(5))[0]
         for _ in range(20):
             noisy = choi + random_hermitian(rng, 4, scale=0.05)
-            fixed = truncate_to_choi(noisy, 2)
+            fixed = truncate_one(noisy, 2)
             assert abs(np.trace(fixed).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(fixed).min() > -1e-10
             marg = partial_trace(fixed, (2, 2), keep="first")
@@ -120,20 +124,22 @@ class TestTruncateToChoi:
         rng = np.random.default_rng(13)
         choi = bcsz_channels(1, 2, 4, RngStream(7))[0]
         noisy = choi + random_hermitian(rng, 4, scale=0.1)
-        once = truncate_to_choi(noisy, 2)
-        twice = truncate_to_choi(once, 2)
+        once = truncate_one(noisy, 2)
+        twice = truncate_one(once, 2)
         assert np.abs(twice - once).max() < 1e-10
 
 
 class TestCoinTruncate:
+    """Coin rows are clamped to [0, 1] by the coin space's projection."""
+
     def test_values(self):
-        assert coin_truncate(1.05) == 1.0
-        assert coin_truncate(-0.3) == 0.0
-        assert coin_truncate(0.4) == 0.4
+        out = HypothesisSpace(kind="coin").project(np.array([[1.05], [-0.3], [0.4]]))
+        assert out[:, 0].tolist() == [1.0, 0.0, 0.4]
 
     def test_array(self):
-        out = coin_truncate(np.array([-1.0, 0.5, 2.0]))
-        assert np.array_equal(out, [0.0, 0.5, 1.0])
+        rows = np.array([[-1.0, 0.2], [0.5, -0.1], [2.0, 0.3]])
+        out = HypothesisSpace(kind="coin", n_hyper=1).project(rows)
+        assert np.array_equal(out, [[0.0, 0.2], [0.5, 0.0], [1.0, 0.3]])
 
 
 class TestDiffusionStep:
