@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Track a drifting coin with one shot per step.
 
-Runs the two-tone trajectory with the diffusive filter and with a static
-baseline (eta_mean = 0), then two single-tone runs: one inside the filter
-bandwidth (f = 0.1) and one at the Nyquist tone (f = 0.5) where the
-estimate should park at 1/2 instead of chasing the flips.
+Runs the shipped ``configs/track_two_tone.json``: its two-tone trajectory
+with the diffusive filter and with a static baseline (eta_mean = 0), then
+two single-tone runs: one inside the filter bandwidth (f = 0.1) and one at
+the Nyquist tone (f = 0.5) where the estimate should park at 1/2 instead
+of chasing the flips.
 """
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,20 +18,20 @@ import numpy as np
 from tomolab.harness import RunConfig, run
 from tomolab.tracking import tracking_bandwidth
 
-TWO_TONE = {"kind": "two_tone_coin", "f1": 1.0 / 80.0, "f2": 1.0 / 294.0}
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "track_two_tone.json"
+TWO_TONE = {"kind": "two_tone_coin", "f1": 1.0 / 80.0, "f2": 1.0 / 294.0}  # the shipped one
+
+
+def config_for(seed: int, eta_mean: float, trajectory: dict, n_steps: int) -> RunConfig:
+    """The shipped track run along ``trajectory`` for ``n_steps`` steps."""
+    config = RunConfig.from_json_file(CONFIG)
+    return replace(config, seed=seed, tracking=replace(
+        config.tracking, eta_mean=eta_mean, trajectory=trajectory, n_steps=n_steps))
 
 
 def track(seed: int, eta_mean: float, trajectory: dict, n_steps: int):
-    cfg = RunConfig.from_dict({
-        "mode": "track", "seed": seed, "model": "coin",
-        "prior": {"fiducial": "coin_uniform"},
-        "truth": {"kind": "coin", "p": 0.5},
-        "heuristic": {"kind": "coin", "n_meas": 1},
-        "n_particles": 1000,
-        "tracking": {"dt": 1.0, "n_steps": n_steps, "trajectory": trajectory,
-                     "eta_mean": eta_mean, "eta_log_std": 1.0},
-    })
-    rec = run(cfg)
+    """Estimated and true coin bias at steps 1 to ``n_steps``."""
+    rec = run(config_for(seed, eta_mean, trajectory, n_steps))
     if rec.failed:
         raise RuntimeError(f"seed {seed}: {rec.failure_reason}")
     return rec.columns["est"][1:, 0], rec.columns["truth"][1:, 0]

@@ -1,42 +1,33 @@
 #!/usr/bin/env python3
 """Process tomography of 0.7 rho + 0.3 H rho H: adaptive vs random designs.
 
-Both arms use the same damped prior (mean = 0.9 x true Choi + 0.1 x
-depolarizing) and matched seeds; the adaptive arm replaces 80% of the
-experiments with the best of 50 proposed preparation/measurement pairs
-by posterior-covariance overlap.
+Runs the shipped ``configs/qpt_hadamard_mix.json`` in two arms.  Both
+use its damped prior (mean = 0.9 x true Choi + 0.1 x depolarizing) and
+matched seeds; the adaptive arm replaces 80% of the experiments with the
+best of 50 proposed preparation/measurement pairs by posterior-covariance
+overlap.
 """
 from __future__ import annotations
 
 import argparse
-import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from tomolab.design import DesignHeuristic
 from tomolab.harness import RunConfig, run
-from tomolab.qobj import choi_of_channel
 
-H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-KRAUS = [math.sqrt(0.7) * np.eye(2, dtype=complex), math.sqrt(0.3) * H]
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "qpt_hadamard_mix.json"
 ADAPTIVE = {"kind": "process_adaptive_mix", "n_proposals": 50, "adaptive_fraction": 0.8}
 RANDOM = {"kind": "process_random"}
 
 
 def config_for(seed: int, heuristic: dict, n_experiments: int, shots: int) -> RunConfig:
-    j_true = choi_of_channel(KRAUS).matrix
-    gad_mean = 0.9 * j_true + 0.1 * np.eye(4) / 4.0
-    return RunConfig.from_dict({
-        "mode": "qpt", "seed": seed, "model": "channel", "dim": 2,
-        "prior": {"fiducial": "bcsz",
-                  "gad_mean": {"re": gad_mean.real.tolist(),
-                               "im": gad_mean.imag.tolist()}},
-        "truth": {"kind": "kraus",
-                  "kraus": [{"re": k.real.tolist(), "im": k.imag.tolist()}
-                            for k in KRAUS]},
-        "heuristic": dict(heuristic, n_meas=shots),
-        "n_particles": 2000, "n_experiments": n_experiments,
-    })
+    """The shipped qpt run with the design rule ``heuristic`` at ``shots``."""
+    return replace(RunConfig.from_json_file(CONFIG), seed=seed,
+                   heuristic=DesignHeuristic(**heuristic, n_meas=shots),
+                   n_experiments=n_experiments)
 
 
 def main():

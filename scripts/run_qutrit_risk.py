@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Qutrit risk curves under four priors.
 
-Truths are drawn from a damped-Ginibre distribution with mean
+Runs the shipped ``configs/risk_qutrit_matched.json`` with its prior
+swapped.  Truths are drawn from a damped-Ginibre distribution with mean
 diag(0.9, 0.05, 0.05); the four estimation priors are plain Ginibre, the
 matched damped prior, a slightly biased one, and a nearly orthogonal one.
 Trials are paired: every prior sees identical truths, designs, and data.
@@ -9,11 +10,14 @@ Trials are paired: every prior sees identical truths, designs, and data.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from tomolab.harness import RunConfig, run
+from tomolab.harness import PriorSpec, RunConfig, run
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "risk_qutrit_matched.json"
 
 PRIORS = {
     "default": None,
@@ -25,20 +29,12 @@ PRIORS = {
 
 def config_for(seed: int, gad_mean, n_trials: int, n_experiments: int,
                shots: int) -> RunConfig:
-    """Risk run of the prior damped toward diag(gad_mean) (plain Ginibre for None)."""
-    prior = {"fiducial": "ginibre"}
-    if gad_mean is not None:
-        prior["gad_mean"] = {"diag": gad_mean}
-    return RunConfig.from_dict({
-        "mode": "risk", "seed": seed, "model": "state", "dim": 3,
-        "prior": prior,
-        "truth": {"kind": "from_distribution",
-                  "prior": {"fiducial": "ginibre",
-                            "gad_mean": {"diag": [0.9, 0.05, 0.05]}}},
-        "heuristic": {"kind": "stabilizer_qutrit", "n_meas": shots},
-        "n_particles": 2000, "n_experiments": n_experiments,
-        "n_trials": n_trials,
-    })
+    """The shipped risk run with the prior damped toward diag(gad_mean)
+    (plain Ginibre for None)."""
+    config = RunConfig.from_json_file(CONFIG)
+    prior = PriorSpec("ginibre", gad_mean=None if gad_mean is None else {"diag": gad_mean})
+    return replace(config, seed=seed, prior=prior, n_trials=n_trials, n_experiments=n_experiments,
+                   heuristic=replace(config.heuristic, n_meas=shots))
 
 
 def main():

@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .harness import FIDUCIALS, ConfigError, PriorSpec, RunConfig, RunRecord, build_prior, run
+from .harness import (FIDUCIALS, ConfigError, PriorSpec, RunConfig, RunRecord, build_prior,
+                      make_out_dir, run)
 from .randq import RngStream
 
 
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw from a prior and dump coordinates")
     p.add_argument("--config", default=None, help="optional JSON config with a prior spec")
     p.add_argument("--prior", default=None, choices=FIDUCIALS)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None, help="default 2")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
@@ -47,35 +47,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(path: str) -> str:
-    """Make the output directory before anything runs; failing is a config error."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot create output directory {path}: {err}") from err
-    return path
-
-
 def _sample(args) -> int:
     if args.config is not None:
+        if any(getattr(args, flag) is not None for flag in ("prior", "dim", "rank")):
+            raise ConfigError("--prior, --dim and --rank cannot be combined with --config")
         config = RunConfig.from_json_file(args.config)
         if config.prior is None:
             raise ConfigError("sample config needs a prior spec")
     else:
         if args.prior is None:
             raise ConfigError("sample needs --prior or --config")
-        config = RunConfig(mode="sample", seed=0, model=FIDUCIALS[args.prior], dim=args.dim,
+        config = RunConfig(mode="sample", seed=0, model=FIDUCIALS[args.prior],
+                           dim=2 if args.dim is None else args.dim,
                            prior=PriorSpec(fiducial=args.prior, rank=args.rank))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     prior = build_prior(config.prior, config.model, config.dim)
     if args.n < 1:
         raise ConfigError("--n must be positive")
-    out = _out_dir(args.out or config.out_dir or ".")
+    out = make_out_dir(args.out or config.out_dir or ".")
     rows = prior.sample(args.n, RngStream(config.seed))
     space = prior.space
     labels = ("p",) if space.kind == "coin" else space.basis.labels
-    path = Path(out) / "samples.csv"
+    path = out / "samples.csv"
     np.savetxt(path, rows, delimiter=",", header=",".join(labels), comments="")
     print(f"wrote {args.n} draws from {prior.name} to {path}")
     return 0
@@ -90,16 +84,10 @@ def main(argv=None) -> int:
         if config.mode != args.mode:
             raise ConfigError(
                 f"config declares mode {config.mode!r} but {args.mode!r} was requested")
-        overrides = {}
         if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if overrides:
-            config = replace(config, **overrides)
-        out_dir = _out_dir(config.out_dir or "tomolab_out")
-        result = run(config)
-        result.write(out_dir)
+            config = replace(config, seed=args.seed)
+        out_dir = args.out or config.out_dir or "tomolab_out"
+        result = run(config, out_dir)
         if isinstance(result, RunRecord):
             failed = result.failed
             status = "FAILED (heralded)" if failed else "ok"

@@ -59,7 +59,8 @@ SCHEMA_VERSION = 1
 # The top-level fields that each mode does not read.
 MODES = {"estimate": ("tracking", "n_trials"), "qpt": ("tracking", "n_trials"),
          "track": ("n_experiments", "n_trials"), "risk": ("tracking", "dump_cloud"),
-         "sample": ("tracking", "n_trials")}
+         "sample": ("truth", "heuristic", "n_particles", "n_experiments", "n_trials",
+                    "resample_a", "resample_threshold", "tracking", "dump_cloud")}
 # Which model each config kind serves; RunConfig checks every pairing.
 FIDUCIALS = {"ginibre": "state", "bures": "state", "rebit_ginibre": "state",
              "bcsz": "channel", "coin_uniform": "coin"}
@@ -88,17 +89,18 @@ class ConfigError(ValueError):
 
 def decode_matrix(spec) -> np.ndarray:
     """Decode a JSON matrix spec: nested real lists, {"diag": [...]}, or
-    {"re": [[...]], "im": [[...]]}.  Every entry must be a JSON number."""
+    {"re": [[...]], "im": [[...]]} with "im" optional.  Every entry must be
+    a JSON number, and a key the spec's form does not read is an error."""
     if isinstance(spec, dict):
-        if "diag" in spec:
+        if set(spec) == {"diag"}:
             return np.diag(_numbers(spec["diag"], 1)).astype(complex)
-        if "re" in spec:
+        if set(spec) in ({"re"}, {"re", "im"}):
             re = _numbers(spec["re"], 2)
             im = _numbers(spec["im"], 2) if "im" in spec else np.zeros_like(re)
             if re.shape != im.shape:
                 raise ConfigError("re and im blocks must have equal shapes")
             return re + 1j * im
-        raise ConfigError(f"unknown matrix spec keys {sorted(spec)}")
+        raise ConfigError(f"matrix spec keys must be diag, re, or re and im, got {sorted(spec)}")
     return _numbers(spec, 2).astype(complex)
 
 
@@ -421,29 +423,34 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
         raise ConfigError(f"bad {spec.fiducial} prior: {err}") from err
 
 
-def resolve_truth(spec: TruthSpec, setup: "_Setup", rng: RngStream) -> np.ndarray:
-    """Coordinates of the true state, channel, or coin in the space of the
-    run's prior; a ``from_distribution`` truth draws from the setup's
-    truth prior."""
-    if spec.kind == "coin":
-        return np.array([spec.p], dtype=float)
-    if spec.kind == "from_prior":
-        return setup.prior.sample(1, rng)[0]
-    if spec.kind == "from_distribution":
-        return setup.truth_prior.sample(1, rng)[0]
-    space = setup.prior.space
+def _fixed_truth(spec: TruthSpec, space) -> np.ndarray:
+    """Read-only coordinates, in ``space``, of an explicit, kraus or coin
+    truth, checked once."""
     try:
-        if spec.kind == "kraus":
-            mat = choi_of_channel([decode_matrix(k) for k in spec.kraus]).matrix
+        if spec.kind == "coin":
+            coords = np.array([spec.p], dtype=float)
+        elif spec.kind == "kraus":
+            coords = space.basis.vectorize(
+                choi_of_channel([decode_matrix(k) for k in spec.kraus]).matrix)
         else:
             mat = decode_matrix(spec.matrix)
             if space.kind == "channel":
                 ChoiState(matrix=mat, dim_in=space.channel_dim, dim_out=space.channel_dim)
             else:
                 DensityOperator(matrix=mat)
-        return space.basis.vectorize(mat)
+            coords = space.basis.vectorize(mat)
     except ValueError as err:
         raise ConfigError(f"{spec.kind} truth: {err}") from err
+    coords.flags.writeable = False
+    return coords
+
+
+def resolve_truth(spec: TruthSpec, setup: "_Setup", rng: RngStream) -> np.ndarray:
+    """Coordinates of the true state, channel, or coin in the space of the
+    run's prior: the setup's fixed truth, or one draw from its truth prior."""
+    if spec.kind in ("from_prior", "from_distribution"):
+        return setup.truth_prior.sample(1, rng)[0]
+    return setup.truth
 
 
 def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
@@ -494,22 +501,43 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
 
 @dataclass(frozen=True)
 class _Setup:
-    """What a run builds from its config alone, before any trial: the
-    prior, the prior of a ``from_distribution`` truth (else None) and the
-    design rule.  Risk trials share one setup read-only."""
+    """What a run builds from its config and environment, before any
+    output: the prior; either the prior its truths are drawn from (its own
+    for ``from_prior``) or the fixed truth's coordinates; the design rule;
+    and a risk ensemble's worker count.  Risk trials share it read-only."""
 
     prior: PriorDistribution
     truth_prior: Optional[PriorDistribution]
+    truth: Optional[np.ndarray]
     heuristic: Callable
+    workers: int
 
 
 def _set_up(config: RunConfig) -> _Setup:
+    """Build the setup; every config error a valid parse leaves is raised
+    here, so none is raised once a run has started."""
+    if config.mode == "sample":
+        raise ConfigError(f"mode {config.mode!r} has no runner")
     prior = build_prior(config.prior, config.model, config.dim)
     heuristic = make_heuristic(config, prior)
     truth = config.truth
-    truth_prior = (build_prior(truth.prior, config.model, config.dim)
-                   if truth.kind == "from_distribution" else None)
-    return _Setup(prior=prior, truth_prior=truth_prior, heuristic=heuristic)
+    truth_prior = None
+    if truth.kind == "from_prior":
+        truth_prior = prior
+    elif truth.kind == "from_distribution":
+        truth_prior = build_prior(truth.prior, config.model, config.dim)
+    fixed = None if truth_prior is not None else _fixed_truth(truth, prior.space)
+    return _Setup(prior=prior, truth_prior=truth_prior, truth=fixed, heuristic=heuristic,
+                  workers=_workers(config.n_trials) if config.mode == "risk" else 1)
+
+
+def make_out_dir(path) -> Path:
+    """Make an output directory; failing is a config error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err}") from err
+    return Path(path)
 
 
 @dataclass
@@ -554,8 +582,7 @@ class RunRecord:
     def write(self, out_dir) -> Path:
         """Write ``record.json`` and ``steps.csv`` in one pass over the
         columns, then ``meta.json`` and the optional covariance and cloud."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_out_dir(out_dir)
         head, tail = self._frame()
         with open(out / "record.json", "w", encoding="utf-8") as record, \
                 open(out / "steps.csv", "w", newline="", encoding="utf-8") as table:
@@ -819,8 +846,7 @@ class RiskResult:
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def write(self, out_dir) -> Path:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_out_dir(out_dir)
         (out / "record.json").write_text(self.to_json(), encoding="utf-8")
         _write_meta(out, self.wall_time, workers=self.workers,
                     n_resamples=self.n_resamples)
@@ -854,7 +880,7 @@ def _worker_trial(i: int) -> tuple:
     return _risk_trial(*_worker_run, i)
 
 
-def _run_risk(config: RunConfig) -> RiskResult:
+def _run_risk(config: RunConfig, setup: _Setup) -> RiskResult:
     """Average loss-versus-step over freshly drawn truths.
 
     The risk at each recorded step is the pointwise mean of the per-trial
@@ -865,10 +891,8 @@ def _run_risk(config: RunConfig) -> RiskResult:
     are paired, and the result does not depend on the number of workers.
     """
     start = time.perf_counter()
-    n_workers = _workers(config.n_trials)
-    setup = _set_up(config)
     trials = range(config.n_trials)
-    if n_workers > 1:
+    if setup.workers > 1:
         # Forked workers inherit the setup, whose design rule is a closure
         # that cannot be pickled, and skip re-importing the package.  Tasks
         # carry trial indices in chunks of two, so no worker is left with a
@@ -876,14 +900,14 @@ def _run_risk(config: RunConfig) -> RiskResult:
         import multiprocessing
         from concurrent.futures.process import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+        with ProcessPoolExecutor(setup.workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_keep_run, initargs=(config, setup)) as pool:
             results = list(pool.map(_worker_trial, trials, chunksize=2))
     else:
         results = [_risk_trial(config, setup, i) for i in trials]
     good = [losses for losses, _ in results if losses is not None]
     result = RiskResult(config=config.to_dict(), curve=[], per_trial=[],
-                        n_failed=len(results) - len(good), workers=n_workers,
+                        n_failed=len(results) - len(good), workers=setup.workers,
                         n_resamples=sum(n for _, n in results))
     if good:
         losses = np.array(good)
@@ -893,11 +917,16 @@ def _run_risk(config: RunConfig) -> RiskResult:
     return result
 
 
-def run(config: RunConfig):
+def run(config: RunConfig, out_dir=None):
     """Run a config: a :class:`RiskResult` for risk mode, else a
-    :class:`RunRecord`."""
-    if config.mode == "risk":
-        return _run_risk(config)
-    if config.mode == "sample":
-        raise ConfigError(f"mode {config.mode!r} has no runner")
-    return _filter(config, RngStream(config.seed), _set_up(config))
+    :class:`RunRecord`.  With ``out_dir`` the result is also written
+    there.  The directory is made after set-up, which raises every config
+    error, and before the first step, so a config error leaves no output."""
+    setup = _set_up(config)
+    if out_dir is not None:
+        make_out_dir(out_dir)
+    result = (_run_risk(config, setup) if config.mode == "risk"
+              else _filter(config, RngStream(config.seed), setup))
+    if out_dir is not None:
+        result.write(out_dir)
+    return result

@@ -7,7 +7,8 @@ import numpy as np
 
 from tomolab.randq import RngStream
 
-# The study scripts define the configs that the acceptance tests run.
+# The acceptance tests import the study scripts, which run the shipped
+# configs with only the values each study sweeps replaced.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 

@@ -113,6 +113,7 @@ IMPOSSIBLE_DATA = {"prior": {"fiducial": "coin_uniform", "gad_mean": 2e-6},
                    "heuristic": {"kind": "coin", "n_meas": 1}}
 FAIL_CONFIG = coin_config(seed=0, n_particles=2, n_experiments=1, **IMPOSSIBLE_DATA)
 WRONG_PRIOR = json.loads((CONFIGS / "estimate_wrong_prior.json").read_text(encoding="utf-8"))
+SAMPLE_CONFIG = {"mode": "sample", "seed": 4, "prior": {"fiducial": "ginibre"}}
 
 
 class InjectedError(RuntimeError):
@@ -163,6 +164,10 @@ class TestDecodeMatrix:
             decode_matrix({"re": [[1.0]], "im": [[0.0, 0.0]]})
         with pytest.raises(ConfigError):
             decode_matrix({"nope": 1})
+        for stray in ({"diag": [0.5, 0.5], "im": [[0, 1], [-1, 0]]},
+                      {"re": [[0.5, 0], [0, 0.5]], "junk": 1}):
+            with pytest.raises(ConfigError, match="matrix spec keys must be"):
+                decode_matrix(stray)
         with pytest.raises(ConfigError):
             decode_matrix([1.0, 2.0])
         for empty in ({"diag": []}, [], [[]], {"re": [[]]}):
@@ -1023,13 +1028,60 @@ class TestCli:
         pytest.param("estimate", coin_config(truth={
             "kind": "explicit", "matrix": {"diag": [0.8, 0.2]}}),
             "explicit truth needs the state or channel model", id="explicit_truth_on_a_coin"),
+        # Sizes that only the prior or the design rule checks.
+        pytest.param("estimate", qutrit_config(prior={"fiducial": "rebit_ginibre"}),
+                     "rebit priors are two dimensional", id="rebit_at_dim_3"),
+        pytest.param("estimate", qutrit_config(heuristic={"kind": "random_pauli",
+                                                          "n_meas": 20}),
+                     "random_pauli needs a power-of-two dimension", id="random_pauli_at_dim_3"),
+        pytest.param("estimate", state_config(
+            dim=4, truth={"kind": "explicit", "matrix": {"diag": [0.25] * 4}},
+            heuristic={"kind": "stabilizer_qutrit", "n_meas": 20}),
+            "stabilizer_qutrit needs dim 3", id="stabilizer_qutrit_at_dim_4"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, dim=3, truth={
+            "kind": "kraus", "kraus": [{"diag": [1.0, 1.0, 1.0]}]}),
+            "process heuristics cover single-qubit channels", id="process_heuristic_at_dim_3"),
+        pytest.param("risk", risk_config(truth={
+            "kind": "from_distribution", "prior": {"fiducial": "ginibre", "rank": 3}}),
+            "rank 3 must lie in [1, 2]", id="truth_prior_rank_above_dim"),
+        pytest.param("risk", risk_config(truth={
+            "kind": "explicit", "matrix": {"diag": [1.2, -0.2]}}),
+            "explicit truth: density operator must be positive semidefinite",
+            id="non_psd_truth_in_risk_mode"),
+        # Matrix spec keys that the spec's form does not read.
+        pytest.param("estimate", state_config(truth={
+            "kind": "explicit", "matrix": {"diag": [0.5, 0.5], "im": [[0, 1], [-1, 0]]}}),
+            "matrix spec keys must be diag, re, or re and im, got ['diag', 'im']",
+            id="im_beside_diag_in_truth"),
+        pytest.param("estimate", state_config(prior={
+            "fiducial": "ginibre", "gad_mean": {"re": [[0.5, 0], [0, 0.5]], "junk": 1}}),
+            "matrix spec keys must be diag, re, or re and im, got ['junk', 're']",
+            id="junk_key_in_gad_mean"),
+        # Fields that sample mode does not read.
+        *(pytest.param("sample", dict(SAMPLE_CONFIG, **{field: value}),
+                       f"sample mode does not read {field}", id=f"{field}_in_sample_mode")
+          for field, value in [
+              ("n_particles", 10), ("resample_a", 0.5), ("dump_cloud", True),
+              ("heuristic", {"kind": "random_pauli", "n_meas": 10}),
+              ("truth", {"kind": "explicit", "matrix": {"diag": [0.8, 0.2]}})]),
     ])
-    def test_config_error_exit(self, tmp_path, capsys, mode, cfg, message):
+    def test_config_error_exit(self, tmp_path, capsys, monkeypatch, mode, cfg, message):
+        # Risk errors must also be raised before any trial reaches a worker.
+        monkeypatch.setenv("TOMOLAB_THREADS", "2")
         path = self.write_cfg(tmp_path, cfg)
         assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_thread_env_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TOMOLAB_THREADS", "two")
+        path = self.write_cfg(tmp_path, risk_config())
+        assert main(["risk", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: TOMOLAB_THREADS must be an integer, got 'two'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["process_adaptive_mix", "process_random"])
     def test_tracked_channel_runs(self, tmp_path, kind):
@@ -1146,6 +1198,10 @@ class TestCli:
                      "seed must be a nonnegative integer", id="negative_seed"),
         pytest.param(["--prior", "coin_uniform", "--dim", "3"],
                      "coin model does not read dim", id="dim_on_coin_uniform"),
+        pytest.param(["--config", str(CONFIGS / "sample_ginibre_qutrit.json"),
+                      "--prior", "bures", "--dim", "5"],
+                     "--prior, --dim and --rank cannot be combined with --config",
+                     id="flags_with_config"),
     ])
     def test_sample_flag_error_exit(self, tmp_path, capsys, flags, message):
         assert main(["sample", *flags, "--out", str(tmp_path)]) == 2
