@@ -110,6 +110,61 @@ def test_qpt_outputs_at_other_seeds(kind, seed, tmp_path):
     assert written == QPT_GOLDEN[kind, seed]
 
 
+# Track runs along the trajectories no shipped config follows.  At dt 0.1
+# the interval s*dt - (s-1)*dt differs from dt in the last bit for s >= 3,
+# so these bytes also pin the interval the cloud and the walk diffuse over.
+COIN_TRACK = {
+    "mode": "track", "seed": 5, "model": "coin",
+    "prior": {"fiducial": "coin_uniform"},
+    "truth": {"kind": "coin", "p": 0.7},
+    "heuristic": {"kind": "coin", "n_meas": 5},
+    "n_particles": 500,
+}
+TRACK_CONFIGS = {
+    # The tone peaks at 1.1, so the truth clips at 1.
+    "single_tone_coin": dict(COIN_TRACK, tracking={
+        "dt": 0.1, "n_steps": 300,
+        "trajectory": {"kind": "single_tone_coin", "f": 0.05, "offset": 0.6,
+                       "amplitude": 0.5}}),
+    "static": dict(COIN_TRACK, tracking={
+        "dt": 0.1, "n_steps": 200, "eta_mean": 0.01, "trajectory": {"kind": "static"}}),
+    "diffusing_state": {
+        "mode": "track", "seed": 5, "model": "state", "dim": 2,
+        "prior": {"fiducial": "ginibre"},
+        "truth": {"kind": "explicit", "matrix": {"diag": [0.7, 0.3]}},
+        "heuristic": {"kind": "random_pauli", "n_meas": 5},
+        "n_particles": 300,
+        "tracking": {"dt": 0.1, "n_steps": 100,
+                     "trajectory": {"kind": "diffusing_state", "step_std": 0.05}},
+    },
+}
+TRACK_GOLDEN = {
+    "single_tone_coin": {
+        "record.json": "c07ddc1ebe3a4082a029dfa75689f2bac9a507900a3ee3a397cdb098e53bbbbb",
+        "steps.csv": "00910eb592e2b4fba4bbdc0c98e584e97fe048e5b7f43205d9415ff6285b178d",
+    },
+    "static": {
+        "record.json": "aa07eec2d324b7ab01fba2f1a0c3dc013bc877e5bfdc9fd8618f810a418be870",
+        "steps.csv": "55e074eaf7f1e53bfde29e549590cb3bd328856755ca146916b5d3d892efff67",
+    },
+    "diffusing_state": {
+        "record.json": "9e5f0470d91f423422bf370e22694e6eda397d2762321565f418322cd06d84c5",
+        "steps.csv": "4fe96fb2951fef29a301b24765d5a4a3255c63ebb7ad4aa31e15d57857e20d91",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRACK_GOLDEN))
+def test_track_outputs_along_each_trajectory(kind, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TRACK_CONFIGS[kind]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["track", "--config", str(path), "--out", str(out)]) == 0
+    written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("record.json", "steps.csv")}
+    assert written == TRACK_GOLDEN[kind]
+
+
 # A channel risk ensemble with adaptive designs: its trials record only
 # their losses, so the adaptive rule builds each step's covariance itself.
 RISK_ADAPTIVE_GOLDEN = {
