@@ -47,11 +47,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(args) -> RunConfig:
+    """The ``--config`` file, which must declare the requested mode."""
+    config = RunConfig.from_json_file(args.config)
+    if config.mode != args.mode:
+        raise ConfigError(
+            f"config declares mode {config.mode!r} but {args.mode!r} was requested")
+    return config
+
+
 def _sample(args) -> int:
     if args.config is not None:
         if any(getattr(args, flag) is not None for flag in ("prior", "dim", "rank")):
             raise ConfigError("--prior, --dim and --rank cannot be combined with --config")
-        config = RunConfig.from_json_file(args.config)
+        config = _load(args)
         if config.prior is None:
             raise ConfigError("sample config needs a prior spec")
     else:
@@ -80,10 +89,7 @@ def main(argv=None) -> int:
     try:
         if args.mode == "sample":
             return _sample(args)
-        config = RunConfig.from_json_file(args.config)
-        if config.mode != args.mode:
-            raise ConfigError(
-                f"config declares mode {config.mode!r} but {args.mode!r} was requested")
+        config = _load(args)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         out_dir = args.out or config.out_dir or "tomolab_out"

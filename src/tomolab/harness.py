@@ -667,105 +667,94 @@ def _step_rows(columns: dict):
             yield template.format(*json_values), ",".join(values) + "\r\n"
 
 
-def _make_trajectory(config: RunConfig, setup: _Setup,
-                     truth_rng: RngStream) -> Callable[[float], np.ndarray]:
-    """The truth as a function of time; constant unless the run tracks."""
+def _truths(config: RunConfig, setup: _Setup, truth_rng: RngStream,
+            n_steps: int, dt: float) -> np.ndarray:
+    """The truth at steps 0 to ``n_steps``, one row each, built from
+    ``truth_rng`` alone before the first step.  A run that does not follow
+    a moving trajectory gets a read-only view of its one truth."""
     spec = config.tracking.trajectory if config.mode == "track" else {"kind": "static"}
     kind = spec["kind"]
     value = {key: float(spec.get(key, default))
              for key, default in TRAJECTORY_KEYS[kind][1].items()}
+    times = (step * dt for step in range(n_steps + 1))
     if kind == "two_tone_coin":
         f1, f2 = value["f1"], value["f2"]
-
-        def two_tone(t: float) -> np.ndarray:
-            p = 0.25 * (2.0 + math.cos(2.0 * math.pi * f1 * t)
-                        + math.cos(2.0 * math.pi * f2 * t))
-            return np.array([p])
-        return two_tone
+        return np.array([[0.25 * (2.0 + math.cos(2.0 * math.pi * f1 * t)
+                                  + math.cos(2.0 * math.pi * f2 * t))] for t in times])
     if kind == "single_tone_coin":
         f, offset, amplitude = value["f"], value["offset"], value["amplitude"]
-
-        def single_tone(t: float) -> np.ndarray:
-            p = offset + amplitude * math.cos(2.0 * math.pi * f * t)
-            return np.array([min(max(p, 0.0), 1.0)])
-        return single_tone
-    if kind == "diffusing_state":
-        std = value["step_std"]
-        start = resolve_truth(config.truth, setup, truth_rng)
-        basis = setup.prior.space.basis
-        state = {"coords": start, "t": 0.0}
-
-        def diffusing(t: float) -> np.ndarray:
-            if t > state["t"]:
-                coords = state["coords"].copy()
-                coords[1:] += truth_rng.generator.standard_normal(coords.size - 1) * std
-                mat = truncate_to_state(basis.devectorize(coords)[None])[0]
-                state["coords"] = basis.vectorize(mat)
-                state["t"] = t
-            return state["coords"]
-        return diffusing
-    fixed = resolve_truth(config.truth, setup, truth_rng)
-
-    def static(t: float) -> np.ndarray:
-        return fixed
-    return static
+        return np.array([[min(max(offset + amplitude * math.cos(2.0 * math.pi * f * t), 0.0), 1.0)]
+                         for t in times])
+    start = resolve_truth(config.truth, setup, truth_rng)
+    if kind == "static":
+        return np.broadcast_to(start, (n_steps + 1, start.size))
+    std = value["step_std"]
+    basis = setup.prior.space.basis
+    path = np.empty((n_steps + 1, start.size))
+    path[0] = start
+    for step in range(1, n_steps + 1):
+        coords = path[step - 1].copy()
+        coords[1:] += truth_rng.generator.standard_normal(coords.size - 1) * std
+        path[step] = basis.vectorize(truncate_to_state(basis.devectorize(coords)[None])[0])
+    return path
 
 
 def _filter(config: RunConfig, root: RngStream, setup: _Setup,
             losses_only: bool = False) -> RunRecord:
     """Run the SMC filter along one truth trajectory.
 
-    Estimate, qpt and risk runs hold the truth fixed for
-    ``n_experiments`` steps at time 0.  Track runs follow the configured
-    trajectory for ``n_steps`` steps of ``dt`` and diffuse the cloud over
-    each interval before its update.  Children 0-3 of ``root`` feed the
-    truth, the designs, the data and the engine.  With ``losses_only``
+    The truth at every step is built by :func:`_truths` before the first
+    step, and step ``i`` measures row ``i``.  Estimate, qpt and risk runs
+    hold the truth fixed for ``n_experiments`` steps at time 0.  Track
+    runs follow the configured trajectory for ``n_steps`` steps of ``dt``,
+    diffuse the cloud over each interval before its update, and record the
+    truth rows as their ``truth`` column.  Children 0-3 of ``root`` feed
+    the truth, the designs, the data and the engine.  With ``losses_only``
     (risk trials) each step's row holds only its loss and the summary only
     the resample count; the filter itself, and so every loss, is the same.
     """
     start = time.perf_counter()
     truth_rng, design_rng, data_rng, engine_rng = (root.child(i) for i in range(4))
     heuristic = setup.heuristic
-    trajectory = _make_trajectory(config, setup, truth_rng)
     tr = config.tracking if config.mode == "track" else None
+    n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
+    truths = _truths(config, setup, truth_rng, n_steps, dt)
     eta_sampler = None if tr is None else lognormal_eta_sampler(tr.eta_mean, tr.eta_log_std)
     cloud = init_cloud(setup.prior, config.n_particles, engine_rng, eta_sampler=eta_sampler)
     w = cloud.space.n_state_coords
     n_meas = config.heuristic.n_meas
-    n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
-    truth = trajectory(0.0)
-    columns = _step_columns(n_steps + 1, n_meas, dt, cloud.space.n_coords,
-                            truth.size if tr is not None else None, losses_only)
+    columns = _step_columns(n_steps + 1, n_meas, dt, cloud.space.n_coords, losses_only)
+    if tr is not None:
+        columns.update(truth=truths, eta_mean=np.empty(n_steps + 1))
     loss = columns["loss"]
     total_log_norm = 0.0
     n_resamples = 0
 
-    def fill(i, truth, n_success, log_norm):
+    def fill(i, n_success, log_norm):
         """Row ``i`` of the columns; returns the covariance it computed."""
         if losses_only:
             # The next adaptive design then builds its own covariance.
             est = posterior_mean_coords(cloud)
-            loss[i] = loss_norm(est[:w], truth[:w])
+            loss[i] = loss_norm(est[:w], truths[i, :w])
             return None
         est, cov, ess = summarize(cloud)
-        loss[i] = loss_norm(est[:w], truth[:w])
+        loss[i] = loss_norm(est[:w], truths[i, :w])
         columns["n_success"][i] = n_success
         columns["ess"][i] = ess
         columns["log_norm"][i] = log_norm
         columns["cov_trace"][i] = cov.trace()
         columns["est"][i] = est
         if tr is not None:
-            columns["truth"][i] = truth
             columns["eta_mean"][i] = est[-1]
         return cov
 
-    cov = fill(0, truth, 0, 0.0)
+    cov = fill(0, 0, 0.0)
     failed = False
     reason = None
     prev_t = 0.0
     for step in range(1, n_steps + 1):
         t = step * dt
-        truth = trajectory(t)
+        truth = truths[step]
         effect = heuristic(step, cloud, design_rng, cov=cov)
         if tr is not None:
             cloud = diffuse_cloud(cloud, t - prev_t, engine_rng)
@@ -783,7 +772,7 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
         cloud = maybe_resample(cloud, engine_rng, a=config.resample_a,
                                threshold=config.resample_threshold)
         n_resamples += int(cloud is not before)
-        cov = fill(step, truth, n_success, log_norm)
+        cov = fill(step, n_success, log_norm)
         prev_t = t
     summary = {"n_resamples": n_resamples}
     if not losses_only:
@@ -808,10 +797,9 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
 
 
 def _step_columns(n_rows: int, n_meas: int, dt: float, n_coords: int,
-                  truth_width: Optional[int], losses_only: bool) -> dict:
-    """Preallocated step-table columns (see :class:`RunRecord`); row ``i``
-    is step ``i`` at time ``i * dt``.  ``truth_width`` is None unless the
-    run tracks."""
+                  losses_only: bool) -> dict:
+    """Preallocated step-table columns (see :class:`RunRecord`) up to
+    ``est``; row ``i`` is step ``i`` at time ``i * dt``."""
     if losses_only:
         return {"loss": np.empty(n_rows)}
     step = np.arange(n_rows)
@@ -822,9 +810,6 @@ def _step_columns(n_rows: int, n_meas: int, dt: float, n_coords: int,
     for name in ("ess", "log_norm", "cov_trace", "loss"):
         columns[name] = np.empty(n_rows)
     columns["est"] = np.empty((n_rows, n_coords))
-    if truth_width is not None:
-        columns["truth"] = np.empty((n_rows, truth_width))
-        columns["eta_mean"] = np.empty(n_rows)
     return columns
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .qobj import (
     HERMITICITY_TOL,
     TRACE_TOL,
-    ChoiState,
     DensityOperator,
     InvalidOperatorError,
     OperatorBasis,
@@ -202,8 +201,6 @@ def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
     before calling if that happens.  rho_mu = I/d returns beta = inf,
     signalling passthrough of the fiducial prior.
     """
-    if isinstance(rho_mu, (DensityOperator, ChoiState)):
-        rho_mu = rho_mu.matrix
     mu = np.asarray(rho_mu, dtype=complex)
     d = mu.shape[0]
     # eigvalsh reads one triangle, and the passthrough test one eigenvalue.
@@ -242,8 +239,6 @@ def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
     space = fiducial.space
     if space.kind == "coin":
         raise PriorConstructionError("coin priors use coin_insightful_prior")
-    if isinstance(rho_mu, (DensityOperator, ChoiState)):
-        rho_mu = rho_mu.matrix
     mu = np.asarray(rho_mu, dtype=complex)
     if mu.shape != (space.basis.dim, space.basis.dim):
         raise PriorConstructionError("prior mean dimension does not match the fiducial prior")

@@ -717,6 +717,21 @@ class TestTracking:
         assert not np.allclose(truths[0], truths[-1])
         assert np.abs(truths[:, 0] - INV_SQRT2).max() < 1e-12
 
+    def test_heralded_failure_cuts_every_column(self, tmp_path):
+        cfg = track_config(seed=0, n_particles=2, **IMPOSSIBLE_DATA)
+        cfg["tracking"] = {"dt": 1.0, "n_steps": 5, "trajectory": {"kind": "static"},
+                           "eta_mean": 0.0}
+        rec = run(RunConfig.from_dict(cfg))
+        assert rec.failed
+        assert rec.failure_reason.startswith("step 1:")
+        assert {"truth", "eta_mean"} <= set(rec.columns)
+        assert all(len(col) == 1 for col in rec.columns.values())
+        out = rec.write(tmp_path / "run")
+        written = json.loads((out / "record.json").read_text(encoding="utf-8"))
+        assert written["failed"]
+        assert [row["truth"] for row in written["steps"]] == [[1.0]]
+        assert len((out / "steps.csv").read_text(encoding="utf-8").splitlines()) == 2
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 4])
     def test_high_shot_two_tone_does_not_herald(self, seed):
         # With 5000 shots per step the likelihoods underflow in linear
@@ -1202,6 +1217,9 @@ class TestCli:
                       "--prior", "bures", "--dim", "5"],
                      "--prior, --dim and --rank cannot be combined with --config",
                      id="flags_with_config"),
+        pytest.param(["--config", str(CONFIGS / "estimate_wrong_prior.json"), "--n", "3"],
+                     "config declares mode 'estimate' but 'sample' was requested",
+                     id="non_sample_config"),
     ])
     def test_sample_flag_error_exit(self, tmp_path, capsys, flags, message):
         assert main(["sample", *flags, "--out", str(tmp_path)]) == 2
