@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tomolab.design import DesignHeuristic
-from tomolab.harness import RunConfig, run
+from tomolab.harness import DesignHeuristic, RunConfig, run
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "qpt_hadamard_mix.json"
 ADAPTIVE = {"kind": "process_adaptive_mix", "n_proposals": 50, "adaptive_fraction": 0.8}

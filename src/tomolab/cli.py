@@ -61,8 +61,6 @@ def _sample(args) -> int:
         if any(getattr(args, flag) is not None for flag in ("prior", "dim", "rank")):
             raise ConfigError("--prior, --dim and --rank cannot be combined with --config")
         config = _load(args)
-        if config.prior is None:
-            raise ConfigError("sample config needs a prior spec")
     else:
         if args.prior is None:
             raise ConfigError("sample needs --prior or --config")

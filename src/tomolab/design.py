@@ -13,7 +13,6 @@ design is one such row, and a random design is a random row of its table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,24 +27,6 @@ from .qobj import (
     process_effect,
 )
 from .randq import RngStream
-
-
-@dataclass(frozen=True)
-class DesignHeuristic:
-    """Config-facing description of a design rule."""
-
-    kind: str  # "random_pauli" | "stabilizer_qutrit" | "process_random" | "process_adaptive_mix" | "coin"
-    n_meas: int
-    n_proposals: int = 50
-    adaptive_fraction: float = 0.8
-
-    def __post_init__(self):
-        if self.n_meas < 1:
-            raise ValueError("n_meas must be positive")
-        if self.n_proposals < 1:
-            raise ValueError("need at least one proposal")
-        if not 0.0 <= self.adaptive_fraction <= 1.0:
-            raise ValueError("adaptive fraction must lie in [0, 1]")
 
 
 def _table(rows) -> np.ndarray:

@@ -81,6 +81,8 @@ TRAJECTORY_KEYS = {"two_tone_coin": (("coin",), {"f1": None, "f2": None}),
                    "static": (MODELS, {})}
 # The heuristic fields that only process_adaptive_mix reads.
 ADAPTIVE_FIELDS = ("n_proposals", "adaptive_fraction")
+# Every count sizes an int64 numpy array or draw, so it stays below this.
+COUNT_END = 2**63
 
 
 class ConfigError(ValueError):
@@ -167,7 +169,7 @@ def _parse(cls, raw, what: str):
     """Dataclass ``cls`` built from the JSON object ``raw``, each value
     checked against its field's annotation; ``what`` names the block in
     messages ("" for the top level).  The class's ``__post_init__``
-    checks ranges, and whatever it rejects is a :class:`ConfigError`."""
+    checks ranges and raises :class:`ConfigError`."""
     name = what or "config"
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a JSON object, got {raw!r}")
@@ -183,12 +185,7 @@ def _parse(cls, raw, what: str):
             values[key] = _value(hints[key], raw[key], prefix + key)
         elif f.default is MISSING:
             raise ConfigError(f"{prefix}{key} is required")
-    try:
-        return cls(**values)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"bad {name}: {err}") from err
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -244,10 +241,12 @@ class TrackingSpec:
     eta_log_std: float = 1.0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be positive")
+        if not 1 <= self.n_steps < COUNT_END:
+            raise ConfigError("n_steps must be positive and below 2**63")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
+        if not math.isfinite(self.n_steps * self.dt):
+            raise ConfigError(f"n_steps * dt must be finite, got {self.n_steps * self.dt!r}")
         if self.eta_mean < 0.0 or self.eta_log_std < 0.0:
             raise ConfigError("eta_mean and eta_log_std must be nonnegative")
         kind = self.trajectory.get("kind")
@@ -265,6 +264,29 @@ class TrackingSpec:
 
 
 @dataclass(frozen=True)
+class DesignHeuristic:
+    """Design rule declared by kind and shots per experiment; only
+    ``process_adaptive_mix`` reads ``n_proposals`` and ``adaptive_fraction``."""
+
+    kind: str  # a key of HEURISTICS
+    n_meas: int
+    n_proposals: int = 50
+    adaptive_fraction: float = 0.8
+
+    def __post_init__(self):
+        if self.kind not in HEURISTICS:
+            raise ConfigError(f"unknown heuristic kind {self.kind!r}")
+        if not 1 <= self.n_meas < COUNT_END:
+            raise ConfigError("heuristic n_meas must be positive and below 2**63")
+        if not 1 <= self.n_proposals < COUNT_END:
+            raise ConfigError("heuristic n_proposals must be positive and below 2**63")
+        if not 0.0 <= self.adaptive_fraction <= 1.0:
+            raise ConfigError("heuristic adaptive_fraction must lie in [0, 1]")
+        if self.kind != "process_adaptive_mix":
+            _reject_unread(self, ADAPTIVE_FIELDS, f"{self.kind} heuristic")
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Complete, validated description of one simulation."""
 
@@ -274,7 +296,7 @@ class RunConfig:
     dim: int = 2
     prior: Optional[PriorSpec] = None
     truth: Optional[TruthSpec] = None
-    heuristic: Optional[design_mod.DesignHeuristic] = None
+    heuristic: Optional[DesignHeuristic] = None
     n_particles: int = 2000
     n_experiments: int = 30
     n_trials: int = 1
@@ -293,10 +315,10 @@ class RunConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if self.model != "coin" and self.dim < 2:
             raise ConfigError("dim must be at least 2")
-        if self.n_particles < 2:
-            raise ConfigError("n_particles must be at least 2")
-        if self.mode in ("estimate", "qpt", "risk") and self.n_experiments < 1:
-            raise ConfigError("n_experiments must be positive")
+        if not 2 <= self.n_particles < COUNT_END:
+            raise ConfigError("n_particles must be at least 2 and below 2**63")
+        if self.mode in ("estimate", "qpt", "risk") and not 1 <= self.n_experiments < COUNT_END:
+            raise ConfigError("n_experiments must be positive and below 2**63")
         if self.mode == "risk" and self.n_trials < 1:
             raise ConfigError("n_trials must be positive")
         if not 0.0 < self.resample_a <= 1.0:
@@ -311,10 +333,6 @@ class RunConfig:
                                       or self.heuristic is None):
             raise ConfigError("prior, truth, and heuristic are required")
         h, truth = self.heuristic, self.truth
-        if h is not None and h.kind not in HEURISTICS:
-            raise ConfigError(f"unknown heuristic kind {h.kind!r}")
-        if h is not None and h.kind != "process_adaptive_mix":
-            _reject_unread(h, ADAPTIVE_FIELDS, f"{h.kind} heuristic")
         _reject_unread(self, MODES[self.mode], f"{self.mode} mode")
         if self.model == "coin":
             _reject_unread(self, ("dim",), "coin model")
@@ -331,6 +349,16 @@ class RunConfig:
         for what, models in served:
             if self.model not in models:
                 raise ConfigError(f"{what} needs the {' or '.join(models)} model")
+        if self.prior is None:  # only a sample config gets here without one
+            raise ConfigError("sample config needs a prior spec")
+        # Sizes that the design rule needs.
+        kind = h.kind if h is not None else None
+        if kind == "random_pauli" and self.dim & (self.dim - 1):
+            raise ConfigError("random_pauli needs a power-of-two dimension")
+        if kind == "stabilizer_qutrit" and self.dim != 3:
+            raise ConfigError("stabilizer_qutrit needs dim 3")
+        if HEURISTICS.get(kind) == "channel" and self.dim != 2:
+            raise ConfigError("process heuristics cover single-qubit channels")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -466,21 +494,14 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
         return coin_rule
     if h.kind == "random_pauli":
         n_qubits = int(math.log2(config.dim))
-        if 2**n_qubits != config.dim:
-            raise ConfigError("random_pauli needs a power-of-two dimension")
 
         def pauli_rule(step, cloud, rng, cov=None):
             return design_mod.random_pauli_design(n_qubits, rng)
         return pauli_rule
     if h.kind == "stabilizer_qutrit":
-        if config.dim != 3:
-            raise ConfigError("stabilizer_qutrit needs dim 3")
-
         def stab_rule(step, cloud, rng, cov=None):
             return design_mod.random_stabilizer_qutrit_design(rng)
         return stab_rule
-    if config.dim != 2:
-        raise ConfigError("process heuristics cover single-qubit channels")
 
     def random_rule(step, cloud, rng, cov=None):
         return design_mod.random_process_design(rng, basis)

@@ -313,11 +313,6 @@ class ChoiState:
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the space the Choi matrix itself lives on."""
-        return self.matrix.shape[0]
-
 
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr[A^dag B]."""

@@ -11,7 +11,6 @@ import pytest
 from tomolab import design as design_module
 from tomolab import harness
 from tomolab.design import (
-    DesignHeuristic,
     adaptive_design,
     pauli_effects,
     pauli_eigenstates,
@@ -23,6 +22,7 @@ from tomolab.design import (
     random_stabilizer_qutrit_design,
     stabilizer_qutrit_effects,
 )
+from tomolab.harness import DesignHeuristic
 from tomolab.qobj import (
     ChoiState,
     DensityOperator,

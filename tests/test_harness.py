@@ -251,6 +251,10 @@ class TestRunConfig:
                                                         "n_meas": 5, "extra": 1}))
 
 
+    def test_sample_config_has_no_runner(self):
+        with pytest.raises(ConfigError, match="mode 'sample' has no runner"):
+            run(RunConfig.from_dict(SAMPLE_CONFIG))
+
     def test_model_fiducial_pairing(self):
         for model, fiducial, served in (("state", "coin_uniform", "coin"),
                                         ("coin", "ginibre", "state"),
@@ -1072,6 +1076,57 @@ class TestCli:
             "fiducial": "ginibre", "gad_mean": {"re": [[0.5, 0], [0, 0.5]], "junk": 1}}),
             "matrix spec keys must be diag, re, or re and im, got ['junk', 're']",
             id="junk_key_in_gad_mean"),
+        # Checks of the specs, the priors and the matrix specs.
+        pytest.param("estimate", state_config(heuristic={"kind": "random_pauli"}),
+                     "heuristic n_meas is required", id="heuristic_without_n_meas"),
+        pytest.param("estimate", state_config(prior={"fiducial": "haar"}),
+                     "unknown fiducial prior 'haar'", id="unknown_fiducial"),
+        pytest.param("estimate", state_config(prior={"fiducial": "ginibre", "rank": 0}),
+                     "prior rank must be a positive integer, got 0", id="rank_0"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"], dt=0)),
+                     "dt must be positive", id="zero_dt"),
+        pytest.param("estimate", state_config(prior={"fiducial": "rebit_ginibre", "rank": 3}),
+                     "rebit rank 3 must be 1 or 2", id="rebit_rank_3"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, prior={"fiducial": "bcsz", "rank": 5}),
+                     "Kraus rank 5 must lie in [1, 4]", id="bcsz_rank_5_at_dim_2"),
+        pytest.param("estimate", coin_config(prior={"fiducial": "coin_uniform",
+                                                    "gad_mean": 1.5}),
+                     "coin mean must lie in [0, 1]", id="coin_gad_mean_above_1"),
+        pytest.param("estimate", state_config(truth={
+            "kind": "explicit", "matrix": [[0.8, 0.0], [0.2]]}),
+            "matrix spec rows must be equal in length", id="ragged_truth_matrix"),
+        pytest.param("estimate", state_config(resample_a=10**400),
+                     "resample_a must be finite, got 1000", id="resample_a_beyond_floats"),
+        pytest.param("sample", {"mode": "sample", "seed": 4},
+                     "sample config needs a prior spec", id="sample_without_prior"),
+        pytest.param("estimate", state_config(heuristic={"kind": "random_pauli", "n_meas": 0}),
+                     "heuristic n_meas must be positive", id="zero_n_meas"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, heuristic={
+            "kind": "process_adaptive_mix", "n_meas": 10, "n_proposals": 0}),
+            "heuristic n_proposals must be positive", id="zero_n_proposals"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, heuristic={
+            "kind": "process_adaptive_mix", "n_meas": 10, "adaptive_fraction": 1.2}),
+            "heuristic adaptive_fraction must lie in [0, 1]", id="adaptive_fraction_above_1"),
+        # Counts that numpy cannot hold, and a clock that overflows.
+        pytest.param("estimate", coin_config(heuristic={"kind": "coin", "n_meas": 2**63}),
+                     "heuristic n_meas must be positive and below 2**63", id="n_meas_2**63"),
+        pytest.param("estimate", coin_config(n_particles=2**63),
+                     "n_particles must be at least 2 and below 2**63", id="n_particles_2**63"),
+        pytest.param("estimate", coin_config(n_experiments=2**63),
+                     "n_experiments must be positive and below 2**63",
+                     id="n_experiments_2**63"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         n_steps=2**63)),
+                     "n_steps must be positive and below 2**63", id="n_steps_2**63"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         n_steps=10**400, dt=1e308)),
+                     "n_steps must be positive and below 2**63", id="n_steps_10**400"),
+        pytest.param("qpt", dict(TestQpt.CONFIG, heuristic={
+            "kind": "process_adaptive_mix", "n_meas": 10, "n_proposals": 2**63}),
+            "heuristic n_proposals must be positive and below 2**63", id="n_proposals_2**63"),
+        pytest.param("track", track_config(tracking={
+            "dt": 1e308, "n_steps": 5, "trajectory": {"kind": "static"}}),
+            "n_steps * dt must be finite, got inf", id="clock_beyond_floats"),
         # Fields that sample mode does not read.
         *(pytest.param("sample", dict(SAMPLE_CONFIG, **{field: value}),
                        f"sample mode does not read {field}", id=f"{field}_in_sample_mode")
@@ -1220,6 +1275,7 @@ class TestCli:
         pytest.param(["--config", str(CONFIGS / "estimate_wrong_prior.json"), "--n", "3"],
                      "config declares mode 'estimate' but 'sample' was requested",
                      id="non_sample_config"),
+        pytest.param(["--prior", "ginibre", "--n", "0"], "--n must be positive", id="n_0"),
     ])
     def test_sample_flag_error_exit(self, tmp_path, capsys, flags, message):
         assert main(["sample", *flags, "--out", str(tmp_path)]) == 2
