@@ -3,9 +3,10 @@
 
 Runs the shipped ``configs/qpt_hadamard_mix.json`` in two arms.  Both
 use its damped prior (mean = 0.9 x true Choi + 0.1 x depolarizing) and
-matched seeds; the adaptive arm replaces 80% of the experiments with the
-best of 50 proposed preparation/measurement pairs by posterior-covariance
-overlap.
+matched seeds.  The adaptive arm keeps the shipped design rule, which
+picks most experiments as the best of several proposed
+preparation/measurement pairs by posterior-covariance overlap; the other
+arm draws every pair at random.  Acceptance C8 runs ``pair``.
 """
 from __future__ import annotations
 
@@ -18,32 +19,38 @@ import numpy as np
 from tomolab.harness import DesignHeuristic, RunConfig, run
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "qpt_hadamard_mix.json"
-ADAPTIVE = {"kind": "process_adaptive_mix", "n_proposals": 50, "adaptive_fraction": 0.8}
-RANDOM = {"kind": "process_random"}
 
 
-def config_for(seed: int, heuristic: dict, n_experiments: int, shots: int) -> RunConfig:
-    """The shipped qpt run with the design rule ``heuristic`` at ``shots``."""
-    return replace(RunConfig.from_json_file(CONFIG), seed=seed,
-                   heuristic=DesignHeuristic(**heuristic, n_meas=shots),
-                   n_experiments=n_experiments)
+def config_for(seed=None, kind=None, n_experiments=None, shots=None) -> RunConfig:
+    """The shipped qpt run, with the design rule ``kind`` and each given value replaced."""
+    config = RunConfig.from_json_file(CONFIG)
+    rule = config.heuristic if kind is None else DesignHeuristic(kind, config.heuristic.n_meas)
+    rule = rule if shots is None else replace(rule, n_meas=shots)
+    given = {"seed": seed, "n_experiments": n_experiments}
+    return replace(config, heuristic=rule, **{k: v for k, v in given.items() if v is not None})
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+def pair(seed: int, n_experiments=None, shots=None):
+    """The records of the adaptive (shipped) and the random arm at ``seed``."""
+    return tuple(run(config_for(seed, kind, n_experiments, shots))
+                 for kind in (None, "process_random"))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 epilog="--experiments and --shots default to the shipped config.")
     ap.add_argument("--pairs", type=int, default=20)
-    ap.add_argument("--experiments", type=int, default=450)
-    ap.add_argument("--shots", type=int, default=25)
+    ap.add_argument("--experiments", type=int)
+    ap.add_argument("--shots", type=int)
     ap.add_argument("--out", default="results/qpt_adaptive")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for seed in range(args.pairs):
-        rec_a = run(config_for(seed, ADAPTIVE, args.experiments, args.shots))
-        rec_r = run(config_for(seed, RANDOM, args.experiments, args.shots))
+        rec_a, rec_r = pair(seed, args.experiments, args.shots)
         rows.append((seed, rec_a.summary["loss"], rec_r.summary["loss"]))
         print(f"seed {seed:2d}: adaptive {rows[-1][1]:.5f}  random {rows[-1][2]:.5f}")
         if seed == 0:

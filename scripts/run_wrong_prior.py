@@ -2,11 +2,12 @@
 """Recovery-from-a-wrong-prior ensemble.
 
 Runs the shipped ``configs/estimate_wrong_prior.json`` over a range of
-seeds: true state 1/2(I + 0.9X), prior damped toward 1/2(I - 0.9X), 30
-random Pauli designs x 10 shots, 2000 particles.  Reports how often the
-final loss beats the initial one and how often the truth lands inside the
-z=3 credible ellipsoid, and writes the per-seed numbers plus one full loss
-curve to CSV.
+seeds: true state 1/2(I + 0.9X), prior damped toward 1/2(I - 0.9X),
+random Pauli designs, and a wide Liu-West kernel to escape the bad
+prior.  Reports how often the final loss beats the initial one and how
+often the truth lands inside the z=3 credible ellipsoid, and writes the
+per-seed numbers plus one full loss curve to CSV.  Acceptance C6 runs
+``ensemble``.
 """
 from __future__ import annotations
 
@@ -23,25 +24,20 @@ from tomolab.smc import credible_ellipsoid
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "estimate_wrong_prior.json"
 
 
-def config_for(seed: int, resample_a: float) -> RunConfig:
-    """The shipped config at ``seed`` with Liu-West shrinkage ``resample_a``."""
-    return replace(RunConfig.from_json_file(CONFIG), seed=seed, resample_a=resample_a)
+def config_for(seed=None, resample_a=None) -> RunConfig:
+    """The shipped run, with ``seed`` and Liu-West ``resample_a`` replaced if given."""
+    given = {"seed": seed, "resample_a": resample_a}
+    return replace(RunConfig.from_json_file(CONFIG),
+                   **{k: v for k, v in given.items() if v is not None})
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=100)
-    ap.add_argument("--resample-a", type=float, default=0.85,
-                    help="Liu-West shrinkage; the wide kernel helps escape the bad prior")
-    ap.add_argument("--out", default="results/wrong_prior")
-    args = ap.parse_args()
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    for seed in range(args.seeds):
-        rec = run(config_for(seed, args.resample_a))
+def ensemble(seeds, resample_a=None):
+    """One row (seed, initial loss, final loss, improved, covered) per seed,
+    NaN and 0 for a heralded failure, and the record of the first seed."""
+    rows, first = [], None
+    for seed in seeds:
+        rec = run(config_for(seed, resample_a))
+        first = first or rec
         if rec.failed:
             rows.append((seed, np.nan, np.nan, 0, 0))
             continue
@@ -49,9 +45,23 @@ def main():
         initial = float(rec.columns["loss"][0])
         rows.append((seed, initial, rec.summary["loss"],
                      int(rec.summary["loss"] < initial), int(covered)))
-        if seed == 0:
-            rec.write(out / "seed0")
+    return rows, first
 
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--seeds", type=int, default=100)
+    ap.add_argument("--resample-a", type=float,
+                    help="Liu-West shrinkage (default: the shipped config's)")
+    ap.add_argument("--out", default="results/wrong_prior")
+    args = ap.parse_args(argv)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    rows, first = ensemble(range(args.seeds), args.resample_a)
+    if first is not None and not first.failed:
+        first.write(out / "seed0")
     with open(out / "ensemble.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "initial_loss", "final_loss", "improved", "covered"])

@@ -846,14 +846,11 @@ class RiskResult:
     workers: int = 1
     n_resamples: int = 0
 
-    def to_json(self) -> str:
-        payload = {"config": self.config, "curve": self.curve,
-                   "n_failed": self.n_failed}
-        return json.dumps(payload, sort_keys=True, indent=2)
-
     def write(self, out_dir) -> Path:
         out = make_out_dir(out_dir)
-        (out / "record.json").write_text(self.to_json(), encoding="utf-8")
+        payload = {"config": self.config, "curve": self.curve, "n_failed": self.n_failed}
+        (out / "record.json").write_text(json.dumps(payload, sort_keys=True, indent=2),
+                                         encoding="utf-8")
         _write_meta(out, self.wall_time, workers=self.workers,
                     n_resamples=self.n_resamples)
         steps = np.arange(len(self.curve))

@@ -22,7 +22,6 @@ import run_coin_tracking
 import run_qpt_adaptive
 import run_qutrit_risk
 import run_wrong_prior
-from tomolab.harness import run
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood
 from tomolab.priors import (
     bures_prior,
@@ -46,7 +45,6 @@ from tomolab.qobj import (
 from tomolab.randq import RngStream, bcsz_channels, ginibre_states
 from tomolab.smc import (
     bayes_update,
-    credible_ellipsoid,
     init_cloud,
     posterior_covariance,
     posterior_mean_coords,
@@ -193,17 +191,11 @@ def test_c05_grid_filter_matches_discrete_bayes():
 def test_c06_recovery_from_a_wrong_prior():
     """Estimation recovers a state nearly orthogonal to the prior mean."""
     start = time.perf_counter()
-    basis = pauli_basis(1)
-    truth_coords = basis.vectorize(
-        0.5 * np.array([[1.0, 0.9], [0.9, 1.0]], dtype=complex))
-    improved = covered = 0
-    for seed in range(100):
-        # adversarial prior/truth mismatch wants a wider resample kernel
-        rec = run(run_wrong_prior.config_for(seed, resample_a=0.85))
-        if rec.failed:
-            continue
-        improved += rec.summary["loss"] < rec.columns["loss"][0]
-        covered += credible_ellipsoid(rec.final_cloud, 3.0).contains(truth_coords)
+    rows, first = run_wrong_prior.ensemble(range(100))
+    truth = pauli_basis(1).vectorize(0.5 * np.array([[1.0, 0.9], [0.9, 1.0]], dtype=complex))
+    assert np.array_equal(first.summary["truth"], truth)  # every seed shares it
+    improved = sum(row[3] for row in rows)
+    covered = sum(row[4] for row in rows)
     elapsed = time.perf_counter() - start
     ok = improved >= 95 and covered >= 90 and elapsed < 120.0
     report("C6", ok, f"loss improved {improved}/100 (need >=95), truth in z=3 "
@@ -215,17 +207,10 @@ def test_c07_qutrit_risk_ordering(monkeypatch):
     # Trials run on worker processes; records do not depend on their number.
     monkeypatch.setenv("TOMOLAB_THREADS", "2")
     start = time.perf_counter()
-
-    def risk(name):
-        result = run(run_qutrit_risk.config_for(77, run_qutrit_risk.PRIORS[name],
-                                                n_trials=100, n_experiments=25, shots=20))
-        assert result.n_failed == 0
-        return np.array(result.curve)
-
-    default = risk("default")
-    matched = risk("matched")
-    biased = risk("biased")
-    orthogonal = risk("orthogonal")
+    results, _ = run_qutrit_risk.curves()
+    assert all(result.n_failed == 0 for result in results.values())
+    default, matched, biased, orthogonal = (np.array(results[name].curve) for name in
+                                            ("default", "matched", "biased", "orthogonal"))
     matched_below = bool(np.all(matched <= default))
     orth_above = bool(orthogonal[0] > default[0] and orthogonal[0] > matched[0]
                       and orthogonal[1] > default[1] and orthogonal[1] > matched[1])
@@ -241,19 +226,12 @@ def test_c07_qutrit_risk_ordering(monkeypatch):
 def test_c08_adaptive_process_designs_beat_random():
     """Adaptive design selection lowers median final process-estimation loss."""
     start = time.perf_counter()
-
-    def qpt(seed, heuristic):
-        rec = run(run_qpt_adaptive.config_for(seed, heuristic, n_experiments=450, shots=25))
-        assert not rec.failed
-        return rec.summary["loss"]
-
-    adaptive = []
-    randoms = []
+    losses = []
     for seed in range(20):
-        adaptive.append(qpt(seed, run_qpt_adaptive.ADAPTIVE))
-        randoms.append(qpt(seed, run_qpt_adaptive.RANDOM))
-    med_a = float(np.median(adaptive))
-    med_r = float(np.median(randoms))
+        records = run_qpt_adaptive.pair(seed)
+        assert not any(rec.failed for rec in records)
+        losses.append([rec.summary["loss"] for rec in records])
+    med_a, med_r = (float(m) for m in np.median(losses, axis=0))
     elapsed = time.perf_counter() - start
     ok = med_a <= med_r and elapsed < 600.0
     report("C8", ok, f"median final loss adaptive {med_a:.5f} <= random "
@@ -263,23 +241,11 @@ def test_c08_adaptive_process_designs_beat_random():
 def test_c09_tracking_suite():
     """Diffusive tracking beats a static filter and respects its bandwidth."""
     start = time.perf_counter()
-
-    track = run_coin_tracking.track
-    two_tone = run_coin_tracking.TWO_TONE
-    wins = 0
-    for seed in range(10):
-        est_t, tru_t = track(seed, 0.01, two_tone, 2000)
-        est_b, tru_b = track(seed, 0.0, two_tone, 2000)
-        wins += np.mean((est_t - tru_t) ** 2) < np.mean((est_b - tru_b) ** 2)
-
-    corrs = []
-    tvars = []
-    for seed in range(3):
-        est, tru = track(seed, 0.1, {"kind": "single_tone_coin", "f": 0.1}, 1500)
-        corrs.append(float(np.corrcoef(est, tru)[0, 1]))
-        est, _ = track(seed, 0.1, {"kind": "single_tone_coin", "f": 0.5}, 1500)
-        tvars.append(float(np.mean((est - 0.5) ** 2)))
-
+    two_tones = map(run_coin_tracking.two_tone, range(10))
+    wins = sum(tracked < static for tracked, static, _ in two_tones)
+    slow, aliased = run_coin_tracking.TONES
+    corrs = [run_coin_tracking.single_tone(seed, slow)[0] for seed in range(3)]
+    tvars = [run_coin_tracking.single_tone(seed, aliased)[1] for seed in range(3)]
     n_meas, f_max = tracking_bandwidth(0.05, 1.9599, 1.0)
     bandwidth_ok = n_meas == 385 and f_max == 1.0 / 770.0
     elapsed = time.perf_counter() - start

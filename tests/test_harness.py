@@ -527,22 +527,23 @@ class TestRisk:
         t1 = _filter(cfg, RngStream(cfg.seed).child(1), _set_up(cfg))
         assert t0.summary["truth"] != t1.summary["truth"]
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         a = run(RunConfig.from_dict(risk_config()))
         b = run(RunConfig.from_dict(risk_config()))
-        assert a.to_json() == b.to_json()
+        assert written_record(a, tmp_path / "a") == written_record(b, tmp_path / "b")
 
-    def test_thread_count_invariance(self, monkeypatch):
+    def test_thread_count_invariance(self, monkeypatch, tmp_path):
         results = {}
         for workers in (1, 2, 3):
             monkeypatch.setenv("TOMOLAB_THREADS", str(workers))
             result = run(RunConfig.from_dict(risk_config(n_trials=5)))
             assert result.workers == workers
             assert multiprocessing.active_children() == []
-            results[workers] = (result.to_json(), result.per_trial)
+            results[workers] = (written_record(result, tmp_path / str(workers)),
+                                result.per_trial)
         assert results[1] == results[2] == results[3]
 
-    def test_worker_count_is_capped(self, monkeypatch):
+    def test_worker_count_is_capped(self, monkeypatch, tmp_path):
         for raw, n_trials, expected in [("1000000", 2, 2), ("1000000", 100, 3),
                                         ("0", 5, 1), ("-3", 5, 1), ("2", 1, 1)]:
             monkeypatch.setenv("TOMOLAB_THREADS", raw)
@@ -552,7 +553,8 @@ class TestRisk:
         monkeypatch.setenv("TOMOLAB_THREADS", "1000000")
         capped = run(RunConfig.from_dict(risk_config(n_trials=2)))
         assert capped.workers == 2
-        assert (capped.to_json(), capped.per_trial) == (serial.to_json(), serial.per_trial)
+        assert written_record(capped, tmp_path / "a") == written_record(serial, tmp_path / "b")
+        assert capped.per_trial == serial.per_trial
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setenv("TOMOLAB_THREADS", "4")
         assert _workers(100) == 1

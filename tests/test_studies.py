@@ -1,48 +1,48 @@
-"""Each study script runs a shipped config and replaces only the values
-its study sweeps, so at the shipped config's own values it builds that
-config: the scripts cannot drift from what the benchmark and the goldens
-run."""
+"""Each study script runs a shipped config and replaces only the values its
+study sweeps, so at its defaults it builds that config: the scripts cannot
+drift from what the benchmark and the goldens run."""
 
 from __future__ import annotations
 
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-import run_coin_tracking
-import run_qpt_adaptive
-import run_qutrit_risk
-import run_wrong_prior
 from tomolab.harness import RunConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def wrong_prior(c):
-    return run_wrong_prior.config_for(c.seed, c.resample_a)
-
-
-def qutrit_risk(c):
-    return run_qutrit_risk.config_for(c.seed, run_qutrit_risk.PRIORS["matched"], c.n_trials,
-                                      c.n_experiments, c.heuristic.n_meas)
-
-
-def qpt_adaptive(c):
-    return run_qpt_adaptive.config_for(c.seed, run_qpt_adaptive.ADAPTIVE, c.n_experiments,
-                                       c.heuristic.n_meas)
-
-
-def coin_tracking(c):
-    return run_coin_tracking.config_for(c.seed, c.tracking.eta_mean, run_coin_tracking.TWO_TONE,
-                                        c.tracking.n_steps)
-
-
-@pytest.mark.parametrize("name, build", [
-    ("estimate_wrong_prior.json", wrong_prior),
-    ("risk_qutrit_matched.json", qutrit_risk),
-    ("qpt_hadamard_mix.json", qpt_adaptive),
-    ("track_two_tone.json", coin_tracking),
+@pytest.mark.parametrize("name, study", [
+    ("estimate_wrong_prior.json", "wrong_prior"),
+    ("risk_qutrit_matched.json", "qutrit_risk"),
+    ("qpt_hadamard_mix.json", "qpt_adaptive"),
+    ("track_two_tone.json", "coin_tracking"),
 ])
-def test_study_at_the_shipped_values_is_the_shipped_config(name, build):
-    shipped = RunConfig.from_json_file(CONFIGS / name)
-    assert build(shipped).to_dict() == shipped.to_dict()
+def test_study_at_the_shipped_values_is_the_shipped_config(name, study):
+    assert import_module(f"run_{study}").config_for() == RunConfig.from_json_file(CONFIGS / name)
+
+
+# Tiny arguments, and the first line of each file or directory main writes.
+MAIN_RUNS = {
+    "wrong_prior": ("--seeds 1", {"ensemble.csv": "seed,initial_loss,final_loss,improved,covered",
+                                  "seed0/record.json": "{"}),
+    "qutrit_risk": ("--trials 1 --experiments 2",
+                    {"risk_curves.csv": "step,default,matched,biased,orthogonal"}),
+    "qpt_adaptive": ("--pairs 1 --experiments 3", {"final_losses.csv": "seed,adaptive,random",
+                                                   "seed0_adaptive/record.json": "{",
+                                                   "seed0_random/record.json": "{"}),
+    "coin_tracking": ("--seeds 1 --steps 20", {"two_tone_seed0.csv": "truth,tracked,static",
+                                               "single_tone_f0.1.csv": "truth,tracked",
+                                               "single_tone_f0.5.csv": "truth,tracked"}),
+}
+
+
+@pytest.mark.parametrize("study", MAIN_RUNS)
+def test_main_writes_its_files(tmp_path, study):
+    argv, first_lines = MAIN_RUNS[study]
+    import_module(f"run_{study}").main(argv.split() + ["--out", str(tmp_path)])
+    assert {p.name for p in tmp_path.iterdir()} == {n.split("/")[0] for n in first_lines}
+    for name, line in first_lines.items():
+        assert (tmp_path / name).read_text(encoding="utf-8").splitlines()[0] == line
