@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from tomolab.design import tracking_bandwidth
 from tomolab.harness import RunConfig, run
-from tomolab.tracking import tracking_bandwidth
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "track_two_tone.json"
 TONES = (0.1, 0.5)  # inside the bandwidth and at the Nyquist tone

@@ -1,9 +1,10 @@
 """Bayesian quantum state and process tomography with sequential Monte
 Carlo, constructive prior distributions, and diffusive state tracking."""
 
-from . import design, harness, likelihood, priors, qobj, randq, smc, tracking
+from . import cli, design, harness, likelihood, priors, qobj, randq, smc
 
 __all__ = [
+    "cli",
     "design",
     "harness",
     "likelihood",
@@ -11,7 +12,6 @@ __all__ = [
     "qobj",
     "randq",
     "smc",
-    "tracking",
 ]
 
 __version__ = "0.1.0"

@@ -21,8 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import (FIDUCIALS, ConfigError, PriorSpec, RunConfig, RunRecord, build_prior,
-                      make_out_dir, run)
+from .harness import (COUNT_END, FIDUCIALS, ConfigError, PriorSpec, RunConfig, RunRecord,
+                      build_prior, make_out_dir, run)
 from .randq import RngStream
 
 
@@ -70,8 +70,8 @@ def _sample(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     prior = build_prior(config.prior, config.model, config.dim)
-    if args.n < 1:
-        raise ConfigError("--n must be positive")
+    if not 1 <= args.n < COUNT_END:
+        raise ConfigError("--n must be positive and below 2**63")
     out = make_out_dir(args.out or config.out_dir or ".")
     rows = prior.sample(args.n, RngStream(config.seed))
     space = prior.space

@@ -9,10 +9,12 @@ Each family has a fixed, finite set of effects.  They are built and
 validated once, on first use, into an effect table: a read-only
 ``(m, D**2)`` array whose rows are the effects' basis coordinates.  A
 design is one such row, and a random design is a random row of its table.
+:func:`tracking_bandwidth` picks the shots per step of a tracked run.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -138,3 +140,17 @@ def adaptive_design(effects: np.ndarray, entries, covariance: np.ndarray) -> int
     scores = np.einsum("ij,ij->i", coords @ covariance, coords)
     return int(entries[int(np.argmax(scores[drawn]))])
 
+
+def tracking_bandwidth(tol: float, z: float, dt: float) -> tuple[int, float]:
+    """Shots per step and highest resolvable frequency.
+
+    A frequency estimate with half-width ``tol`` at confidence scale ``z``
+    needs N = ceil(z**2 / (4 tol**2)) shots per step, which caps the
+    resolvable frequency at f_max = 1 / (2 dt N).
+    """
+    if not 0.0 < tol < 0.5:
+        raise ValueError("tolerance must lie in (0, 0.5)")
+    if z <= 0.0 or dt <= 0.0:
+        raise ValueError("z and dt must be positive")
+    n = math.ceil(z * z / (4.0 * tol * tol))
+    return n, 1.0 / (2.0 * dt * n)

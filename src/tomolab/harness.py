@@ -44,6 +44,7 @@ from .smc import (
     DegenerateUpdateError,
     ParticleCloud,
     bayes_update,
+    diffuse_cloud,
     effective_sample_size,  # unused here; bench/spans.py times it as a harness name
     init_cloud,
     maybe_resample,
@@ -52,7 +53,6 @@ from .smc import (
     principal_components,
     summarize,
 )
-from .tracking import diffuse_cloud, lognormal_eta_sampler
 
 SCHEMA_VERSION = 1
 
@@ -740,8 +740,8 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     tr = config.tracking if config.mode == "track" else None
     n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
     truths = _truths(config, setup, truth_rng, n_steps, dt)
-    eta_sampler = None if tr is None else lognormal_eta_sampler(tr.eta_mean, tr.eta_log_std)
-    cloud = init_cloud(setup.prior, config.n_particles, engine_rng, eta_sampler=eta_sampler)
+    rates = None if tr is None else (tr.eta_mean, tr.eta_log_std)
+    cloud = init_cloud(setup.prior, config.n_particles, engine_rng, rates=rates)
     w = cloud.space.n_state_coords
     n_meas = config.heuristic.n_meas
     columns = _step_columns(n_steps + 1, n_meas, dt, cloud.space.n_coords, losses_only)

@@ -120,7 +120,6 @@ class OperatorBasis:
     and the rest are traceless.
     """
 
-    name: str
     elements: np.ndarray
     labels: tuple[str, ...]
 
@@ -195,9 +194,7 @@ def pauli_basis(n_qubits: int) -> OperatorBasis:
         labels.append("".join(names))
         mats = [PAULIS[c] for c in names]
         elements.append(reduce(np.kron, mats) / norm)
-    return OperatorBasis(
-        name=f"pauli-{n_qubits}", elements=np.array(elements), labels=tuple(labels)
-    )
+    return OperatorBasis(elements=np.array(elements), labels=tuple(labels))
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +227,7 @@ def gell_mann_basis(dim: int) -> OperatorBasis:
         diag[l, l] = -float(l)
         elements.append(diag / np.sqrt(l * (l + 1.0)))
         labels.append(f"d{l}")
-    return OperatorBasis(name=f"gm-{dim}", elements=np.array(elements), labels=tuple(labels))
+    return OperatorBasis(elements=np.array(elements), labels=tuple(labels))
 
 
 def standard_basis(dim: int) -> OperatorBasis:

@@ -8,6 +8,11 @@ effective sample size drops, the cloud is rejuvenated with a Liu-West
 kernel that shrinks particles toward the mean, adds Gaussian noise
 matched to the cloud covariance, and projects everything back to the
 valid set.
+
+A tracked cloud's trailing column holds each particle's diffusion rate
+eta, by which :func:`diffuse_cloud` moves it between updates.  eta
+changes only through reweighting and resampling, never by diffusion, so
+the rates that explain the data better accumulate weight.
 """
 
 from __future__ import annotations
@@ -93,20 +98,24 @@ class CredibleEllipsoid:
 
 
 def init_cloud(prior: PriorDistribution, n_particles: int, rng: RngStream,
-               eta_sampler=None) -> ParticleCloud:
+               rates: Optional[tuple[float, float]] = None) -> ParticleCloud:
     """Equal-weight cloud of prior draws in ``prior.space``.
 
-    ``eta_sampler(n, rng)``, when given, appends a diffusion-rate column,
-    and the cloud's space is then a copy with ``n_hyper = 1``.
+    ``rates = (mean, log_std)``, when given, appends a diffusion-rate
+    column drawn after the rows: log-normal with arithmetic mean ``mean``
+    and log standard deviation ``log_std``, or all zeros when ``mean`` is
+    0.  The cloud's space is then a copy with ``n_hyper = 1``.
     """
     if n_particles < 2:
         raise ValueError("need at least two particles")
     rows = prior.sample(n_particles, rng)
     space = prior.space
-    if eta_sampler is not None:
-        eta = np.asarray(eta_sampler(n_particles, rng), dtype=float)
-        if eta.shape != (n_particles,) or eta.min() < 0.0:
-            raise ValueError("eta sampler must return nonnegative rates, one per particle")
+    if rates is not None:
+        mean, log_std = rates
+        if mean < 0.0:
+            raise ValueError("eta mean must be nonnegative")
+        eta = np.zeros(n_particles) if mean == 0.0 else rng.generator.lognormal(
+            mean=math.log(mean) - 0.5 * log_std**2, sigma=log_std, size=n_particles)
         rows = np.column_stack([rows, eta])
         space = replace(space, n_hyper=1)
     weights = np.full(n_particles, 1.0 / n_particles)
@@ -222,6 +231,30 @@ def maybe_resample(cloud: ParticleCloud, rng: RngStream, a: float = LIU_WEST_A,
     if effective_sample_size(cloud) < threshold * cloud.n_particles:
         return resample(cloud, rng, a=a)
     return cloud
+
+
+def diffuse_cloud(cloud: ParticleCloud, dt: float, rng: RngStream) -> ParticleCloud:
+    """Gaussian-perturb every particle's traceless coordinates over an
+    interval ``dt > 0`` and project.
+
+    The per-particle standard deviation is sqrt(dt) * eta.  Weights and
+    the eta column are untouched.  There is no drift term.
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    space = cloud.space
+    if space.n_hyper != 1:
+        raise ValueError("cloud carries no diffusion-rate column")
+    locations = cloud.locations
+    n = locations.shape[0]
+    eta = locations[:, -1]
+    sigma = np.sqrt(dt) * eta
+    lo, hi = (0, 1) if space.kind == "coin" else (1, space.basis.size)
+    noise = rng.generator.standard_normal((n, hi - lo))
+    noise *= sigma[:, None]
+    moved = locations.copy()
+    moved[:, lo:hi] += noise
+    return ParticleCloud(space.project(moved), cloud.weights, space, cloud.log_weights)
 
 
 def credible_ellipsoid(cloud: ParticleCloud, z: float) -> CredibleEllipsoid:

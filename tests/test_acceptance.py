@@ -22,6 +22,7 @@ import run_coin_tracking
 import run_qpt_adaptive
 import run_qutrit_risk
 import run_wrong_prior
+from tomolab.design import tracking_bandwidth
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood
 from tomolab.priors import (
     bures_prior,
@@ -49,7 +50,6 @@ from tomolab.smc import (
     posterior_covariance,
     posterior_mean_coords,
 )
-from tomolab.tracking import tracking_bandwidth
 
 from conftest import trace_distance
 

@@ -37,7 +37,6 @@ from tomolab.smc import (
     posterior_covariance,
     posterior_mean_coords,
 )
-from tomolab.tracking import lognormal_eta_sampler
 
 from conftest import random_state_matrix, written_record
 
@@ -299,8 +298,7 @@ class TestBuildPrior:
                 space = prior.space
                 assert space.kind == model, prior.name
                 assert (space.basis is None) == (model == "coin"), prior.name
-                cloud = init_cloud(prior, 4, RngStream(1), eta_sampler=lognormal_eta_sampler(
-                    0.01, 1.0))
+                cloud = init_cloud(prior, 4, RngStream(1), rates=(0.01, 1.0))
                 assert cloud.space.kind == model and cloud.space.basis is space.basis
                 assert (space.n_hyper, cloud.space.n_hyper) == (0, 1)
 
@@ -1278,13 +1276,16 @@ class TestCli:
                      "config declares mode 'estimate' but 'sample' was requested",
                      id="non_sample_config"),
         pytest.param(["--prior", "ginibre", "--n", "0"], "--n must be positive", id="n_0"),
+        pytest.param(["--prior", "ginibre", "--n", str(2**63)],
+                     "--n must be positive and below 2**63", id="n_2_63"),
     ])
     def test_sample_flag_error_exit(self, tmp_path, capsys, flags, message):
-        assert main(["sample", *flags, "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["sample", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert message in err
-        assert not (tmp_path / "samples.csv").exists()
+        assert not out.exists()
 
     def test_record_does_not_depend_on_out_dir(self, tmp_path):
         path = self.write_cfg(tmp_path, state_config(out_dir="ignored"))

@@ -8,11 +8,13 @@ from the source with ``ast``, so imports inside functions count too.
 from __future__ import annotations
 
 import ast
+import pkgutil
 from pathlib import Path
 
 import tomolab
 
 PACKAGE = Path(tomolab.__file__).resolve().parent
+MODULES = {module.name for module in pkgutil.iter_modules(tomolab.__path__)}
 
 
 def import_graph() -> dict:
@@ -67,10 +69,16 @@ def test_package_has_no_import_cycle():
     graph = import_graph()
     # The parser sees the package: every module is read, and the known
     # edges are found in each import form.
-    assert {"priors", "smc", "tracking", "qobj", "harness"} <= graph.keys()
+    assert graph.keys() == MODULES | {"__init__"}
     assert {"priors", "qobj"} <= graph["smc"]
-    assert "smc" in graph["tracking"] and "smc" in graph["__init__"]
+    assert "smc" in graph["harness"] and "smc" in graph["__init__"]
     assert find_cycle(graph) is None, find_cycle(graph)
+
+
+def test_all_names_every_module():
+    """``tomolab.__all__`` lists each module of the package but the
+    ``python -m tomolab`` entry point."""
+    assert sorted(tomolab.__all__) == sorted(MODULES - {"__main__"})
 
 
 def test_cycle_finder_reports_a_ring():

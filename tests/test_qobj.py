@@ -81,7 +81,7 @@ class TestBases:
         el = np.stack([np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2), X / np.sqrt(2), Z / np.sqrt(2)])
         from tomolab.qobj import OperatorBasis
         with pytest.raises(InvalidOperatorError):
-            OperatorBasis(name="bad", elements=el, labels=("a", "b", "c", "d"))
+            OperatorBasis(elements=el, labels=("a", "b", "c", "d"))
 
 
 class TestVectorization:
@@ -159,7 +159,8 @@ def assert_close(got, want, tol=1e-14):
     assert np.abs(got - want).max(initial=0.0) <= tol
 
 
-BASES = [pauli_basis(1), pauli_basis(2), pauli_basis(3), gell_mann_basis(3), gell_mann_basis(4)]
+BASES = {"pauli-1": pauli_basis(1), "pauli-2": pauli_basis(2), "pauli-3": pauli_basis(3),
+         "gm-3": gell_mann_basis(3), "gm-4": gell_mann_basis(4)}
 
 
 class TestStackPaths:
@@ -167,7 +168,7 @@ class TestStackPaths:
     einsum expressions to rounding, for every stack size, the empty one
     included."""
 
-    @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.name)
+    @pytest.mark.parametrize("basis", BASES.values(), ids=BASES)
     @pytest.mark.parametrize("shape", [(0,), (1,), (2000,), (3, 70)])
     def test_devectorize_matches_einsum(self, basis, shape):
         rng = np.random.default_rng(basis.size * 1000 + shape[-1])
@@ -182,7 +183,7 @@ class TestStackPaths:
         assert_close(basis.devectorize(wide[:, :-1]),
                      np.einsum("...a,aij->...ij", wide[:, :-1], basis.elements))
 
-    @pytest.mark.parametrize("basis", BASES, ids=lambda b: b.name)
+    @pytest.mark.parametrize("basis", BASES.values(), ids=BASES)
     @pytest.mark.parametrize("shape", [(0,), (1,), (2000,), (3, 70)])
     def test_vectorize_matches_einsum(self, basis, shape):
         rng = np.random.default_rng(basis.size * 1000 + shape[-1] + 1)

@@ -80,14 +80,12 @@ class TestInitCloud:
             coin_cloud([0.2, 0.7], weights=weights)
 
     def test_hyperparameter_column(self):
-        cloud = init_cloud(ginibre_prior(2), 16, RngStream(7),
-                           eta_sampler=lambda n, rng: np.full(n, 0.01))
+        cloud = init_cloud(ginibre_prior(2), 16, RngStream(7), rates=(0.01, 0.0))
         assert cloud.locations.shape == (16, 5)
         assert cloud.space.n_hyper == 1
         assert np.allclose(cloud.locations[:, 4], 0.01)
         with pytest.raises(ValueError):
-            init_cloud(ginibre_prior(2), 16, RngStream(7),
-                       eta_sampler=lambda n, rng: np.full(n, -1.0))
+            init_cloud(ginibre_prior(2), 16, RngStream(7), rates=(-1.0, 0.0))
 
 
 class TestBayesUpdate:
@@ -227,8 +225,7 @@ class TestEssAndMoments:
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     def test_tracked_mean_carries_the_rate_column(self):
-        cloud = init_cloud(ginibre_prior(2), 8, RngStream(13),
-                           eta_sampler=lambda n, rng: np.full(n, 0.25))
+        cloud = init_cloud(ginibre_prior(2), 8, RngStream(13), rates=(0.25, 0.0))
         mean = posterior_mean_coords(cloud)
         assert mean.shape == (5,)
         assert mean[4] == 0.25

@@ -5,12 +5,13 @@ only when the benchmark runs with ``--trace 1``."""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import inspect
+import pkgutil
 from pathlib import Path
 
 import tomolab
-from tomolab import cli, design, harness, likelihood, priors, qobj, randq, smc, tracking
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -24,7 +25,8 @@ def load_spans():
 
 def namespaces():
     """Every module of the package and every class defined in one."""
-    modules = (tomolab, cli, design, harness, likelihood, priors, qobj, randq, smc, tracking)
+    modules = [tomolab] + [importlib.import_module(f"tomolab.{module.name}")
+                           for module in pkgutil.iter_modules(tomolab.__path__)]
     classes = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
                if cls.__module__.startswith("tomolab")}
     return list(modules) + sorted(classes, key=lambda cls: cls.__qualname__)

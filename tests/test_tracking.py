@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
+from tomolab.design import tracking_bandwidth
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood
-from tomolab.priors import HypothesisSpace
+from tomolab.priors import HypothesisSpace, coin_uniform_prior
 from tomolab.qobj import (
     DegenerateStateError,
     check_states,
@@ -20,8 +21,7 @@ from tomolab.qobj import (
     truncate_to_state,
 )
 from tomolab.randq import RngStream, bcsz_channels
-from tomolab.smc import ParticleCloud, bayes_update
-from tomolab.tracking import diffuse_cloud, lognormal_eta_sampler, tracking_bandwidth
+from tomolab.smc import ParticleCloud, bayes_update, diffuse_cloud, init_cloud
 
 BASIS2 = pauli_basis(1)
 
@@ -154,23 +154,27 @@ class TestDiffusionStep:
 
 
 class TestEtaSampler:
+    """The diffusion-rate column that ``init_cloud`` draws from ``rates``."""
+
+    @staticmethod
+    def rates(n, rng, mean, log_std):
+        return init_cloud(coin_uniform_prior(), n, rng, rates=(mean, log_std)).locations[:, -1]
+
     def test_zero_mean_is_static(self):
-        draw = lognormal_eta_sampler(0.0, 1.0)
-        assert np.array_equal(draw(5, RngStream(1)), np.zeros(5))
+        assert np.array_equal(self.rates(5, RngStream(1), 0.0, 1.0), np.zeros(5))
 
     def test_arithmetic_mean(self):
-        draw = lognormal_eta_sampler(0.006, log_std=1.0)
-        vals = draw(100_000, RngStream(17))
+        vals = self.rates(100_000, RngStream(17), 0.006, 1.0)
         assert vals.min() > 0.0
         assert abs(vals.mean() - 0.006) < 0.0003
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
-            lognormal_eta_sampler(-0.1, 1.0)
+            self.rates(5, RngStream(1), -0.1, 1.0)
 
     def test_deterministic(self):
-        draw = lognormal_eta_sampler(0.01, 1.0)
-        assert np.array_equal(draw(4, RngStream(3)), draw(4, RngStream(3)))
+        assert np.array_equal(self.rates(4, RngStream(3), 0.01, 1.0),
+                              self.rates(4, RngStream(3), 0.01, 1.0))
 
 
 class TestDiffuseCloud:
