@@ -8,7 +8,8 @@ whose effect direction carries the most posterior uncertainty.
 Each family has a fixed, finite set of effects.  They are built and
 validated once, on first use, into an effect table: a read-only
 ``(m, D**2)`` array whose rows are the effects' basis coordinates.  A
-design is one such row, and a random design is a random row of its table.
+design is one such row, and a random design is one uniformly random row
+of its table, so a table holds only the effects its family draws.
 :func:`tracking_bandwidth` picks the shots per step of a tracked run.
 """
 
@@ -40,20 +41,14 @@ def _table(rows) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def pauli_effects(n_qubits: int) -> np.ndarray:
-    """Effect table of (I + P)/2 for every n-qubit Pauli string P, in the
-    order of ``pauli_basis(n_qubits)`` (entry 0, the identity string,
-    gives the trivial effect I and is never drawn)."""
+    """Effect table of (I + P)/2 for each of the 4**n - 1 non-identity
+    n-qubit Pauli strings P, in the order of
+    ``pauli_basis(n_qubits).elements[1:]``."""
     basis = pauli_basis(n_qubits)
     eye = np.eye(2**n_qubits)
     scale = np.sqrt(2.0**n_qubits)
     return _table([basis.vectorize(Effect(matrix=(eye + element * scale) / 2.0).matrix)
-                   for element in basis.elements])
-
-
-def random_pauli_design(n_qubits: int, rng: RngStream) -> np.ndarray:
-    """Uniformly random non-identity Pauli string P, measured as (I + P)/2."""
-    effects = pauli_effects(n_qubits)
-    return effects[int(rng.generator.integers(1, len(effects)))]
+                   for element in basis.elements[1:]])
 
 
 @lru_cache(maxsize=1)
@@ -83,12 +78,6 @@ def stabilizer_qutrit_effects() -> np.ndarray:
     basis = gell_mann_basis(3)
     return _table([basis.vectorize(Effect(matrix=np.outer(ket, ket.conj())).matrix)
                    for ket in qutrit_stabilizer_states()])
-
-
-def random_stabilizer_qutrit_design(rng: RngStream) -> np.ndarray:
-    """Rank-one projector onto a uniformly random qutrit stabilizer state."""
-    effects = stabilizer_qutrit_effects()
-    return effects[int(rng.generator.integers(0, len(effects)))]
 
 
 @lru_cache(maxsize=1)

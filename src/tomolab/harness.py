@@ -249,6 +249,8 @@ class TrackingSpec:
             raise ConfigError(f"n_steps * dt must be finite, got {self.n_steps * self.dt!r}")
         if self.eta_mean < 0.0 or self.eta_log_std < 0.0:
             raise ConfigError("eta_mean and eta_log_std must be nonnegative")
+        if not math.isfinite(self.eta_log_std * self.eta_log_std):
+            raise ConfigError(f"eta_log_std squared must be finite, got {self.eta_log_std!r}")
         kind = self.trajectory.get("kind")
         if not isinstance(kind, str) or kind not in TRAJECTORY_KEYS:
             raise ConfigError(f"unknown trajectory kind {kind!r}")
@@ -260,7 +262,12 @@ class TrackingSpec:
             value = self.trajectory.get(key, default)
             if value is None:
                 raise ConfigError(f"{kind} trajectory {key!r} is required")
-            _number(value, f"{kind} trajectory {key!r}")
+            number = _number(value, f"{kind} trajectory {key!r}")
+            # A tone's phase at the last step, associated as _truths builds it.
+            if key in ("f", "f1", "f2") and not math.isfinite(
+                    2.0 * math.pi * number * (self.n_steps * self.dt)):
+                raise ConfigError(f"{kind} trajectory phase 2*pi*{key}*n_steps*dt "
+                                  f"must be finite, got {key}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -492,16 +499,13 @@ def make_heuristic(config: RunConfig, prior: PriorDistribution) -> Callable:
         def coin_rule(step, cloud, rng, cov=None):
             return COIN_EFFECT
         return coin_rule
-    if h.kind == "random_pauli":
-        n_qubits = int(math.log2(config.dim))
+    if h.kind in ("random_pauli", "stabilizer_qutrit"):
+        table = (design_mod.pauli_effects(int(math.log2(config.dim)))
+                 if h.kind == "random_pauli" else design_mod.stabilizer_qutrit_effects())
 
-        def pauli_rule(step, cloud, rng, cov=None):
-            return design_mod.random_pauli_design(n_qubits, rng)
-        return pauli_rule
-    if h.kind == "stabilizer_qutrit":
-        def stab_rule(step, cloud, rng, cov=None):
-            return design_mod.random_stabilizer_qutrit_design(rng)
-        return stab_rule
+        def table_rule(step, cloud, rng, cov=None):
+            return table[int(rng.generator.integers(0, len(table)))]
+        return table_rule
 
     def random_rule(step, cloud, rng, cov=None):
         return design_mod.random_process_design(rng, basis)

@@ -17,9 +17,7 @@ from tomolab.design import (
     process_effects,
     process_entries,
     qutrit_stabilizer_states,
-    random_pauli_design,
     random_process_design,
-    random_stabilizer_qutrit_design,
     stabilizer_qutrit_effects,
 )
 from tomolab.harness import DesignHeuristic
@@ -45,6 +43,16 @@ def process_row(prep, meas):
     return BASIS4.vectorize(process_effect(prep, meas).matrix)
 
 
+def table_rule(kind, dim):
+    """The rule that ``make_heuristic`` builds for a family drawn as one
+    uniform row of its effect table."""
+    config = harness.RunConfig.from_dict({
+        "mode": "estimate", "seed": 1, "model": "state", "dim": dim,
+        "prior": {"fiducial": "ginibre"}, "truth": {"kind": "from_prior"},
+        "heuristic": {"kind": kind, "n_meas": 1}, "n_particles": 2, "n_experiments": 1})
+    return harness.make_heuristic(config, harness.build_prior(config.prior, config.model, dim))
+
+
 class TestHeuristicConfig:
     def test_validation(self):
         DesignHeuristic(kind="random_pauli", n_meas=10)
@@ -60,8 +68,9 @@ class TestRandomPauli:
     def test_effect_is_half_rank_projector(self):
         for n_qubits in (1, 2):
             stream = RngStream(3)
+            rule = table_rule("random_pauli", 2**n_qubits)
             for i in range(50):
-                effect = random_pauli_design(n_qubits, stream.child(n_qubits, i))
+                effect = rule(i + 1, None, stream.child(n_qubits, i))
                 e = pauli_basis(n_qubits).devectorize(effect)
                 eig = np.sort(np.linalg.eigvalsh(e))
                 dim = 2**n_qubits
@@ -70,28 +79,31 @@ class TestRandomPauli:
 
     def test_identity_string_excluded(self):
         stream = RngStream(5)
+        rule = table_rule("random_pauli", 2)
         for i in range(500):
-            e = BASIS2.devectorize(random_pauli_design(1, stream.child(i)))
+            e = BASIS2.devectorize(rule(i + 1, None, stream.child(i)))
             assert abs(np.trace(e).real - 1.0) < 1e-12
 
     def test_axis_frequencies(self):
         stream = RngStream(7)
         counts = np.zeros(3)
         n = 10_000
+        rule = table_rule("random_pauli", 2)
         for i in range(n):
-            coords = random_pauli_design(1, stream.child(i))
+            coords = rule(i + 1, None, stream.child(i))
             counts[np.argmax(np.abs(coords[1:]))] += 1
         assert np.abs(counts / n - 1.0 / 3.0).max() < 0.02
 
     def test_deterministic(self):
-        a = random_pauli_design(1, RngStream(11))
-        b = random_pauli_design(1, RngStream(11))
+        rule = table_rule("random_pauli", 2)
+        a = rule(1, None, RngStream(11))
+        b = rule(1, None, RngStream(11))
         assert np.array_equal(a, b)
 
     def test_metadata(self):
         # A design is one read-only row of coordinates; the shot count is
         # the run's heuristic n_meas.
-        effect = random_pauli_design(1, RngStream(13))
+        effect = table_rule("random_pauli", 2)(1, None, RngStream(13))
         assert effect.shape == (4,) and effect.dtype == float
         assert not effect.flags.writeable
 
@@ -121,9 +133,10 @@ class TestQutritStabilizers:
 
     def test_design_is_rank_one(self):
         stream = RngStream(17)
+        rule = table_rule("stabilizer_qutrit", 3)
         seen = set()
         for i in range(600):
-            e = gell_mann_basis(3).devectorize(random_stabilizer_qutrit_design(stream.child(i)))
+            e = gell_mann_basis(3).devectorize(rule(i + 1, None, stream.child(i)))
             eig = np.sort(np.linalg.eigvalsh(e))
             assert abs(eig[-1] - 1.0) < 1e-10
             assert abs(np.trace(e).real - 1.0) < 1e-10
@@ -168,7 +181,7 @@ class TestAdaptive:
         cov = 0.04 * np.outer(e, e)
         stream = RngStream(31)
         table = pauli_effects(1)
-        entries = [int(stream.child(i).generator.integers(1, 4)) for i in range(40)]
+        entries = [int(stream.child(i).generator.integers(0, 3)) for i in range(40)]
         pick = adaptive_design(table, entries, cov)
         overlaps = [abs(float(table[i] @ e)) for i in entries]
         assert abs(float(table[pick] @ e)) == max(overlaps)
@@ -193,7 +206,7 @@ class TestAdaptive:
         cov = m @ m.T
         stream = RngStream(47)
         table = pauli_effects(1)
-        entries = [int(stream.child(i).generator.integers(1, 4)) for i in range(20)]
+        entries = [int(stream.child(i).generator.integers(0, 3)) for i in range(20)]
         assert adaptive_design(table, entries, cov) == adaptive_design(table, entries, 5.0 * cov)
 
     def test_empty_proposals(self):
@@ -218,8 +231,8 @@ class TestEffectTables:
     def test_pauli_table_matches_per_string_build(self, n_qubits):
         basis = pauli_basis(n_qubits)
         table = pauli_effects(n_qubits)
-        assert len(table) == 4**n_qubits
-        for idx, element in enumerate(basis.elements):
+        assert len(table) == 4**n_qubits - 1  # no identity string: it is never drawn
+        for idx, element in enumerate(basis.elements[1:]):
             pauli = element * np.sqrt(2.0**n_qubits)
             built = basis.vectorize(Effect(matrix=(np.eye(2**n_qubits) + pauli) / 2.0).matrix)
             assert np.array_equal(table[idx], built)
@@ -233,7 +246,7 @@ class TestEffectTables:
 
     def test_tables_are_built_once_and_read_only(self):
         for build, args, shape in ((process_effects, (BASIS4,), (36, 16)),
-                                   (pauli_effects, (2,), (16, 16)),
+                                   (pauli_effects, (2,), (15, 16)),
                                    (stabilizer_qutrit_effects, (), (12, 9))):
             table = build(*args)
             assert build(*args) is table
@@ -244,16 +257,21 @@ class TestEffectTables:
 
     def test_draws_index_their_table(self):
         # One integers call per index, as when each effect was built per draw.
+        pauli, stabilizer = table_rule("random_pauli", 4), table_rule("stabilizer_qutrit", 3)
         for seed in range(200):
             g = RngStream(seed).generator
             prep, meas = int(g.integers(0, 6)), int(g.integers(0, 6))
             drawn = random_process_design(RngStream(seed), BASIS4)
             assert np.array_equal(drawn, process_effects(BASIS4)[6 * prep + meas])
-            idx = int(RngStream(seed).generator.integers(1, 16))
-            drawn = random_pauli_design(2, RngStream(seed))
-            assert np.array_equal(drawn, pauli_effects(2)[idx])
+            # The Pauli table has no identity string: integers(0, 15) gives the
+            # effect and the stream state of integers(1, 16) on a table that
+            # held it at entry 0.
+            g, rng = RngStream(seed).generator, RngStream(seed)
+            idx = int(g.integers(1, 16))
+            assert np.array_equal(pauli(1, None, rng), pauli_effects(2)[idx - 1])
+            assert rng.generator.random() == g.random()
             idx = int(RngStream(seed).generator.integers(0, 12))
-            drawn = random_stabilizer_qutrit_design(RngStream(seed))
+            drawn = stabilizer(1, None, RngStream(seed))
             assert np.array_equal(drawn, stabilizer_qutrit_effects()[idx])
 
 

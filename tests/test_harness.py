@@ -1127,6 +1127,19 @@ class TestCli:
         pytest.param("track", track_config(tracking={
             "dt": 1e308, "n_steps": 5, "trajectory": {"kind": "static"}}),
             "n_steps * dt must be finite, got inf", id="clock_beyond_floats"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"],
+                                                         eta_log_std=1e200)),
+                     "eta_log_std squared must be finite, got 1e+200",
+                     id="eta_log_std_squared_beyond_floats"),
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"], trajectory={
+            "kind": "two_tone_coin", "f1": 1e308, "f2": 0.01})),
+            "two_tone_coin trajectory phase 2*pi*f1*n_steps*dt must be finite, got f1=1e+308",
+            id="tone_f1_beyond_floats"),
+        # 2*pi*f is finite here; only the phase after 25 steps is not.
+        pytest.param("track", track_config(tracking=dict(track_config()["tracking"], trajectory={
+            "kind": "single_tone_coin", "f": 1e307})),
+            "single_tone_coin trajectory phase 2*pi*f*n_steps*dt must be finite, got f=1e+307",
+            id="tone_phase_beyond_floats"),
         # Fields that sample mode does not read.
         *(pytest.param("sample", dict(SAMPLE_CONFIG, **{field: value}),
                        f"sample mode does not read {field}", id=f"{field}_in_sample_mode")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tomolab.design import random_pauli_design
+from tomolab.design import pauli_effects
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood, simulate_experiment
 from tomolab.priors import (
     HypothesisSpace,
@@ -192,7 +192,8 @@ class TestBayesUpdate:
             cloud = coin_cloud(rng.random(12))
         for step in range(n_updates):
             k = int(rng.integers(0, n + 1))
-            effect = random_pauli_design(1, stream.child(step)) if qubit else COIN_EFFECT
+            effect = (pauli_effects(1)[int(stream.child(step).generator.integers(0, 3))]
+                      if qubit else COIN_EFFECT)
             try:
                 cloud, _ = bayes_update(
                     cloud, binomial_log_likelihood(cloud.locations, effect, n, k))
@@ -440,7 +441,7 @@ class TestPosteriorContraction:
             cloud = init_cloud(prior, 2000, stream.child(0))
             initial = np.trace(posterior_covariance(cloud))
             for step in range(30):
-                effect = random_pauli_design(1, stream.child(1, step))
+                effect = pauli_effects(1)[int(stream.child(1, step).generator.integers(0, 3))]
                 k = simulate_experiment(truth, effect, 10, stream.child(2, step))
                 cloud, _ = bayes_update(
                     cloud, binomial_log_likelihood(cloud.locations, effect, 10, k))
