@@ -128,6 +128,11 @@ TRACK_CONFIGS = {
                        "amplitude": 0.5}}),
     "static": dict(COIN_TRACK, tracking={
         "dt": 0.1, "n_steps": 200, "eta_mean": 0.01, "trajectory": {"kind": "static"}}),
+    # Static runs from a damped coin prior, its target 0 and 1 in turn.
+    **{f"static_damped_{g}": dict(
+        COIN_TRACK, prior={"fiducial": "coin_uniform", "gad_mean": g},
+        tracking={"dt": 0.1, "n_steps": 200, "eta_mean": 0.01,
+                  "trajectory": {"kind": "static"}}) for g in (0.25, 0.8)},
     "diffusing_state": {
         "mode": "track", "seed": 5, "model": "state", "dim": 2,
         "prior": {"fiducial": "ginibre"},
@@ -146,6 +151,14 @@ TRACK_GOLDEN = {
     "static": {
         "record.json": "aa07eec2d324b7ab01fba2f1a0c3dc013bc877e5bfdc9fd8618f810a418be870",
         "steps.csv": "55e074eaf7f1e53bfde29e549590cb3bd328856755ca146916b5d3d892efff67",
+    },
+    "static_damped_0.25": {
+        "record.json": "823f7138dcaddc2d1c462f20de1359326d02a7cd177d203f02c07b80f998bb2e",
+        "steps.csv": "ba441ebb31ec198cf4a9be556aa97bbac20b6e679500f9b9b6d80825301a4494",
+    },
+    "static_damped_0.8": {
+        "record.json": "09ba02119336f99fbe84ad42fa3d48625ebf86ee6835fd1dd24ef0ce0f3bb65d",
+        "steps.csv": "5cb4a1d65f67bdf439595a16fca8fad76831dc8ca77c1da73d529c4acc27e369",
     },
     "diffusing_state": {
         "record.json": "9e5f0470d91f423422bf370e22694e6eda397d2762321565f418322cd06d84c5",
