@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw from a prior and dump coordinates")
     p.add_argument("--config", default=None, help="optional JSON config with a prior spec")
     p.add_argument("--prior", default=None, choices=FIDUCIALS)
-    p.add_argument("--dim", type=int, default=None, help="default 2")
+    p.add_argument("--dim", type=int, default=None, help=f"default {RunConfig.dim}")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
@@ -65,7 +65,7 @@ def _sample(args) -> int:
         if args.prior is None:
             raise ConfigError("sample needs --prior or --config")
         config = RunConfig(mode="sample", seed=0, model=FIDUCIALS[args.prior],
-                           dim=2 if args.dim is None else args.dim,
+                           dim=RunConfig.dim if args.dim is None else args.dim,
                            prior=PriorSpec(fiducial=args.prior, rank=args.rank))
     if args.seed is not None:
         config = replace(config, seed=args.seed)

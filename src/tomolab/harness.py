@@ -30,7 +30,6 @@ from .priors import (
     PriorDistribution,
     bcsz_prior,
     bures_prior,
-    coin_insightful_prior,
     coin_uniform_prior,
     ginibre_prior,
     insightful_prior,
@@ -268,6 +267,10 @@ class TrackingSpec:
                     2.0 * math.pi * number * (self.n_steps * self.dt)):
                 raise ConfigError(f"{kind} trajectory phase 2*pi*{key}*n_steps*dt "
                                   f"must be finite, got {key}={value!r}")
+            # The rule eta_log_std follows; the truth's walk then cannot overflow.
+            if key == "step_std" and (number < 0.0 or not math.isfinite(number * number)):
+                raise ConfigError(f"{kind} trajectory 'step_std' must be nonnegative "
+                                  f"with a finite square, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -436,10 +439,8 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
     """
     try:
         if model == "coin":
-            if spec.gad_mean is None:
-                return coin_uniform_prior()
-            return coin_insightful_prior(_number(spec.gad_mean, "prior gad_mean"))
-        if spec.fiducial == "ginibre":
+            base = coin_uniform_prior()
+        elif spec.fiducial == "ginibre":
             base = ginibre_prior(dim, rank=spec.rank)
         elif spec.fiducial == "bures":
             base = bures_prior(dim)
@@ -451,7 +452,8 @@ def build_prior(spec: PriorSpec, model: str, dim: int) -> PriorDistribution:
             base = bcsz_prior(dim, kraus_rank=spec.rank)
         if spec.gad_mean is None:
             return base
-        return insightful_prior(base, decode_matrix(spec.gad_mean))
+        return insightful_prior(base, _number(spec.gad_mean, "prior gad_mean") if model == "coin"
+                                else decode_matrix(spec.gad_mean))
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:

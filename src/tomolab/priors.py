@@ -9,11 +9,12 @@ weight eps the sample is
 
     rho' = (1 - eps) rho_f + eps rho_star,
 
-where (alpha, beta, rho_star) are chosen in closed form so that the
-prior mean equals the requested rho_mu while the support of the fiducial
-prior is preserved.  The same construction applies verbatim to Choi
-states (with I/D**2 taking over the role of the maximally mixed state)
-and to classical coins.
+where eps ~ Beta(1, beta) and (beta, rho_star) are chosen in closed form
+so that the prior mean equals the requested rho_mu while the support of
+the fiducial prior is preserved.  The same construction applies verbatim
+to Choi states (with I/D**2 taking over the role of the maximally mixed
+state) and to classical coins, whose heads probability p is the
+two-level state diag(p, 1 - p).
 """
 
 from __future__ import annotations
@@ -188,18 +189,20 @@ def coin_uniform_prior() -> PriorDistribution:
     return PriorDistribution(name="coin-uniform", space=HypothesisSpace("coin"))
 
 
-def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
-    """Beta parameters and extremal target realizing prior mean ``rho_mu``.
+def gad_params(rho_mu) -> tuple[float, np.ndarray]:
+    """Beta parameter and extremal target realizing prior mean ``rho_mu``.
 
-    With d the dimension of rho_mu and lam its smallest eigenvalue,
+    With d the dimension of rho_mu and lam its smallest eigenvalue, the
+    mixing weights are Beta(1, beta) with
 
-        alpha = 1,  beta = d lam / (1 - d lam),
-        rho_star = ((alpha + beta)/alpha) (rho_mu - beta/(alpha + beta) I/d).
+        beta = d lam / (1 - d lam),
+        rho_star = (1 + beta) (rho_mu - beta/(1 + beta) I/d).
 
     rho_mu must be Hermitian with unit trace.  Means too close to the
-    boundary (lam <= 1e-6) are rejected; mix the requested mean with I/d
-    before calling if that happens.  rho_mu = I/d returns beta = inf,
-    signalling passthrough of the fiducial prior.
+    boundary (lam <= 1e-6) are rejected; mix the requested mean toward
+    the maximally mixed state before calling if that happens.
+    rho_mu = I/d returns beta = inf, signalling passthrough of the
+    fiducial prior.
     """
     mu = np.asarray(rho_mu, dtype=complex)
     d = mu.shape[0]
@@ -210,18 +213,15 @@ def gad_params(rho_mu) -> tuple[float, float, np.ndarray]:
         raise PriorConstructionError("prior mean must have unit trace")
     lam_min = float(np.linalg.eigvalsh(mu).min())
     if lam_min >= 1.0 / d - _PASSTHROUGH_TOL:
-        return 1.0, np.inf, np.eye(d, dtype=complex) / d
+        return np.inf, np.eye(d, dtype=complex) / d
     if lam_min <= LAMBDA_FLOOR:
         raise PriorConstructionError(
             f"prior mean has smallest eigenvalue {lam_min:.3g}; "
-            "mix it with I/d to lift it above 1e-6 before building the prior"
+            "mix it toward the maximally mixed state to lift it above 1e-6"
         )
-    alpha = 1.0
     beta = d * lam_min / (1.0 - d * lam_min)
-    rho_star = ((alpha + beta) / alpha) * (
-        mu - (beta / (alpha + beta)) * np.eye(d) / d
-    )
-    return alpha, beta, rho_star
+    rho_star = (1.0 + beta) * (mu - beta / (1.0 + beta) * np.eye(d) / d)
+    return beta, rho_star
 
 
 def sample_epsilon(beta: float, n: int, rng: RngStream) -> np.ndarray:
@@ -229,20 +229,25 @@ def sample_epsilon(beta: float, n: int, rng: RngStream) -> np.ndarray:
     return 1.0 - rng.generator.random(n) ** (1.0 / beta)
 
 
-def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
-    """Damp a fiducial state or channel prior toward the mean ``rho_mu``.
+def insightful_prior(fiducial: PriorDistribution, mean) -> PriorDistribution:
+    """Damp a fiducial prior toward the prior mean ``mean``.
 
-    Returns the fiducial prior unchanged when rho_mu is maximally mixed.
-    For channel priors rho_mu must itself be a valid Choi state; the
-    extremal target is checked to be trace preserving.
+    A state prior takes a density matrix, a channel prior a Choi state
+    (its extremal target is checked to be trace preserving), and a coin
+    prior a heads probability p, damped as the two-level state
+    diag(p, 1 - p): its target is the endpoint nearer p.  Returns the
+    fiducial prior unchanged when the mean is maximally mixed.
     """
     space = fiducial.space
     if space.kind == "coin":
-        raise PriorConstructionError("coin priors use coin_insightful_prior")
-    mu = np.asarray(rho_mu, dtype=complex)
-    if mu.shape != (space.basis.dim, space.basis.dim):
-        raise PriorConstructionError("prior mean dimension does not match the fiducial prior")
-    _, beta, rho_star = gad_params(mu)
+        if np.ndim(mean) or not 0.0 <= mean <= 1.0:
+            raise PriorConstructionError("coin mean must lie in [0, 1]")
+        mu = np.diag([mean, 1.0 - mean])
+    else:
+        mu = np.asarray(mean, dtype=complex)
+        if mu.shape != (space.basis.dim, space.basis.dim):
+            raise PriorConstructionError("prior mean dimension does not match the fiducial prior")
+    beta, rho_star = gad_params(mu)
     if np.isinf(beta):
         return fiducial
     if space.kind == "channel":
@@ -254,41 +259,7 @@ def insightful_prior(fiducial: PriorDistribution, rho_mu) -> PriorDistribution:
         DensityOperator(matrix=rho_star)
     except InvalidOperatorError as err:
         raise PriorConstructionError(f"extremal target is not a valid state: {err}") from err
+    # A coin's rho_star is diag(1, 0) or diag(0, 1) but for rounding.
+    target = float(mean > 0.5) if space.kind == "coin" else space.basis.vectorize(rho_star)
     return PriorDistribution(name=f"insightful({fiducial.name})", space=space,
-                             fiducial=fiducial, beta=beta,
-                             target=space.basis.vectorize(rho_star))
-
-
-def coin_gad_params(p_mu: float) -> tuple[float, float, float]:
-    """Coin version of :func:`gad_params`.
-
-    lam = min(p_mu, 1 - p_mu), beta = 2 lam / (1 - 2 lam), and
-
-        p_star = ((alpha + beta)/alpha) (p_mu - beta / (2 (alpha + beta))),
-
-    which simplifies to exactly 0 for p_mu < 1/2 and 1 for p_mu > 1/2;
-    those values are returned rather than the rounded formula.
-    p_mu = 1/2 returns beta = inf (passthrough).
-    """
-    if not 0.0 <= p_mu <= 1.0:
-        raise PriorConstructionError("coin mean must lie in [0, 1]")
-    lam = min(p_mu, 1.0 - p_mu)
-    if lam >= 0.5 - _PASSTHROUGH_TOL:
-        return 1.0, np.inf, 0.5
-    if lam <= LAMBDA_FLOOR:
-        raise PriorConstructionError(
-            "coin mean is too extreme; mix it toward 1/2 before building the prior"
-        )
-    alpha = 1.0
-    beta = 2.0 * lam / (1.0 - 2.0 * lam)
-    p_star = 0.0 if p_mu < 0.5 else 1.0
-    return alpha, beta, p_star
-
-
-def coin_insightful_prior(p_mu: float) -> PriorDistribution:
-    """Uniform coin prior damped toward mean ``p_mu``."""
-    _, beta, p_star = coin_gad_params(p_mu)
-    if np.isinf(beta):
-        return coin_uniform_prior()
-    return PriorDistribution(name=f"coin-insightful(p={p_mu})", space=HypothesisSpace("coin"),
-                             fiducial=coin_uniform_prior(), beta=beta, target=p_star)
+                             fiducial=fiducial, beta=beta, target=target)

@@ -26,7 +26,6 @@ from tomolab.design import tracking_bandwidth
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood
 from tomolab.priors import (
     bures_prior,
-    coin_gad_params,
     coin_uniform_prior,
     gad_params,
     ginibre_prior,
@@ -119,11 +118,11 @@ def test_c02_random_channel_ensemble():
 def test_c03_damping_closed_forms():
     """Damping parameters reproduce hand-computed values exactly."""
     start = time.perf_counter()
-    _, beta, rho_star = gad_params(np.diag([0.9, 0.05, 0.05]).astype(complex))
+    beta, rho_star = gad_params(np.diag([0.9, 0.05, 0.05]).astype(complex))
     qutrit_ok = (abs(beta - 3.0 / 17.0) <= 1e-12
                  and np.abs(rho_star - np.diag([1.0, 0.0, 0.0])).max() <= 1e-12)
-    _, b13, _ = coin_gad_params(1.0 / 3.0)
-    _, b1516, _ = coin_gad_params(15.0 / 16.0)
+    b13, _ = gad_params(np.diag([1.0 / 3.0, 1.0 - 1.0 / 3.0]))
+    b1516, _ = gad_params(np.diag([15.0 / 16.0, 1.0 - 15.0 / 16.0]))
     coin_ok = abs(b13 - 2.0) <= 1e-12 and abs(b1516 - 1.0 / 7.0) <= 1e-12
     elapsed = time.perf_counter() - start
     ok = qutrit_ok and coin_ok and elapsed < 1.0

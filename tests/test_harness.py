@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,25 @@ class TestRunConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(coin_config()), encoding="utf-8")
         assert RunConfig.from_json_file(path) == RunConfig.from_dict(coin_config())
+
+    def test_readme_table_matches_defaults(self):
+        # README's "Configuration schema" table, from its header to the first blank line.
+        lines = (REPO / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | default | meaning |")
+        rows = [line.split("|")[1:3] for line in lines[start + 2:lines.index("", start)]]
+        table = {key.strip().strip("`"): cell.strip().strip("`") for key, cell in rows}
+        defaults = {f.name: None if f.default is MISSING else f.default
+                    for f in fields(RunConfig)}
+        assert list(table) == list(defaults)
+        for key, cell in table.items():
+            if cell in ("required", "required*", "-"):
+                assert defaults[key] is None, key
+                continue
+            try:
+                value = json.loads(cell)
+            except json.JSONDecodeError:
+                value = cell
+            assert (value, type(value)) == (defaults[key], type(defaults[key])), key
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -1140,6 +1160,11 @@ class TestCli:
             "kind": "single_tone_coin", "f": 1e307})),
             "single_tone_coin trajectory phase 2*pi*f*n_steps*dt must be finite, got f=1e+307",
             id="tone_phase_beyond_floats"),
+        *(pytest.param("track", dict(TRACKED_STATE, truth={"kind": "from_prior"}, tracking={
+            "n_steps": 20, "trajectory": {"kind": "diffusing_state", "step_std": std}}),
+            "diffusing_state trajectory 'step_std' must be nonnegative with a finite square, "
+            f"got {std!r}", id=case) for case, std in [
+                ("negative_step_std", -0.1), ("step_std_beyond_floats", 1e308)]),
         # Fields that sample mode does not read.
         *(pytest.param("sample", dict(SAMPLE_CONFIG, **{field: value}),
                        f"sample mode does not read {field}", id=f"{field}_in_sample_mode")

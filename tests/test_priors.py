@@ -11,8 +11,6 @@ from tomolab.priors import (
     PriorConstructionError,
     bcsz_prior,
     bures_prior,
-    coin_gad_params,
-    coin_insightful_prior,
     coin_uniform_prior,
     gad_params,
     ginibre_prior,
@@ -30,19 +28,18 @@ H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 class TestGadParams:
     def test_qutrit_peaked_mean(self):
-        alpha, beta, rho_star = gad_params(np.diag([0.9, 0.05, 0.05]))
-        assert alpha == 1.0
+        beta, rho_star = gad_params(np.diag([0.9, 0.05, 0.05]))
         assert abs(beta - 3.0 / 17.0) < 1e-12
         assert np.abs(rho_star - np.diag([1.0, 0.0, 0.0])).max() < 1e-12
 
     def test_rebit_minus_x_mean(self):
-        alpha, beta, rho_star = gad_params((np.eye(2) - 0.9 * X) / 2)
+        beta, rho_star = gad_params((np.eye(2) - 0.9 * X) / 2)
         assert abs(beta - 1.0 / 9.0) < 1e-12
         assert np.abs(rho_star - (np.eye(2) - X) / 2).max() < 1e-12
 
     def test_tilted_qubit_mean(self):
         mu = (np.eye(2) + (2.0 / 3.0) * Z + (1.0 / 3.0) * X) / 2
-        alpha, beta, rho_star = gad_params(mu)
+        beta, rho_star = gad_params(mu)
         lam = (1.0 - np.sqrt(5.0) / 3.0) / 2.0
         assert abs(np.linalg.eigvalsh(mu).min() - lam) < 1e-12
         assert abs(beta - (3.0 / np.sqrt(5.0) - 1.0)) < 1e-12
@@ -50,7 +47,7 @@ class TestGadParams:
         assert abs(np.linalg.eigvalsh(rho_star).min()) < 1e-10
 
     def test_maximally_mixed_passthrough(self):
-        alpha, beta, rho_star = gad_params(np.eye(3) / 3)
+        beta, rho_star = gad_params(np.eye(3) / 3)
         assert np.isinf(beta)
         assert np.abs(rho_star - np.eye(3) / 3).max() < 1e-12
 
@@ -63,7 +60,7 @@ class TestGadParams:
     def test_target_sits_on_the_boundary(self, seed, dim):
         rho = ginibre_states(1, dim, dim, RngStream(seed))[0]
         mu = 0.9 * rho + 0.1 * np.eye(dim) / dim
-        _, beta, rho_star = gad_params(mu)
+        beta, rho_star = gad_params(mu)
         assert abs(np.linalg.eigvalsh(rho_star).min()) < 1e-8
         # reconstruction: mean of (1-eps) rho_f + eps rho_star at E[eps] = 1/(1+beta)
         eps_mean = 1.0 / (1.0 + beta)
@@ -129,7 +126,7 @@ class TestInsightfulStatePrior:
         rows = prior.sample(50, RngStream(131))
         stream = RngStream(131)
         fid = fiducial.sample(50, stream)
-        _, beta, rho_star = gad_params(np.diag([0.9, 0.05, 0.05]))
+        beta, rho_star = gad_params(np.diag([0.9, 0.05, 0.05]))
         eps = (1.0 - stream.generator.random(50) ** (1.0 / beta))[:, None]
         star = standard_basis(3).vectorize(rho_star)
         assert np.array_equal(rows, (1.0 - eps) * fid + eps * star)
@@ -139,7 +136,8 @@ class TestInsightfulStatePrior:
             insightful_prior(ginibre_prior(2), np.diag([0.9, 0.05, 0.05]))
 
     def test_coin_rejected(self):
-        with pytest.raises(PriorConstructionError):
+        # A coin's mean is its heads probability, not an operator.
+        with pytest.raises(PriorConstructionError, match=r"coin mean must lie in \[0, 1\]"):
             insightful_prior(coin_uniform_prior(), np.eye(2) / 2)
 
 
@@ -152,7 +150,7 @@ class TestInsightfulChannelPrior:
 
     def test_closed_form_recovers_true_channel(self):
         true_choi, mu = self._mixture_mean()
-        alpha, beta, rho_star = gad_params(mu)
+        beta, rho_star = gad_params(mu)
         assert abs(beta - 1.0 / 9.0) < 1e-12
         assert np.abs(rho_star - true_choi).max() < 1e-10
 
@@ -182,44 +180,48 @@ class TestCoinPriors:
         (1.0 - 2e-6, 4e-6 / (1.0 - 4e-6), 1.0),
     ])
     def test_closed_forms(self, p_mu, beta, p_star):
-        alpha, b, p = coin_gad_params(p_mu)
-        assert alpha == 1.0
-        assert abs(b - beta) < 1e-12
-        assert p == p_star  # exact: a heads probability outside [0, 1] is invalid
+        prior = insightful_prior(coin_uniform_prior(), p_mu)
+        assert abs(prior.beta - beta) < 1e-12
+        assert prior.target == p_star  # exact: a heads probability outside [0, 1] is invalid
+
+    @settings(max_examples=200, deadline=None)
+    @given(p_mu=st.floats(1.1e-6, 1.0 - 1.1e-6).filter(lambda p: abs(p - 0.5) > 1e-12))
+    def test_beta_is_the_two_point_formula(self, p_mu):
+        lam = min(p_mu, 1.0 - p_mu)
+        assert insightful_prior(coin_uniform_prior(), p_mu).beta == 2.0 * lam / (1.0 - 2.0 * lam)
 
     def test_fair_coin_passthrough(self):
-        prior = coin_insightful_prior(0.5)
-        assert prior.name == "coin-uniform"
+        fid = coin_uniform_prior()
+        assert insightful_prior(fid, 0.5) is fid
 
     def test_extreme_mean_rejected(self):
-        with pytest.raises(PriorConstructionError):
-            coin_gad_params(0.0)
-        with pytest.raises(PriorConstructionError):
-            coin_gad_params(1.0 - 1e-9)
+        for p_mu in (0.0, 1.0 - 1e-9, 1.5, -0.1, float("nan")):
+            with pytest.raises(PriorConstructionError):
+                insightful_prior(coin_uniform_prior(), p_mu)
 
     def test_draws_all_fiducials_then_all_weights(self):
-        prior = coin_insightful_prior(0.25)
+        prior = insightful_prior(coin_uniform_prior(), 0.25)
         rows = prior.sample(50, RngStream(137))
         stream = RngStream(137)
         p_f = stream.generator.random((50, 1))
-        assert (prior.beta, prior.target) == coin_gad_params(0.25)[1:]
+        assert (prior.beta, prior.target) == (1.0, 0.0)
         eps = (1.0 - stream.generator.random(50) ** (1.0 / prior.beta))[:, None]
         assert np.array_equal(rows, (1.0 - eps) * p_f + eps * prior.target)
 
     def test_batch_mean_quarter(self):
-        prior = coin_insightful_prior(0.25)
+        prior = insightful_prior(coin_uniform_prior(), 0.25)
         draws = prior.sample(1_000_000, RngStream(89))
         assert abs(draws.mean() - 0.25) < 0.002
 
     def test_batch_and_scalar_paths_agree_in_distribution(self):
-        prior = coin_insightful_prior(1.0 / 16.0)
+        prior = insightful_prior(coin_uniform_prior(), 1.0 / 16.0)
         batch = prior.sample(10_000, RngStream(97)).ravel()
         stream = RngStream(101)
         loop = np.array([prior.sample(1, stream)[0, 0] for _ in range(10_000)])
         assert stats.ks_2samp(batch, loop).pvalue > 0.01
 
     def test_low_mean_shape(self):
-        prior = coin_insightful_prior(1.0 / 16.0)
+        prior = insightful_prior(coin_uniform_prior(), 1.0 / 16.0)
         draws = prior.sample(50_000, RngStream(103)).ravel()
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         near_zero = np.mean(draws < 0.1)

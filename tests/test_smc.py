@@ -10,7 +10,6 @@ from tomolab.design import pauli_effects
 from tomolab.likelihood import COIN_EFFECT, binomial_log_likelihood, simulate_experiment
 from tomolab.priors import (
     HypothesisSpace,
-    coin_insightful_prior,
     coin_uniform_prior,
     ginibre_prior,
     insightful_prior,
@@ -63,7 +62,7 @@ class TestInitCloud:
             init_cloud(coin_uniform_prior(), 1, RngStream(1))
 
     def test_prior_mean_recovered(self):
-        prior = coin_insightful_prior(0.25)
+        prior = insightful_prior(coin_uniform_prior(), 0.25)
         cloud = init_cloud(prior, 10_000, RngStream(3))
         assert abs(posterior_mean_coords(cloud)[0] - 0.25) < 0.02
 
