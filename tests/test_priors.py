@@ -185,7 +185,7 @@ class TestCoinPriors:
         assert prior.target == p_star  # exact: a heads probability outside [0, 1] is invalid
 
     @settings(max_examples=200, deadline=None)
-    @given(p_mu=st.floats(1.1e-6, 1.0 - 1.1e-6).filter(lambda p: abs(p - 0.5) > 1e-12))
+    @given(p_mu=st.floats(1.1e-6, 1.0 - 1.1e-6).filter(lambda p: abs(p - 0.5) > 1e-9))
     def test_beta_is_the_two_point_formula(self, p_mu):
         lam = min(p_mu, 1.0 - p_mu)
         assert insightful_prior(coin_uniform_prior(), p_mu).beta == 2.0 * lam / (1.0 - 2.0 * lam)
