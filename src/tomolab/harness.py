@@ -472,7 +472,7 @@ def _fixed_truth(spec: TruthSpec, space) -> np.ndarray:
         else:
             mat = decode_matrix(spec.matrix)
             if space.kind == "channel":
-                ChoiState(matrix=mat, dim_in=space.channel_dim, dim_out=space.channel_dim)
+                ChoiState(matrix=mat, dim=space.channel_dim)
             else:
                 DensityOperator(matrix=mat)
             coords = space.basis.vectorize(mat)
@@ -575,7 +575,8 @@ class RunRecord:
     recorded step, in ``steps.csv`` order: ``step``, ``time``, ``n_meas``,
     ``n_success``, ``ess``, ``log_norm``, ``cov_trace``, ``loss``, the 2-D
     ``est`` and, for track runs, the 2-D ``truth`` and ``eta_mean``.  A
-    risk trial's record holds only ``loss``.
+    risk trial's record holds only ``loss``.  ``summary`` describes the
+    last row, with the run's total log norm.
 
     ``write`` makes ``record.json`` canonical: it excludes wall time and
     the output directory, so identical (config, seed) pairs serialize to
@@ -591,32 +592,24 @@ class RunRecord:
     wall_time: float = 0.0
     final_cloud: Optional[ParticleCloud] = None
 
-    def _frame(self) -> tuple[str, str]:
-        """The JSON text before the first step row and after the last.
-
-        Together with the rows joined by ``_ROW_SEP`` they make
-        ``json.dumps(payload, sort_keys=True, indent=2)`` of the whole
-        record, whose keys sort as config, failed, failure_reason, mode,
-        steps, summary.
-        """
-        head = json.dumps({"config": self.config, "failed": self.failed,
-                           "failure_reason": self.failure_reason, "mode": self.mode},
-                          sort_keys=True, indent=2)
-        summary = json.dumps(self.summary, sort_keys=True, indent=2).replace("\n", "\n  ")
-        return (head[:-2] + ',\n  "steps": [\n    ',
-                f'\n  ],\n  "summary": {summary}\n}}')
-
     def write(self, out_dir) -> Path:
         """Write ``record.json`` and ``steps.csv`` in one pass over the
-        columns, then ``meta.json`` and the optional covariance and cloud."""
+        columns, then ``meta.json`` and the optional covariance and cloud.
+        ``record.json`` is ``json.dumps`` of the whole record with the step
+        rows streamed in where a marker row stands; the unpacking raises
+        unless the marker occurs exactly once."""
         out = make_out_dir(out_dir)
-        head, tail = self._frame()
+        head, tail = json.dumps(
+            {"config": self.config, "failed": self.failed, "failure_reason": self.failure_reason,
+             "mode": self.mode, "steps": [_STEPS], "summary": self.summary},
+            sort_keys=True, indent=2).split(json.dumps(_STEPS))
+        csv_header, rows = _step_rows(self.columns)
         with open(out / "record.json", "w", encoding="utf-8") as record, \
                 open(out / "steps.csv", "w", newline="", encoding="utf-8") as table:
             record.write(head)
-            table.write(",".join(_csv_names(self.columns)) + "\r\n")
+            table.write(csv_header)
             sep = ""
-            for row, line in _step_rows(self.columns):
+            for row, line in rows:
                 record.write(sep + row)
                 table.write(line)
                 sep = _ROW_SEP
@@ -640,39 +633,36 @@ def _write_meta(out: Path, wall_time: float, **facts) -> None:
                   fh, indent=2)
 
 
-# Step rows as json.dumps(indent=2) places them, two levels deep.
+# Step rows as json.dumps(indent=2) places them, two levels deep, and the
+# row that marks their place in the record's text.
 _ROW_SEP = ",\n    "
+_STEPS = "\0steps"
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _ROW_BLOCK = 256  # rows formatted at a time
 
 
-def _csv_names(columns: dict) -> list:
-    """The ``steps.csv`` header: a 2-D column ``name`` becomes ``name_0``,
-    ``name_1``, ..."""
-    names = []
-    for name, col in columns.items():
-        names.extend([name] if col.ndim == 1 else
-                     [f"{name}_{i}" for i in range(col.shape[1])])
-    return names
-
-
 def _step_rows(columns: dict):
-    """Yield each row's ``record.json`` object and ``steps.csv`` line.
+    """The ``steps.csv`` header line, and an iterator over each row's
+    ``record.json`` object and ``steps.csv`` line.
 
-    Every value is formatted once, with ``repr`` (as both ``json`` and
+    A 2-D column ``name`` becomes the CSV columns ``name_0``, ``name_1``,
+    ...  Every value is formatted once, with ``repr`` (as both ``json`` and
     ``csv`` format a float); a non-finite float is ``nan``/``inf``/``-inf``
     in the CSV and ``NaN``/``Infinity``/``-Infinity`` in the JSON, as
     ``json.dumps`` writes it.  Rows are formatted ``_ROW_BLOCK`` at a
     time, so the formatted text of the whole table is never held at once.
     """
     flat = []  # 1-D columns in CSV order
+    names = []  # their CSV names
     cells = {}  # column name -> its index in flat, or the range of its 2-D cells
     for name, col in columns.items():
         if col.ndim == 1:
             cells[name] = len(flat)
+            names.append(name)
             flat.append(col)
         else:
             cells[name] = range(len(flat), len(flat) + col.shape[1])
+            names.extend(f"{name}_{i}" for i in range(col.shape[1]))
             flat.extend(col.T)
     members = []
     for name in sorted(cells):
@@ -681,45 +671,46 @@ def _step_rows(columns: dict):
                  "[\n        " + ",\n        ".join(f"{{{i}}}" for i in at) + "\n      ]")
         members.append(f'      "{name}": {value}')
     template = "{{\n" + ",\n".join(members) + "\n    }}"
-    n_rows = len(flat[0])
-    for lo in range(0, n_rows, _ROW_BLOCK):
-        texts, json_texts = [], []
-        for col in flat:
-            block = col[lo:lo + _ROW_BLOCK]
-            text = list(map(repr, block.tolist()))
-            texts.append(text)
-            json_texts.append(text if block.dtype.kind != "f" or np.isfinite(block).all()
-                              else [_JSON_NON_FINITE.get(t, t) for t in text])
-        for values, json_values in zip(zip(*texts), zip(*json_texts)):
-            yield template.format(*json_values), ",".join(values) + "\r\n"
+
+    def rows():
+        for lo in range(0, len(flat[0]), _ROW_BLOCK):
+            texts, json_texts = [], []
+            for col in flat:
+                block = col[lo:lo + _ROW_BLOCK]
+                text = list(map(repr, block.tolist()))
+                texts.append(text)
+                json_texts.append(text if block.dtype.kind != "f" or np.isfinite(block).all()
+                                  else [_JSON_NON_FINITE.get(t, t) for t in text])
+            for values, json_values in zip(zip(*texts), zip(*json_texts)):
+                yield template.format(*json_values), ",".join(values) + "\r\n"
+    return ",".join(names) + "\r\n", rows()
 
 
 def _truths(config: RunConfig, setup: _Setup, truth_rng: RngStream,
-            n_steps: int, dt: float) -> np.ndarray:
-    """The truth at steps 0 to ``n_steps``, one row each, built from
+            times: np.ndarray) -> np.ndarray:
+    """The truth at each of the run's ``times``, one row each, built from
     ``truth_rng`` alone before the first step.  A run that does not follow
     a moving trajectory gets a read-only view of its one truth."""
     spec = config.tracking.trajectory if config.mode == "track" else {"kind": "static"}
     kind = spec["kind"]
     value = {key: float(spec.get(key, default))
              for key, default in TRAJECTORY_KEYS[kind][1].items()}
-    times = (step * dt for step in range(n_steps + 1))
     if kind == "two_tone_coin":
         f1, f2 = value["f1"], value["f2"]
         return np.array([[0.25 * (2.0 + math.cos(2.0 * math.pi * f1 * t)
-                                  + math.cos(2.0 * math.pi * f2 * t))] for t in times])
+                                  + math.cos(2.0 * math.pi * f2 * t))] for t in times.tolist()])
     if kind == "single_tone_coin":
         f, offset, amplitude = value["f"], value["offset"], value["amplitude"]
         return np.array([[min(max(offset + amplitude * math.cos(2.0 * math.pi * f * t), 0.0), 1.0)]
-                         for t in times])
+                         for t in times.tolist()])
     start = resolve_truth(config.truth, setup, truth_rng)
     if kind == "static":
-        return np.broadcast_to(start, (n_steps + 1, start.size))
+        return np.broadcast_to(start, (len(times), start.size))
     std = value["step_std"]
     basis = setup.prior.space.basis
-    path = np.empty((n_steps + 1, start.size))
+    path = np.empty((len(times), start.size))
     path[0] = start
-    for step in range(1, n_steps + 1):
+    for step in range(1, len(times)):
         coords = path[step - 1].copy()
         coords[1:] += truth_rng.generator.standard_normal(coords.size - 1) * std
         path[step] = basis.vectorize(truncate_to_state(basis.devectorize(coords)[None])[0])
@@ -745,12 +736,13 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     heuristic = setup.heuristic
     tr = config.tracking if config.mode == "track" else None
     n_steps, dt = (config.n_experiments, 0.0) if tr is None else (tr.n_steps, tr.dt)
-    truths = _truths(config, setup, truth_rng, n_steps, dt)
+    times = np.arange(n_steps + 1) * dt
+    truths = _truths(config, setup, truth_rng, times)
     rates = None if tr is None else (tr.eta_mean, tr.eta_log_std)
     cloud = init_cloud(setup.prior, config.n_particles, engine_rng, rates=rates)
     w = cloud.space.n_state_coords
     n_meas = config.heuristic.n_meas
-    columns = _step_columns(n_steps + 1, n_meas, dt, cloud.space.n_coords, losses_only)
+    columns = _step_columns(times, n_meas, cloud.space.n_coords, losses_only)
     if tr is not None:
         columns.update(truth=truths, eta_mean=np.empty(n_steps + 1))
     loss = columns["loss"]
@@ -778,14 +770,11 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
     cov = fill(0, 0, 0.0)
     failed = False
     reason = None
-    prev_t = 0.0
     for step in range(1, n_steps + 1):
-        t = step * dt
-        truth = truths[step]
         effect = heuristic(step, cloud, design_rng, cov=cov)
         if tr is not None:
-            cloud = diffuse_cloud(cloud, t - prev_t, engine_rng)
-        n_success = simulate_experiment(truth, effect, n_meas, data_rng)
+            cloud = diffuse_cloud(cloud, times[step] - times[step - 1], engine_rng)
+        n_success = simulate_experiment(truths[step], effect, n_meas, data_rng)
         log_like = binomial_log_likelihood(cloud.locations[:, :w], effect, n_meas, n_success)
         try:
             cloud, log_norm = bayes_update(cloud, log_like)
@@ -800,20 +789,20 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
                                threshold=config.resample_threshold)
         n_resamples += int(cloud is not before)
         cov = fill(step, n_success, log_norm)
-        prev_t = t
     summary = {"n_resamples": n_resamples}
     if not losses_only:
-        est, cov, ess = summarize(cloud)
+        # The last filled row: the last step that updated.
+        last = len(columns["loss"]) - 1
         summary.update({
-            "mean": est.tolist(),
+            "mean": columns["est"][last].tolist(),
             "covariance": cov.tolist(),
-            "ess": ess,
+            "ess": float(columns["ess"][last]),
             "total_log_norm": total_log_norm,
-            "loss": loss_norm(est[:w], truth[:w]),
-            "truth": truth.tolist(),
+            "loss": float(columns["loss"][last]),
+            "truth": truths[last].tolist(),
         })
         if tr is not None:
-            summary["eta_mean"] = float(est[-1])
+            summary["eta_mean"] = float(columns["eta_mean"][last])
         elif config.model == "channel":
             lam, comp = principal_components(cov, 1)[0]
             summary["principal_eigenvalue"] = lam
@@ -823,16 +812,16 @@ def _filter(config: RunConfig, root: RngStream, setup: _Setup,
                      wall_time=time.perf_counter() - start, final_cloud=cloud)
 
 
-def _step_columns(n_rows: int, n_meas: int, dt: float, n_coords: int,
+def _step_columns(times: np.ndarray, n_meas: int, n_coords: int,
                   losses_only: bool) -> dict:
     """Preallocated step-table columns (see :class:`RunRecord`) up to
-    ``est``; row ``i`` is step ``i`` at time ``i * dt``."""
+    ``est``; row ``i`` is step ``i`` at ``times[i]``."""
+    n_rows = len(times)
     if losses_only:
         return {"loss": np.empty(n_rows)}
-    step = np.arange(n_rows)
     n_meas_col = np.full(n_rows, n_meas)
     n_meas_col[0] = 0
-    columns = {"step": step, "time": step * dt, "n_meas": n_meas_col,
+    columns = {"step": np.arange(n_rows), "time": times, "n_meas": n_meas_col,
                "n_success": np.zeros(n_rows, dtype=int)}
     for name in ("ess", "log_norm", "cov_trace", "loss"):
         columns[name] = np.empty(n_rows)

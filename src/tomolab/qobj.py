@@ -296,14 +296,11 @@ class ChoiState:
     """
 
     matrix: np.ndarray
-    dim_in: int
-    dim_out: int
+    dim: int
 
     def __post_init__(self):
         arr = _as_square(self.matrix)
-        if self.dim_in != self.dim_out:
-            raise DimensionMismatchError("only square channels are supported")
-        d = self.dim_in
+        d = self.dim
         if arr.shape[0] != d * d:
             raise DimensionMismatchError("Choi matrix must live on the D**2 space")
         check_states(arr[None], channel_dim=d)
@@ -402,7 +399,7 @@ def choi_of_channel(kraus_ops: Sequence[np.ndarray]) -> ChoiState:
     for k in kraus:
         v = k.T.reshape(-1)
         j += np.outer(v, v.conj())
-    return ChoiState(matrix=j / d, dim_in=d, dim_out=d)
+    return ChoiState(matrix=j / d, dim=d)
 
 
 def apply_choi(choi: ChoiState, rho) -> np.ndarray:
@@ -413,7 +410,7 @@ def apply_choi(choi: ChoiState, rho) -> np.ndarray:
     if isinstance(rho, DensityOperator):
         rho = rho.matrix
     rho = _as_square(rho)
-    d = choi.dim_in
+    d = choi.dim
     if rho.shape != (d, d):
         raise DimensionMismatchError("state dimension does not match channel input")
     j = choi.matrix * d

@@ -139,8 +139,7 @@ def test_c04_channel_state_pairing_oracle():
     stream = RngStream(4040)
     gen = np.random.default_rng(4040)
     for i in range(1000):
-        choi = ChoiState(matrix=bcsz_channels(1, 2, 4, stream.child(0, i))[0],
-                         dim_in=2, dim_out=2)
+        choi = ChoiState(matrix=bcsz_channels(1, 2, 4, stream.child(0, i))[0], dim=2)
         rho = DensityOperator(matrix=ginibre_states(1, 2, 2, stream.child(1, i))[0])
         ket = gen.standard_normal(2) + 1j * gen.standard_normal(2)
         ket /= np.linalg.norm(ket)

@@ -461,6 +461,27 @@ class TestEstimation:
         assert ((tmp_path / "a" / "record.json").read_bytes()
                 == (tmp_path / "b" / "record.json").read_bytes())
 
+    def test_coin_evidence_matches_its_exact_value(self):
+        # Under a uniform prior the evidence of k_i successes in 5 shots at
+        # each step is prod C(5, k_i) * B(K + 1, N - K + 1).  The SMC
+        # estimate exp(total_log_norm) is unbiased for it, so its ratio to
+        # the exact value averages to 1 over seeds, within 4 standard errors.
+        ratios = []
+        for seed in range(100, 140):
+            rec = run(RunConfig.from_dict(coin_config(
+                seed=seed, n_particles=1000, n_experiments=200,
+                heuristic={"kind": "coin", "n_meas": 5})))
+            assert not rec.failed
+            k = rec.columns["n_success"][1:].tolist()
+            n, total = 5 * len(k), sum(k)
+            log_z = sum(math.lgamma(6) - math.lgamma(ki + 1) - math.lgamma(6 - ki) for ki in k)
+            log_z += (math.lgamma(total + 1) + math.lgamma(n - total + 1)
+                      - math.lgamma(n + 2))
+            ratios.append(math.exp(rec.summary["total_log_norm"] - log_z))
+        assert n == 1000
+        mean, s = np.mean(ratios), np.std(ratios, ddof=1)
+        assert abs(mean - 1.0) <= 4.0 * s / math.sqrt(len(ratios)), (mean, s)
+
 
 class TestQpt:
     CONFIG = {
@@ -493,7 +514,7 @@ class TestQpt:
     @pytest.mark.parametrize("fraction", [1.0, 0.8])
     def test_one_covariance_per_row(self, monkeypatch, fraction):
         # Each row builds one summary, and the adaptive rule scores against
-        # the covariance in it; the run's summary is the one more.
+        # the covariance in it.
         calls = {"summarize": 0, "posterior_covariance": 0,
                  "posterior_mean_coords": 0, "effective_sample_size": 0}
         for name in calls:
@@ -507,7 +528,7 @@ class TestQpt:
         rec = run(RunConfig.from_dict(cfg))
         assert not rec.failed
         assert len(rec.columns["loss"]) == 21
-        assert calls == {"summarize": 22, "posterior_covariance": 0,
+        assert calls == {"summarize": 21, "posterior_covariance": 0,
                          "posterior_mean_coords": 0, "effective_sample_size": 0}
 
 

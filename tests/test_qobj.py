@@ -290,7 +290,7 @@ class TestChoi:
         mat = np.zeros((4, 4))
         mat[0, 0] = 1.0
         with pytest.raises(InvalidOperatorError):
-            ChoiState(matrix=mat, dim_in=2, dim_out=2)
+            ChoiState(matrix=mat, dim=2)
 
 
 class TestProcessEffect:
@@ -323,8 +323,7 @@ class TestProcessEffect:
         stream = RngStream(4242)
         rng = np.random.default_rng(99)
         for i in range(100):
-            choi = ChoiState(matrix=bcsz_channels(1, 2, 4, stream.child(i))[0],
-                             dim_in=2, dim_out=2)
+            choi = ChoiState(matrix=bcsz_channels(1, 2, 4, stream.child(i))[0], dim=2)
             rho = DensityOperator(matrix=ginibre_states(1, 2, 2, stream.child(1000 + i))[0])
             eff = Effect(matrix=random_projector(rng, 2))
             kraus_free = hs_inner(process_effect(rho, eff).matrix, choi.matrix).real
@@ -387,7 +386,7 @@ class TestValidation:
         with pytest.raises(InvalidOperatorError, match="trace preserving"):
             check_states(stack, channel_dim=2)
         with pytest.raises(InvalidOperatorError, match="trace preserving"):
-            ChoiState(matrix=stack[1], dim_in=2, dim_out=2)
+            ChoiState(matrix=stack[1], dim=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -402,7 +401,7 @@ class TestValidation:
             with pytest.raises(InvalidOperatorError, match="non-finite"):
                 DensityOperator(matrix=stack[1])
             with pytest.raises(InvalidOperatorError, match="non-finite"):
-                ChoiState(matrix=np.full((4, 4), bad), dim_in=2, dim_out=2)
+                ChoiState(matrix=np.full((4, 4), bad), dim=2)
             with pytest.raises(InvalidOperatorError, match="non-finite"):
                 Effect(matrix=stack[1])
             with pytest.raises(InvalidOperatorError, match="non-finite"):

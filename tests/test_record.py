@@ -168,3 +168,6 @@ def test_heralded_record_is_canonical_and_holds_the_filled_rows(tmp_path):
     table = (tmp_path / "steps.csv").read_bytes()
     assert table == reference_csv(record.columns)
     assert table.count(b"\r\n") == 1 + 4
+    # The summary describes the last step that updated, not the failing one.
+    assert record.summary["truth"] == record.columns["truth"][-1].tolist()
+    assert record.summary["loss"] == record.columns["loss"][-1]
